@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .labelcalc import as_label
 from .labelcompiler import compile_label
-from .orderformula import FormulaAst, iter_ordered_traces
+from .orderformula import FormulaAst, ordered_trace_family
 from .setsystem import (
     Label,
     Mask,
@@ -54,12 +54,13 @@ def xor_pair_family(ast: FormulaAst, n: int, m_pairs: int) -> SetSystem:
         raise SizeGuardError(f"pair count {m_pairs} exceeds cap {XOR_PAIR_CAP}")
     if n > XOR_ARITY_CAP:
         raise SizeGuardError(f"arity {n} exceeds cap {XOR_ARITY_CAP}")
-    masks = set()
-    for tr in iter_ordered_traces(ast, n, 2 * m_pairs):
-        masks.add(
+    return SetSystem.from_masks(
+        m_pairs,
+        (
             tuple(1 if tr[2 * k] != tr[2 * k + 1] else 0 for k in range(m_pairs))
-        )
-    return SetSystem.from_masks(m_pairs, masks)
+            for tr in ordered_trace_family(ast, n, 2 * m_pairs).members
+        ),
+    )
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,6 @@ dimension len(eta) - 1.
 
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache
-
 from .setsystem import (
     ENUMERATION_GROUND_CAP,
     GroundMismatchError,
@@ -18,6 +15,7 @@ from .setsystem import (
     Mask,
     SetSystem,
     SizeGuardError,
+    _automaton_family,
     _check_mask,
 )
 
@@ -51,26 +49,12 @@ def induces(mask: Mask, eta: Label) -> bool:
     Greedy left-to-right matching; equivalent to subsequence containment of
     eta in the membership string.
     """
-    eta = as_label(eta)
-    j = 0
-    for b in mask:
-        if b == eta[j]:
-            j += 1
-            if j == len(eta):
-                return True
-    return False
+    return _witness_end(mask, (1,) * len(mask), as_label(eta)) is not None
 
 
 def induces_within(mask: Mask, region: Mask, eta: Label) -> bool:
     """Pattern induction using only positions inside ``region``."""
-    eta = as_label(eta)
-    j = 0
-    for b, inside in zip(mask, region):
-        if inside and b == eta[j]:
-            j += 1
-            if j == len(eta):
-                return True
-    return False
+    return _witness_end(mask, region, as_label(eta)) is not None
 
 
 def _witness_end(mask: Mask, region: Mask, eta: Label):
@@ -88,9 +72,12 @@ def _witness_end(mask: Mask, region: Mask, eta: Label):
     return None
 
 
-@lru_cache(maxsize=None)
 def avoid_family(ground_size: int, eta: Label) -> SetSystem:
-    """All subsets of the ground whose membership string avoids eta."""
+    """All subsets of the ground whose membership string avoids eta.
+
+    The members are the words on which the greedy matcher never completes
+    eta; its state is the length of the prefix of eta matched so far.
+    """
     eta = as_label(eta)
     if ground_size < 0:
         raise ValueError("ground size must be nonnegative")
@@ -99,13 +86,13 @@ def avoid_family(ground_size: int, eta: Label) -> SetSystem:
             f"avoidance enumeration on ground {ground_size} exceeds cap "
             f"{ENUMERATION_GROUND_CAP}"
         )
-    members = tuple(
-        mask
-        for mask in itertools.product((0, 1), repeat=ground_size)
-        if not induces(mask, eta)
-    )
-    # itertools.product yields masks in lexicographic order already.
-    return SetSystem(ground_size, members)
+
+    def step(matched: int, bit: int):
+        if bit == eta[matched]:
+            matched += 1
+        return matched if matched < len(eta) else None
+
+    return _automaton_family(ground_size, 0, step)
 
 
 def is_characterized_by(system: SetSystem, eta: Label) -> bool:

@@ -1,11 +1,11 @@
 """Quantifier-free order formulas in one object variable x with parameters y1..yn.
 
-Formulas are evaluated over a position grid standing in for a dense linear
-order: ground element j sits at position 2*j, and parameter tuples range
-over enough rational positions to realize every order type of strictly
-increasing parameters relative to the ground (including equality with
-ground points).  Only that order type can influence the truth of a
-quantifier-free order formula at a ground point.
+n strictly increasing parameters cut a dense line into 2n+1 cells: the
+open gaps below, between and above them, and each parameter itself.  A
+quantifier-free order formula is constant on each cell, so its ground
+traces are the words of a small automaton over those cells.  A position
+grid (ground element j at position 2*j, parameter tuples realizing every
+order type relative to the ground) is kept as the reference enumeration.
 """
 
 from __future__ import annotations
@@ -14,15 +14,14 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .labelcalc import is_characterized_by
 from .setsystem import (
     Label,
-    Mask,
     SetSystem,
     SizeGuardError,
+    _automaton_family,
     forbidden_label,
     mask_from_indices,
     phi_bound,
@@ -254,7 +253,6 @@ def format_formula(ast: FormulaAst) -> str:
     return _format(ast, 0)
 
 
-@lru_cache(maxsize=None)
 def formula_arity(ast: FormulaAst) -> int:
     """Largest parameter index used; 0 for constant formulas."""
     if isinstance(ast, Compare):
@@ -266,24 +264,16 @@ def formula_arity(ast: FormulaAst) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
-def _compiled(ast: FormulaAst):
-    if isinstance(ast, Top):
-        return lambda x, params: True
-    if isinstance(ast, Bottom):
-        return lambda x, params: False
+def _eval(ast: FormulaAst, x, params: Sequence) -> bool:
     if isinstance(ast, Compare):
-        op = _REL_FUNCS[ast.rel]
-        i = ast.index - 1
-        return lambda x, params: op(x, params[i])
+        return _REL_FUNCS[ast.rel](x, params[ast.index - 1])
     if isinstance(ast, Not):
-        f = _compiled(ast.child)
-        return lambda x, params: not f(x, params)
+        return not _eval(ast.child, x, params)
     if isinstance(ast, And):
-        f, g = _compiled(ast.left), _compiled(ast.right)
-        return lambda x, params: f(x, params) and g(x, params)
-    f, g = _compiled(ast.left), _compiled(ast.right)
-    return lambda x, params: f(x, params) or g(x, params)
+        return _eval(ast.left, x, params) and _eval(ast.right, x, params)
+    if isinstance(ast, Or):
+        return _eval(ast.left, x, params) or _eval(ast.right, x, params)
+    return isinstance(ast, Top)
 
 
 def eval_formula(ast: FormulaAst, x_position, params: Sequence) -> bool:
@@ -292,15 +282,28 @@ def eval_formula(ast: FormulaAst, x_position, params: Sequence) -> bool:
     needed = formula_arity(ast)
     if len(params) < needed:
         raise ValueError(f"formula uses y{needed} but only {len(params)} parameters given")
-    return _compiled(ast)(x_position, params)
+    return _eval(ast, x_position, params)
+
+
+def _cell_truths(ast: FormulaAst, n: int) -> tuple[int, ...]:
+    """Truth of the formula in each of the 2n+1 cells of n increasing parameters.
+
+    With y_i at position 2i-1, cell c is position c: even cells are the open
+    gaps below, between and above the parameters, odd cell 2i-1 is y_i.
+    """
+    params = range(1, 2 * n, 2)
+    return tuple(1 if _eval(ast, c, params) else 0 for c in range(2 * n + 1))
 
 
 def cof(ast: FormulaAst, n: int) -> int:
-    """Truth value of the formula at a point above n increasing parameters."""
+    """Truth value of the formula at a point above n increasing parameters.
+
+    This is the top cell of ``_cell_truths``, evaluated alone so that
+    ``compile_label``, which calls it once per bit, stays quadratic.
+    """
     if n < formula_arity(ast):
         raise ValueError(f"declared arity {n} is below the formula arity")
-    params = tuple(2 * i for i in range(n))
-    return 1 if _compiled(ast)(2 * n, params) else 0
+    return 1 if _eval(ast, 2 * n, range(1, 2 * n, 2)) else 0
 
 
 @dataclass(frozen=True)
@@ -367,17 +370,6 @@ class PositionGrid:
                     )
             yield tuple(positions)
 
-    def arbitrary_tuples(self, n: int) -> Iterator[tuple]:
-        """All n-tuples (repeats and any order), one per order-type profile.
-
-        Without the increasing constraint each parameter's region can be
-        chosen independently, so one integer representative per region
-        suffices.
-        """
-        if n < 0:
-            raise ValueError("tuple length must be nonnegative")
-        yield from itertools.product(self.base_candidates(), repeat=n)
-
 
 def _slot_counts(combo):
     for slot, group in itertools.groupby(combo):
@@ -397,33 +389,25 @@ def _check_trace_guards(ast: FormulaAst, n: int, m: int) -> None:
         )
 
 
-def iter_ordered_traces(ast: FormulaAst, n: int, m: int) -> Iterator[Mask]:
-    """Ground trace for each increasing parameter tuple (repeats possible)."""
-    _check_trace_guards(ast, n, m)
-    fn = _compiled(ast)
-    xs = tuple(2 * j for j in range(m))
-    for params in PositionGrid(m).parameter_tuples(n):
-        yield tuple(1 if fn(x, params) else 0 for x in xs)
+def ordered_trace_family(ast: FormulaAst, n: int, m: int) -> SetSystem:
+    """Family of ground traces of the formula with n strictly increasing parameters.
 
-
-def ordered_trace_family(
-    ast: FormulaAst, n: int, m: int, *, increasing: bool = True
-) -> SetSystem:
-    """Family of ground traces of the formula with n ordered parameters.
-
-    With ``increasing=False`` the parameters range over arbitrary tuples
-    instead (kept for experimentation; nothing downstream uses it).
+    Along the ground the cells of ``_cell_truths`` never decrease, and a
+    parameter's own odd cell holds at most one point.  The automaton's state
+    is the least cell the next ground point may take; each point takes the
+    least allowed cell with the wanted truth value, since a lower cell never
+    leaves fewer choices for the points after it.
     """
     _check_trace_guards(ast, n, m)
-    if increasing:
-        return SetSystem.from_masks(m, iter_ordered_traces(ast, n, m))
-    fn = _compiled(ast)
-    xs = tuple(2 * j for j in range(m))
-    masks = {
-        tuple(1 if fn(x, params) else 0 for x in xs)
-        for params in PositionGrid(m).arbitrary_tuples(n)
-    }
-    return SetSystem.from_masks(m, masks)
+    truths = _cell_truths(ast, n)
+
+    def step(least: int, bit: int):
+        for cell in range(least, len(truths)):
+            if truths[cell] == bit:
+                return cell + cell % 2
+        return None
+
+    return _automaton_family(m, 0, step)
 
 
 def label_of_formula(ast: FormulaAst, n: int | None = None) -> Label:

@@ -69,10 +69,6 @@ def _mask_int(mask: Mask) -> int:
     return value
 
 
-def _int_mask(value: int, ground_size: int) -> Mask:
-    return tuple((value >> j) & 1 for j in range(ground_size))
-
-
 @dataclass(frozen=True)
 class SetSystem:
     """A deduplicated family of subsets of an ordered ground set."""
@@ -173,6 +169,28 @@ class SetSystem:
         return cls.from_masks(ground_size, masks)
 
 
+def _automaton_family(ground_size: int, start, step) -> SetSystem:
+    """The family of length-``ground_size`` words a deterministic automaton accepts.
+
+    ``step(state, bit)`` gives the next state, or None to reject.  The
+    depth-first walk tries bit 0 before bit 1, so every accepted word comes
+    out once and in lexicographic order.
+    """
+    words: list[Mask] = []
+
+    def walk(prefix: Mask, state) -> None:
+        if len(prefix) == ground_size:
+            words.append(prefix)
+            return
+        for bit in (0, 1):
+            after = step(state, bit)
+            if after is not None:
+                walk(prefix + (bit,), after)
+
+    walk((), start)
+    return SetSystem(ground_size, tuple(words))
+
+
 @dataclass(frozen=True)
 class Classification:
     """VC dimension together with the maximum/maximal verdicts."""
@@ -225,6 +243,16 @@ def vc_dim(system: SetSystem) -> int:
     return best
 
 
+def _missing_pattern(present, a: int):
+    """Largest submask of ``a`` absent from ``present``; None if all occur."""
+    sub = a
+    while sub in present:
+        if sub == 0:
+            return None
+        sub = (sub - 1) & a
+    return sub
+
+
 def _almost_shattered(ints, m: int, d: int, counts):
     """(subset, missing trace) pairs for (d+1)-subsets one trace short of full."""
     full = (1 << (d + 1)) - 1
@@ -233,17 +261,8 @@ def _almost_shattered(ints, m: int, d: int, counts):
         a = 0
         for j in combo:
             a |= 1 << j
-        if counts[a] != full:
-            continue
-        present = {v & a for v in ints}
-        sub = a
-        while True:
-            if sub not in present:
-                out.append((a, sub))
-                break
-            if sub == 0:
-                break
-            sub = (sub - 1) & a
+        if counts[a] == full:
+            out.append((a, _missing_pattern({v & a for v in ints}, a)))
     return out
 
 
@@ -309,15 +328,7 @@ def forbidden_label(system: SetSystem, region: Mask) -> Label:
         raise NotLocallyMaximumError(
             f"trace on the region has {len(present)} patterns, expected {(1 << k) - 1}"
         )
-    missing = None
-    sub = a
-    while True:
-        if sub not in present:
-            missing = sub
-            break
-        if sub == 0:
-            break
-        sub = (sub - 1) & a
+    missing = _missing_pattern(present, a)
     assert missing is not None
     return tuple(1 if (missing >> j) & 1 else 0 for j in mask_indices(region))
 

@@ -4,6 +4,9 @@ import sys
 import pytest
 
 from vclabels.cli import main
+from vclabels.harness import IctTensor, IctWitness, build_ict_tensor
+from vclabels.labelcalc import avoid_family
+from vclabels.orderformula import Top
 from vclabels.setsystem import SetSystem
 
 
@@ -77,6 +80,54 @@ def test_verify_report_file(capsys, tmp_path):
         report.read_text(encoding="utf-8")
         == "claim=l2 label=101 pairs=4 family=11 expected=11 pass=true\n"
     )
+
+
+def _avoid_family_missing_first_member(m, eta):
+    family = avoid_family(m, eta)
+    return SetSystem(m, family.members[1:])
+
+
+def _ict_tensor_with_flipped_bit(depth, cols):
+    tensor = build_ict_tensor(depth, cols)
+    first = tensor.witnesses[0]
+    row = (1 - first.sat[0][0],) + first.sat[0][1:]
+    flipped = IctWitness(first.path, (row,) + first.sat[1:])
+    return IctTensor(depth, cols, (flipped,) + tensor.witnesses[1:])
+
+
+@pytest.mark.parametrize(
+    "target, fake, argv, expected",
+    [
+        (
+            "vclabels.cli.avoid_family",
+            _avoid_family_missing_first_member,
+            ["sauer", "--label", "101", "--ground", "8"],
+            "FAIL cases=9 first_failure=0\n",
+        ),
+        (
+            "vclabels.harness.compile_label",
+            lambda eta: Top(),
+            ["l2", "--label", "101", "--pairs", "4"],
+            "FAIL family=1 expected=11\n",
+        ),
+        (
+            "vclabels.cli.build_ict_tensor",
+            _ict_tensor_with_flipped_bit,
+            ["t2", "--depth", "2", "--cols", "3"],
+            "FAIL witnesses=9 family=0 expected=3\n",
+        ),
+    ],
+    ids=["sauer", "l2", "t2"],
+)
+def test_verify_negative_controls(
+    capsys, monkeypatch, tmp_path, target, fake, argv, expected
+):
+    monkeypatch.setattr(target, fake)
+    report = tmp_path / "report.txt"
+    code, out, _ = run_cli(capsys, "verify", *argv, "--report", str(report))
+    assert code == 1
+    assert out == expected
+    assert report.read_text(encoding="utf-8").endswith(" pass=false\n")
 
 
 def test_translate_both_directions(capsys):

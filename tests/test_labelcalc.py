@@ -90,6 +90,17 @@ def test_avoid_family_examples():
     assert len(blocks.members) == 11
     assert set(blocks.members) == bf.avoid_members(4, (1, 0, 1))
 
+    assert avoid_family(5, [0, 1]) == avoid_family(5, (0, 1))
+
+
+def test_avoid_family_matches_oracle():
+    for eta_len in range(1, 6):
+        for eta in itertools.product((0, 1), repeat=eta_len):
+            for m in range(11):
+                assert avoid_family(m, eta).members == tuple(
+                    sorted(bf.avoid_members(m, eta))
+                )
+
 
 def test_avoid_family_size_guard():
     with pytest.raises(SizeGuardError):

@@ -220,15 +220,19 @@ def test_ordered_trace_family_label_010_regression():
         assert ordered_trace_family(ast, 2, m) == avoid_family(m, (0, 1, 0))
 
 
-def test_arbitrary_tuples_extend_ordered_family():
-    ast = parse_formula("x>y1 & x<y2")
-    ordered = ordered_trace_family(ast, 2, 4)
-    free = ordered_trace_family(ast, 2, 4, increasing=False)
-    assert set(ordered.members) <= set(free.members)
-    ge = parse_formula("x<y2 & x>y1")
-    assert set(ordered_trace_family(ge, 2, 4, increasing=False).members) == set(
-        free.members
+@given(formulas(), st.data())
+def test_ordered_trace_family_matches_grid_enumeration(ast, data):
+    n = data.draw(st.integers(formula_arity(ast), 4))
+    m = data.draw(st.integers(0, 7))
+    grid = PositionGrid(m)
+    expected = SetSystem.from_masks(
+        m,
+        (
+            tuple(int(eval_formula(ast, x, params)) for x in grid.ground_positions())
+            for params in grid.parameter_tuples(n)
+        ),
     )
+    assert ordered_trace_family(ast, n, m) == expected
 
 
 # --- label extraction -----------------------------------------------------------
