@@ -7,7 +7,6 @@ file, or size-guard errors.  All output is deterministic.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 
 from .harness import (
@@ -31,9 +30,8 @@ from .setsystem import (
     SetSystem,
     SizeGuardError,
     classify,
-    forbidden_label,
+    forbidden_labels,
     mask_indices,
-    mask_from_indices,
     phi_bound,
 )
 
@@ -78,16 +76,12 @@ def _cmd_labels(args) -> int:
         print("constant vacuous")
         return 0
     seen = set()
-    for combo in itertools.combinations(range(m), d + 1):
-        region = mask_from_indices(m, combo)
+    for combo, eta in forbidden_labels(system, d + 1).items():
         subset = ",".join(str(j) for j in combo)
-        try:
-            eta = forbidden_label(system, region)
-        except ValueError:
+        if eta is None:
             print(f"subset {subset} not-locally-maximum")
-            seen.add(None)
-            continue
-        print(f"subset {subset} label {format_label(eta)}")
+        else:
+            print(f"subset {subset} label {format_label(eta)}")
         seen.add(eta)
     if len(seen) == 1 and None not in seen:
         print(f"constant yes {format_label(next(iter(seen)))}")

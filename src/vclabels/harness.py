@@ -20,7 +20,7 @@ from .setsystem import (
     SetSystem,
     SizeGuardError,
     classify,
-    forbidden_label,
+    forbidden_labels,
     mask_from_indices,
 )
 
@@ -101,10 +101,7 @@ def ramsey_homogenize(system: SetSystem) -> tuple[Mask, Label]:
         raise ValueError(
             "the family shatters its whole ground; no forbidden labels exist"
         )
-    label_of = {
-        combo: forbidden_label(system, mask_from_indices(m, combo))
-        for combo in itertools.combinations(range(m), d + 1)
-    }
+    label_of = forbidden_labels(system, d + 1)
     if m <= EXHAUSTIVE_GROUND_CAP:
         for size in range(m, d, -1):
             candidates = []

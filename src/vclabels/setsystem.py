@@ -18,7 +18,8 @@ Label = tuple[int, ...]
 
 # Whole-family enumerations (power sets, avoidance scans) are 2^m.
 ENUMERATION_GROUND_CAP = 20
-# Classification scans every subset of the ground and every absent set.
+# Classification folds a 2^m-bit indicator once per subset of the ground:
+# 2^m folds of 2^m-bit ints, whatever the family's size.
 CLASSIFY_GROUND_CAP = 16
 
 
@@ -219,28 +220,35 @@ def trace(system: SetSystem, region: Mask) -> SetSystem:
     )
 
 
+def _shattered(ints, a: int) -> bool:
+    return len({v & a for v in ints}) == 1 << a.bit_count()
+
+
 def shatters(system: SetSystem, region: Mask) -> bool:
     """True iff every subset of ``region`` occurs as a trace."""
     _check_mask(region, system.ground_size)
-    a = _mask_int(region)
-    return len({v & a for v in system.member_ints}) == 1 << a.bit_count()
+    return _shattered(system.member_ints, _mask_int(region))
 
 
 def vc_dim(system: SetSystem) -> int:
     """Largest shattered subset size; -1 for the empty family.
 
-    Scans every subset of the ground, so the cost is exponential in the
-    ground size.
+    Shattering is hereditary, so sizes are tried in increasing order and
+    the search stops at the first size with no shattered subset, or once
+    2^k exceeds the number of members.
     """
-    if not system.members:
-        return -1
     ints = system.member_ints
-    best = 0
-    for a in range(1, 1 << system.ground_size):
-        k = a.bit_count()
-        if k > best and len({v & a for v in ints}) == 1 << k:
-            best = k
-    return best
+    if not ints:
+        return -1
+    d = 0
+    for k in range(1, system.ground_size + 1):
+        if 1 << k > len(ints) or not any(
+            _shattered(ints, sum(1 << j for j in combo))
+            for combo in itertools.combinations(range(system.ground_size), k)
+        ):
+            break
+        d = k
+    return d
 
 
 def _missing_pattern(present, a: int):
@@ -266,11 +274,62 @@ def _almost_shattered(ints, m: int, d: int, counts):
     return out
 
 
+def _indicator(ints, m: int) -> int:
+    """The 2^m-bit int whose bit v is set exactly when v is in ``ints``."""
+    buf = bytearray(((1 << m) + 7) >> 3)
+    for v in ints:
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _low_halves(m: int) -> list[int]:
+    """For each j < m, the indicator of the v < 2^m whose bit j is clear."""
+    size = 1 << m
+    out = []
+    for j in range(m):
+        period = 2 << j
+        pattern = (1 << (1 << j)) - 1
+        while period < size:
+            pattern |= pattern << period
+            period <<= 1
+        out.append(pattern)
+    return out
+
+
+def _trace_counts(indicator: int, m: int, low) -> list[int]:
+    """Number of distinct traces on every subset a of the ground, indexed by a.
+
+    Dropping coordinate j folds the indicator onto the positions whose bit
+    j is clear: position v keeps a bit when v or v + 2^j did.  A
+    depth-first walk from the full ground drops coordinates in increasing
+    order, reaching every subset once with one fold each.
+    """
+    full = (1 << m) - 1
+    counts = [0] * (1 << m)
+    counts[full] = indicator.bit_count()
+    stack = [(indicator, full, j) for j in range(m)]
+    while stack:
+        ind, a, j = stack.pop()
+        nxt = (ind | ind >> (1 << j)) & low[j]
+        b = a & ~(1 << j)
+        counts[b] = nxt.bit_count()
+        for i in range(j + 1, m):
+            stack.append((nxt, b, i))
+    return counts
+
+
 def classify(system: SetSystem) -> Classification:
     """VC dimension plus the maximum and maximal verdicts.
 
-    Checks every subset of the ground (and, for maximality, every absent
-    set), so the ground size is capped at CLASSIFY_GROUND_CAP.
+    The family is held as one 2^m-bit indicator, and the trace count of
+    every subset of the ground comes from folding it (see _trace_counts).
+    A maximum family is maximal.  Otherwise an absent set can join without
+    raising the dimension unless, on some (d+1)-subset one trace short of
+    shattered, it shows the missing trace; those absent sets form one
+    cylinder per such subset, and the family is maximal when the cylinders
+    cover every absent set.  The cost is 2^m folds of 2^m-bit ints,
+    independent of the family's size, so the ground is capped at
+    CLASSIFY_GROUND_CAP.
     """
     if not system.members:
         raise EmptyFamilyError("cannot classify an empty family")
@@ -280,38 +339,51 @@ def classify(system: SetSystem) -> Classification:
             f"classification on ground {m} exceeds cap {CLASSIFY_GROUND_CAP}"
         )
     ints = system.member_ints
+    indicator = _indicator(ints, m)
+    low = _low_halves(m)
+    counts = _trace_counts(indicator, m, low)
 
-    counts = [0] * (1 << m)
-    for a in range(1 << m):
-        counts[a] = len({v & a for v in ints})
-
-    d = 0
     best_by_size = [0] * (m + 1)
-    for a in range(1 << m):
+    worst_by_size = [1 << m] * (m + 1)
+    for a, count in enumerate(counts):
         k = a.bit_count()
-        if counts[a] > best_by_size[k]:
-            best_by_size[k] = counts[a]
-        if k > d and counts[a] == 1 << k:
-            d = k
+        if count > best_by_size[k]:
+            best_by_size[k] = count
+        if count < worst_by_size[k]:
+            worst_by_size[k] = count
+    d = max(k for k in range(m + 1) if best_by_size[k] == 1 << k)
 
     is_maximum = all(
-        counts[a] == phi_bound(d, a.bit_count()) for a in range(1 << m)
+        worst_by_size[k] == best_by_size[k] == phi_bound(d, k) for k in range(m + 1)
     )
 
-    if d >= m:
-        is_maximal = True  # the family is the full power set
+    if is_maximum or d >= m:
+        is_maximal = True  # maximum implies maximal; d = m is the power set
     else:
-        member_set = set(ints)
-        slots = _almost_shattered(ints, m, d, counts)
-        is_maximal = all(
-            any(c & a == miss for a, miss in slots)
-            for c in range(1 << m)
-            if c not in member_set
-        )
+        everything = (1 << (1 << m)) - 1
+        high = [everything ^ half for half in low]
+        blocked = 0
+        for a, miss in _almost_shattered(ints, m, d, counts):
+            cylinder = everything
+            for j in range(m):
+                if (a >> j) & 1:
+                    cylinder &= high[j] if (miss >> j) & 1 else low[j]
+            blocked |= cylinder
+        is_maximal = everything & ~indicator & ~blocked == 0
 
     assert not is_maximum or is_maximal
     profile = tuple((k, best_by_size[k]) for k in range(m + 1))
     return Classification(d, is_maximum, is_maximal, profile)
+
+
+def _label_on(ints, indices) -> Label | None:
+    """The one trace missing on the given ground points, or None."""
+    a = sum(1 << j for j in indices)
+    present = {v & a for v in ints}
+    if len(present) != (1 << len(indices)) - 1:
+        return None
+    missing = _missing_pattern(present, a)
+    return tuple((missing >> j) & 1 for j in indices)
 
 
 def forbidden_label(system: SetSystem, region: Mask) -> Label:
@@ -321,16 +393,30 @@ def forbidden_label(system: SetSystem, region: Mask) -> Label:
     exactly when the trace on the region misses a single pattern.
     """
     _check_mask(region, system.ground_size)
-    a = _mask_int(region)
-    k = a.bit_count()
-    present = {v & a for v in system.member_ints}
-    if len(present) != (1 << k) - 1:
+    indices = mask_indices(region)
+    label = _label_on(system.member_ints, indices)
+    if label is None:
+        a = _mask_int(region)
         raise NotLocallyMaximumError(
-            f"trace on the region has {len(present)} patterns, expected {(1 << k) - 1}"
+            f"trace on the region has {len({v & a for v in system.member_ints})} "
+            f"patterns, expected {(1 << len(indices)) - 1}"
         )
-    missing = _missing_pattern(present, a)
-    assert missing is not None
-    return tuple(1 if (missing >> j) & 1 else 0 for j in mask_indices(region))
+    return label
+
+
+def forbidden_labels(
+    system: SetSystem, size: int
+) -> dict[tuple[int, ...], Label | None]:
+    """The forbidden label of every ``size``-subset of the ground.
+
+    Keys are index tuples in ``itertools.combinations`` order; the value is
+    None where the trace misses other than exactly one pattern.
+    """
+    ints = system.member_ints
+    return {
+        combo: _label_on(ints, combo)
+        for combo in itertools.combinations(range(system.ground_size), size)
+    }
 
 
 def alternation_number(mask: Mask) -> int:

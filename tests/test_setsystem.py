@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce as bf
+from vclabels.labelcalc import avoid_family
 from vclabels.setsystem import (
     Classification,
     EmptyFamilyError,
@@ -15,6 +17,7 @@ from vclabels.setsystem import (
     alternation_number,
     classify,
     forbidden_label,
+    forbidden_labels,
     mask_from_indices,
     mask_indices,
     phi_bound,
@@ -118,6 +121,11 @@ def test_vc_dim_matches_oracle(sys_):
     assert vc_dim(sys_) == bf.vc_dim(set(sys_.members), sys_.ground_size)
 
 
+def test_vc_dim_on_a_large_ground_stops_early():
+    # 3 members cannot shatter 2 points, so no 2^24 scan is needed
+    assert vc_dim(SetSystem.from_index_sets(24, [{0}, {1, 2}, set()])) == 1
+
+
 # --- classify -----------------------------------------------------------
 
 
@@ -163,6 +171,138 @@ def test_classify_matches_oracle(sys_):
     assert result.is_maximal == bf.is_maximal(members, m)
     if result.is_maximum:
         assert result.is_maximal
+
+
+@given(small_systems())
+def test_sauer_profile_matches_oracle(sys_):
+    m = sys_.ground_size
+    expected = tuple(
+        (k, max(
+            len(bf.trace_family(sys_.members, combo))
+            for combo in itertools.combinations(range(m), k)
+        ))
+        for k in range(m + 1)
+    )
+    assert classify(sys_).sauer_profile == expected
+
+
+def _values_family(m, values):
+    return SetSystem.from_masks(
+        m, [tuple((v >> j) & 1 for j in range(m)) for v in values]
+    )
+
+
+def _near_maximum_families():
+    """Families one step from maximum, plus families grown until maximal."""
+    # maximal but not maximum: 10 members of dimension 2, phi(2, 4) = 11
+    yield system(
+        4, set(), {0}, {1}, {0, 1}, {2}, {0, 2}, {0, 1, 2}, {1, 3}, {2, 3}, {0, 1, 2, 3}
+    )
+    rng = random.Random(6407)
+    for m in range(2, 8):
+        for eta in [(1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0, 0)]:
+            members = avoid_family(m, eta).members
+            drop = rng.randrange(len(members))
+            yield SetSystem(m, members[:drop] + members[drop + 1:])
+            absent = sorted(set(SetSystem.power_set(m).members) - set(members))
+            if absent:
+                yield SetSystem.from_masks(m, members + (rng.choice(absent),))
+        for d in (1, 2, 3):
+            yield _values_family(m, rng.sample(range(2**m), phi_bound(d, m)))
+        for start in (3, 5, 6) if m <= 6 else ():
+            values = set(rng.sample(range(2**m), min(start, 2**m)))
+            d = vc_dim(_values_family(m, values))
+            order = list(range(2**m))
+            rng.shuffle(order)
+            for c in order:
+                if c not in values and vc_dim(_values_family(m, values | {c})) == d:
+                    values.add(c)
+            yield _values_family(m, values)
+
+
+def test_classify_near_maximum_matches_oracle():
+    verdicts = set()
+    for sys_ in _near_maximum_families():
+        result = classify(sys_)
+        members, m = set(sys_.members), sys_.ground_size
+        assert result.vc_dimension == bf.vc_dim(members, m)
+        assert result.is_maximum == bf.is_maximum(members, m)
+        assert result.is_maximal == bf.is_maximal(members, m)
+        verdicts.add((result.is_maximum, result.is_maximal))
+    # every case the maximality cover decides occurs
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def reference_classify(sys_):
+    """Classification by its definition: a trace set per subset of the
+    ground, and a scan of every absent set for maximality."""
+    m = sys_.ground_size
+    ints = sys_.member_ints
+    counts = [len({v & a for v in ints}) for a in range(1 << m)]
+    d = max(a.bit_count() for a in range(1 << m) if counts[a] == 1 << a.bit_count())
+    best_by_size = [0] * (m + 1)
+    for a in range(1 << m):
+        k = a.bit_count()
+        best_by_size[k] = max(best_by_size[k], counts[a])
+    is_maximum = all(
+        counts[a] == phi_bound(d, a.bit_count()) for a in range(1 << m)
+    )
+    if d >= m:
+        is_maximal = True
+    else:
+        slots = []
+        for combo in itertools.combinations(range(m), d + 1):
+            a = sum(1 << j for j in combo)
+            present = {v & a for v in ints}
+            if len(present) == (1 << (d + 1)) - 1:
+                patterns = (
+                    sum(1 << j for j, bit in zip(combo, bits) if bit)
+                    for bits in itertools.product((0, 1), repeat=d + 1)
+                )
+                slots.append((a, next(p for p in patterns if p not in present)))
+        member_set = set(ints)
+        is_maximal = all(
+            any(c & a == miss for a, miss in slots)
+            for c in range(1 << m)
+            if c not in member_set
+        )
+    profile = tuple((k, best_by_size[k]) for k in range(m + 1))
+    return Classification(d, is_maximum, is_maximal, profile)
+
+
+def test_classify_matches_reference_on_larger_grounds():
+    rng = random.Random(9021)
+    verdicts = set()
+    for m in range(8, 12):
+        full = avoid_family(m, (1, 0, 1))
+        ints = set(full.member_ints)
+        extra = rng.choice([v for v in range(2**m) if v not in ints])
+        cases = [
+            full,
+            SetSystem(m, full.members[1:]),
+            _values_family(m, ints | {extra}),
+        ]
+        for _ in range(3):
+            size = rng.choice([3, 12, 40, phi_bound(2, m)])
+            cases.append(_values_family(m, rng.sample(range(2**m), size)))
+        for sys_ in cases:
+            result = classify(sys_)
+            assert result == reference_classify(sys_)
+            verdicts.add((result.is_maximum, result.is_maximal))
+    assert (True, True) in verdicts and (False, False) in verdicts
+
+
+def test_classify_at_the_ground_cap_within_budget():
+    full = avoid_family(16, (1, 0, 1, 0))
+    for sys_, maximum in [(full, True), (SetSystem(16, full.members[1:]), False)]:
+        start = time.perf_counter()
+        result = classify(sys_)
+        elapsed = time.perf_counter() - start
+        verdict = (result.vc_dimension, result.is_maximum, result.is_maximal)
+        assert verdict == (3, maximum, maximum)
+        assert elapsed < 3.0, (
+            f"classify of {len(sys_.members)} members at ground 16 took {elapsed:.2f}s"
+        )
 
 
 def test_sauer_randomized_profiles():
@@ -214,6 +354,16 @@ def test_forbidden_label_matches_oracle(sys_, data):
             forbidden_label(sys_, region)
     else:
         assert forbidden_label(sys_, region) == expected
+
+
+@given(small_systems(), st.data())
+def test_forbidden_labels_match_oracle(sys_, data):
+    m = sys_.ground_size
+    k = data.draw(st.integers(0, m))
+    got = forbidden_labels(sys_, k)
+    assert list(got) == list(itertools.combinations(range(m), k))
+    for combo, label in got.items():
+        assert label == bf.forbidden(sys_.members, combo)
 
 
 # --- alternation_number -------------------------------------------------
