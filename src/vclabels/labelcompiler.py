@@ -14,8 +14,17 @@ import re
 from dataclasses import dataclass
 
 from .labelcalc import as_label
-from .orderformula import And, Bottom, Compare, FormulaAst, Or, Top, cof
-from .setsystem import Label, Mask
+from .orderformula import (
+    LABEL_LENGTH_CAP,
+    And,
+    Bottom,
+    Compare,
+    FormulaAst,
+    Or,
+    Top,
+    cof,
+)
+from .setsystem import Label, Mask, SizeGuardError
 
 
 class MalformedExpressionError(ValueError):
@@ -108,8 +117,14 @@ def compile_label(eta: Label) -> FormulaAst:
     Built bit by bit: the first bit chooses the constant (0 truth, 1
     falsehood); each further bit appends one parameter, with the connective
     chosen by whether the formula so far holds above all its parameters.
+    The formula is one tree level per bit, so labels longer than
+    LABEL_LENGTH_CAP raise SizeGuardError.
     """
     eta = as_label(eta)
+    if len(eta) > LABEL_LENGTH_CAP:
+        raise SizeGuardError(
+            f"label of {len(eta)} bits exceeds cap {LABEL_LENGTH_CAP}"
+        )
     ast: FormulaAst = Top() if eta[0] == 0 else Bottom()
     for k in range(1, len(eta)):
         bit = eta[k]

@@ -29,6 +29,14 @@ from .setsystem import (
 
 TRACE_GROUND_CAP = 12
 TRACE_ARITY_CAP = 6
+# Evaluating, formatting and measuring a formula recurse once per level of
+# its tree, and parsing up to three times per level.  Under Python's
+# default limit of 1,000 frames, compiling a label failed between 900 and
+# 1,000 bits, and parsing failed at 1,000 leading '!' or 600 parentheses.
+FORMULA_DEPTH_CAP = 200
+# The text of a compiled L-bit label nests up to 3L/2 levels, so compiled
+# formulas up to this length parse back under FORMULA_DEPTH_CAP.
+LABEL_LENGTH_CAP = 128
 
 
 class FormulaSyntaxError(ValueError):
@@ -150,9 +158,18 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent that also measures nesting depth.
+
+    Each ``!``, each parenthesized group and each binary connective on a
+    path adds one level.  The parse methods return (node, depth), and
+    ``open`` counts the ``!`` and ``(`` enclosing the current token, so
+    that too deep an input fails before the recursion does.
+    """
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -163,39 +180,54 @@ class _Parser:
         return token
 
     def parse(self) -> FormulaAst:
-        node = self._disjunction()
+        node, _ = self._disjunction()
         kind, _, position = self.peek()
         if kind != "end":
             raise FormulaSyntaxError("unexpected trailing input", position)
         return node
 
-    def _disjunction(self) -> FormulaAst:
-        node = self._conjunction()
+    @staticmethod
+    def _level(depth: int, position: int) -> int:
+        if depth > FORMULA_DEPTH_CAP:
+            raise FormulaSyntaxError(
+                f"formula nests deeper than {FORMULA_DEPTH_CAP} levels", position
+            )
+        return depth
+
+    def _disjunction(self):
+        node, depth = self._conjunction()
         while self.peek()[0] == "or":
-            self.take()
-            node = Or(node, self._conjunction())
-        return node
+            position = self.take()[2]
+            right, right_depth = self._conjunction()
+            node = Or(node, right)
+            depth = self._level(max(depth, right_depth) + 1, position)
+        return node, depth
 
-    def _conjunction(self) -> FormulaAst:
-        node = self._literal()
+    def _conjunction(self):
+        node, depth = self._literal()
         while self.peek()[0] == "and":
-            self.take()
-            node = And(node, self._literal())
-        return node
+            position = self.take()[2]
+            right, right_depth = self._literal()
+            node = And(node, right)
+            depth = self._level(max(depth, right_depth) + 1, position)
+        return node, depth
 
-    def _literal(self) -> FormulaAst:
+    def _literal(self):
         kind, _, position = self.peek()
+        if kind not in ("not", "lparen"):
+            return self._atom(), 1
+        self.take()
+        self.open = self._level(self.open + 1, position)
         if kind == "not":
-            self.take()
-            return Not(self._literal())
-        if kind == "lparen":
-            self.take()
-            node = self._disjunction()
-            kind, _, position = self.take()
+            child, depth = self._literal()
+            node = Not(child)
+        else:
+            node, depth = self._disjunction()
+            kind, _, closing = self.take()
             if kind != "rparen":
-                raise FormulaSyntaxError("expected ')'", position)
-            return node
-        return self._atom()
+                raise FormulaSyntaxError("expected ')'", closing)
+        self.open -= 1
+        return node, self._level(depth + 1, position)
 
     def _atom(self) -> FormulaAst:
         kind, _, position = self.take()
@@ -218,6 +250,8 @@ def parse_formula(text: str) -> FormulaAst:
     Grammar: disjunctions of conjunctions of literals; a literal is ``!``
     applied to a literal, a parenthesized formula, or an atom ``x REL y<k>``
     with REL one of < <= = != >= >; ``x=x`` is truth and ``x!=x`` falsehood.
+    Text nesting deeper than FORMULA_DEPTH_CAP levels (each ``!``, group
+    and binary connective on a path is one) raises FormulaSyntaxError.
     """
     return _Parser(_tokenize(text)).parse()
 

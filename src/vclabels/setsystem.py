@@ -18,9 +18,13 @@ Label = tuple[int, ...]
 
 # Whole-family enumerations (power sets, avoidance scans) are 2^m.
 ENUMERATION_GROUND_CAP = 20
-# Classification folds a 2^m-bit indicator once per subset of the ground:
-# 2^m folds of 2^m-bit ints, whatever the family's size.
+# Classification of a family that the maximum test does not settle folds a
+# 2^m-bit indicator once per subset of the ground: 2^m folds of 2^m-bit
+# ints, whatever the family's size.  The cap bounds that fold path.
 CLASSIFY_GROUND_CAP = 16
+# The maximum test runs while its shatter search would build at most this
+# many member cells per fold that the fold path makes (see classify).
+SEARCH_CELLS_PER_FOLD = 8
 
 
 class GroundMismatchError(ValueError):
@@ -318,18 +322,95 @@ def _trace_counts(indicator: int, m: int, low) -> list[int]:
     return counts
 
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _columns(members) -> list[int]:
+    """Member bit columns: bit i of column j is bit j of member i.
+
+    The members are numbered in one order, the same for every column.
+    """
+    return [int(bytes(column).translate(_BIT_CHARS), 2) for column in zip(*members)]
+
+
+def _shatters_some(columns, count: int, size: int) -> bool:
+    """True iff the ``count`` members shatter some ``size``-subset of the ground.
+
+    A depth-first walk over subsets in increasing index order carries the
+    member cells of the current subset, one nonempty cell per trace.
+    Adding point j splits every cell by column j; the branch is dropped as
+    soon as one cell does not split, since no superset of an unshattered
+    set is shattered, and once too few points remain to reach ``size``.
+    So only shattered sets are visited, and there are at most ``count``
+    of those.
+    """
+    m = len(columns)
+    stack = [(((1 << count) - 1,), 0)]
+    while stack:
+        cells, start = stack.pop()
+        depth = len(cells).bit_length() - 1
+        for j in range(start, m - size + depth + 1):
+            column = columns[j]
+            split = []
+            for cell in cells:
+                inside = cell & column
+                if not inside or inside == cell:
+                    break
+                split.append(inside)
+                split.append(cell ^ inside)
+            else:
+                if depth + 1 == size:
+                    return True
+                stack.append((split, j + 1))
+    return False
+
+
+def _maximum_dimension(system: SetSystem) -> int | None:
+    """The dimension d when the family is maximum by the Sauer-size test.
+
+    d is the least value with phi(d, m) >= |F|.  By Sauer's bound every
+    family has dimension at least d, so a family of exactly phi(d, m)
+    members that shatters no (d+1)-subset has dimension d and is maximum
+    (Welzl 1987; Floyd & Warmuth 1995); a maximum family passes the test.
+    A maximum family shatters every set of at most d points, so the search
+    builds sum_t C(m, t) 2^t cells; it runs only while that is at most
+    SEARCH_CELLS_PER_FOLD per fold of the fold path.  None when the test
+    does not apply or fails.
+    """
+    count, m = len(system.members), system.ground_size
+    d, bound = 0, 1  # bound = phi(d, m)
+    while bound < count:
+        d += 1
+        bound += math.comb(m, d)
+    if bound != count:
+        return None
+    if d == m:
+        return d  # the power set
+    cells = sum(math.comb(m, t) << t for t in range(1, d + 1))
+    if cells > SEARCH_CELLS_PER_FOLD << m:
+        return None
+    if _shatters_some(_columns(system.members), count, d + 1):
+        return None
+    return d
+
+
 def classify(system: SetSystem) -> Classification:
     """VC dimension plus the maximum and maximal verdicts.
 
-    The family is held as one 2^m-bit indicator, and the trace count of
-    every subset of the ground comes from folding it (see _trace_counts).
-    A maximum family is maximal.  Otherwise an absent set can join without
-    raising the dimension unless, on some (d+1)-subset one trace short of
-    shattered, it shows the missing trace; those absent sets form one
-    cylinder per such subset, and the family is maximal when the cylinders
-    cover every absent set.  The cost is 2^m folds of 2^m-bit ints,
-    independent of the family's size, so the ground is capped at
-    CLASSIFY_GROUND_CAP.
+    A maximum family is first recognized without looking at every subset
+    (see _maximum_dimension): |F| = phi(d, m) and no (d+1)-subset is
+    shattered.  Every k-subset of a maximum family carries phi(d, k)
+    traces, which gives the Sauer profile, and a maximum family is
+    maximal.
+
+    A family the test does not settle is held as one 2^m-bit indicator,
+    and the trace count of every subset of the ground comes from folding
+    it (see _trace_counts).  An absent set can join without raising the
+    dimension unless, on some (d+1)-subset one trace short of shattered,
+    it shows the missing trace; those absent sets form one cylinder per
+    such subset, and the family is maximal when the cylinders cover every
+    absent set.  This fold path costs 2^m folds of 2^m-bit ints,
+    independent of the family's size; CLASSIFY_GROUND_CAP bounds it.
     """
     if not system.members:
         raise EmptyFamilyError("cannot classify an empty family")
@@ -338,6 +419,10 @@ def classify(system: SetSystem) -> Classification:
         raise SizeGuardError(
             f"classification on ground {m} exceeds cap {CLASSIFY_GROUND_CAP}"
         )
+    d = _maximum_dimension(system)
+    if d is not None:
+        profile = tuple((k, phi_bound(d, k)) for k in range(m + 1))
+        return Classification(d, True, True, profile)
     ints = system.member_ints
     indicator = _indicator(ints, m)
     low = _low_halves(m)

@@ -215,6 +215,21 @@ def test_size_guard_exit_2(capsys):
     assert err.startswith("error: size guard:")
 
 
+def test_long_label_is_a_size_guard_error(capsys):
+    for argv in (["compile", "--label"], ["verify", "l2", "--label"]):
+        code, out, err = run_cli(capsys, *argv, "10" * 600)
+        assert code == 2
+        assert out == ""
+        assert err == "error: size guard: label of 1200 bits exceeds cap 128\n"
+
+
+def test_deep_formula_is_a_syntax_error(capsys):
+    code, out, err = run_cli(capsys, "label", "--formula", "!" * 1000 + "x<y1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: formula nests deeper than 200 levels (position 200)\n"
+
+
 def test_module_invocation_deterministic():
     command = [sys.executable, "-m", "vclabels", "compile", "--label", "1010"]
     first = subprocess.run(command, capture_output=True, text=True)

@@ -19,12 +19,15 @@ from vclabels.labelcompiler import (
     to_interval_expr,
 )
 from vclabels.orderformula import (
+    LABEL_LENGTH_CAP,
     PositionGrid,
     Top,
     format_formula,
     label_of_formula,
     ordered_trace_family,
+    parse_formula,
 )
+from vclabels.setsystem import SizeGuardError
 
 # label -> expected serialized expression, one row per catalog entry
 CATALOG_EXPRESSIONS = {
@@ -75,6 +78,17 @@ def test_compile_label_round_trip_small():
     for eta_len in range(1, 4):
         for eta in itertools.product((0, 1), repeat=eta_len):
             assert label_of_formula(compile_label(eta), eta_len - 1) == eta
+
+
+def test_compile_label_length_cap():
+    # alternating bits nest the formula text deepest
+    half = LABEL_LENGTH_CAP // 2
+    for eta in [(1, 0) * half, (1, 1) + (0, 1) * (half - 1)]:
+        ast = compile_label(eta)
+        assert parse_formula(format_formula(ast)) == ast
+    for length in (LABEL_LENGTH_CAP + 1, 1000):
+        with pytest.raises(SizeGuardError, match=f"label of {length} bits"):
+            compile_label((1, 0) * (length // 2) + (1,) * (length % 2))
 
 
 # --- symbols -----------------------------------------------------------------

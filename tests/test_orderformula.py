@@ -8,6 +8,7 @@ import bruteforce as bf
 from vclabels.labelcalc import avoid_family, complement_label
 from vclabels.labelcompiler import compile_label
 from vclabels.orderformula import (
+    FORMULA_DEPTH_CAP,
     And,
     Bottom,
     Compare,
@@ -69,6 +70,35 @@ def test_syntax_error_carries_position():
     with pytest.raises(FormulaSyntaxError) as info:
         parse_formula("x<<y1")
     assert info.value.position == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "!" * 1000 + "x<y1",
+        "(" * 1000 + "x<y1" + ")" * 1000,
+        " & ".join(["x<y1"] * 3000),
+        "!(" * 400 + "x<y1" + ")" * 400,
+    ],
+)
+def test_parse_rejects_deep_nesting(text):
+    with pytest.raises(FormulaSyntaxError, match="nests deeper") as info:
+        parse_formula(text)
+    assert 0 < info.value.position < len(text)
+
+
+def test_parse_nesting_cap_is_exact():
+    # each '!', each group and each connective on a path is one level
+    at_cap = "!" * (FORMULA_DEPTH_CAP - 1) + "x<y1"
+    ast = parse_formula(at_cap)
+    assert format_formula(ast) == at_cap
+    same_parity = "!" * ((FORMULA_DEPTH_CAP - 1) % 2) + "x<y1"
+    assert label_of_formula(ast) == label_of_formula(parse_formula(same_parity))
+    chain = " | ".join(["x=y1"] * FORMULA_DEPTH_CAP)
+    assert formula_arity(parse_formula(chain)) == 1
+    for deeper in ("!" + at_cap, f"({chain})", chain + " | x=y1"):
+        with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+            parse_formula(deeper)
 
 
 # --- formatting -----------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce as bf
+from vclabels import setsystem
 from vclabels.labelcalc import avoid_family
 from vclabels.setsystem import (
     Classification,
@@ -290,6 +291,86 @@ def test_classify_matches_reference_on_larger_grounds():
             assert result == reference_classify(sys_)
             verdicts.add((result.is_maximum, result.is_maximal))
     assert (True, True) in verdicts and (False, False) in verdicts
+
+
+def _closed_form(d, m):
+    """Classification of a maximum family of dimension d on m points."""
+    profile = tuple((k, bf.phi(d, k)) for k in range(m + 1))
+    return Classification(d, True, True, profile)
+
+
+def test_maximum_families_skip_the_fold(monkeypatch):
+    def no_fold(*args):
+        raise AssertionError("a maximum family reached the fold path")
+
+    monkeypatch.setattr(setsystem, "_trace_counts", no_fold)
+    cases = []
+    for length in range(1, 5):
+        for eta in itertools.product((0, 1), repeat=length):
+            for m in (0, 1, length, 7, 12, 16):
+                cases.append((avoid_family(m, eta), min(length - 1, m)))
+    order = list(range(16))
+    random.Random(3187).shuffle(order)
+    full = avoid_family(16, (1, 0, 1, 0))
+    permuted = (tuple(mask[j] for j in order) for mask in full.members)
+    cases.append((SetSystem.from_masks(16, permuted), 3))
+    for m in (0, 1, 6, 16):
+        cases.append((SetSystem.power_set(m), m))
+    for m, d in [(5, 2), (9, 3), (14, 1), (16, 4)]:
+        cases.append((SetSystem.size_at_most(m, d), d))
+    for m in (1, 9, 16):
+        cases.append((system(m, {0}), 0))
+    cases.append((SetSystem(0, ((),)), 0))
+    for sys_, d in cases:
+        assert classify(sys_) == _closed_form(d, sys_.ground_size)
+
+
+def _swapped(sys_, rng):
+    """The family with one member swapped for an absent set."""
+    m, members = sys_.ground_size, list(sys_.member_ints)
+    absent = sorted(set(range(2**m)) - set(members))
+    members[rng.randrange(len(members))] = rng.choice(absent)
+    return _values_family(m, members)
+
+
+def test_non_maximum_families_near_the_sauer_size_take_the_fold(monkeypatch):
+    calls = []
+    fold = setsystem._trace_counts
+
+    def counted_fold(*args):
+        calls.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(setsystem, "_trace_counts", counted_fold)
+    rng = random.Random(5303)
+    cases = []
+    for m in range(8, 15):
+        for eta in [(0, 1), (1, 0, 1), (1, 1, 0)]:
+            full = avoid_family(m, eta)
+            # the same size as a maximum family, and one member short of it
+            cases.append(_swapped(full, rng))
+            cases.append(SetSystem(m, full.members[1:]))
+    cases.append(next(_near_maximum_families()))  # maximal, phi(2, 4) - 1 members
+    for m in range(1, 9):
+        for d in range(m + 1):
+            for _ in range(2):
+                sample = rng.sample(range(2**m), phi_bound(d, m))
+                cases.append(_values_family(m, sample))
+    verdicts = set()
+    for sys_ in cases:
+        calls.clear()
+        result = classify(sys_)
+        assert result == reference_classify(sys_)
+        members, m = set(sys_.members), sys_.ground_size
+        if m <= 7:
+            assert result.vc_dimension == bf.vc_dim(members, m)
+            assert result.is_maximum == bf.is_maximum(members, m)
+        if m <= 6:
+            assert result.is_maximal == bf.is_maximal(members, m)
+        if not result.is_maximum:
+            assert calls
+        verdicts.add((result.is_maximum, result.is_maximal))
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def test_classify_at_the_ground_cap_within_budget():
