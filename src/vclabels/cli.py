@@ -7,6 +7,7 @@ file, or size-guard errors.  All output is deterministic.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import (
@@ -278,7 +279,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout; let the flush at shutdown go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,6 @@ from .orderformula import (
     FormulaAst,
     Or,
     Top,
-    cof,
 )
 from .setsystem import Label, Mask, SizeGuardError
 
@@ -115,8 +114,9 @@ def compile_label(eta: Label) -> FormulaAst:
     """Order formula whose ordered trace family avoids exactly ``eta``.
 
     Built bit by bit: the first bit chooses the constant (0 truth, 1
-    falsehood); each further bit appends one parameter, with the connective
-    chosen by whether the formula so far holds above all its parameters.
+    falsehood); each further bit appends one parameter, joined by ``&``
+    after a 0 and by ``|`` after a 1, since the formula so far holds above
+    all its parameters (its ``cof``) exactly when its last bit is 0.
     The formula is one tree level per bit, so labels longer than
     LABEL_LENGTH_CAP raise SizeGuardError.
     """
@@ -126,9 +126,8 @@ def compile_label(eta: Label) -> FormulaAst:
             f"label of {len(eta)} bits exceeds cap {LABEL_LENGTH_CAP}"
         )
     ast: FormulaAst = Top() if eta[0] == 0 else Bottom()
-    for k in range(1, len(eta)):
-        bit = eta[k]
-        if cof(ast, k - 1) == 1:
+    for k, (before, bit) in enumerate(zip(eta, eta[1:]), start=1):
+        if before == 0:
             ast = And(ast, Compare("<" if bit else "!=", k))
         else:
             ast = Or(ast, Compare("=" if bit else ">", k))
@@ -139,21 +138,16 @@ def to_interval_expr(eta: Label) -> IntervalExpr:
     """Translate a label into its point-interval expression."""
     eta = as_label(eta)
     segments: list[Segment] = []
-    in_interval = eta[0] == 0
     lower: int | None = None
     removed: list[int] = []
     for sym, (a, b) in enumerate(zip(eta, eta[1:])):
         if (a, b) == (1, 1):
             segments.append(Point(sym))
         elif (a, b) == (1, 0):
-            in_interval = True
             lower = sym
             removed = []
         elif (a, b) == (0, 1):
             segments.append(Interval(lower, sym, tuple(removed)))
-            in_interval = False
-            lower = None
-            removed = []
         else:
             removed.append(sym)
     if eta[-1] == 0:
@@ -229,51 +223,36 @@ def parse_expr(text: str) -> IntervalExpr:
 
     Point pieces may list several symbols, e.g. ``{c,d}``.  Symbols must be
     strictly increasing left to right; any increasing letters are accepted
-    and renumbered by rank.
+    and numbered in reading order, which is then their rank.
     """
     stripped = text.strip()
     if stripped == "{}":
         return IntervalExpr((), 0)
-    raw_segments: list[tuple] = []
     names: list[str] = []
+
+    def number(name: str) -> int:
+        names.append(name)
+        return len(names) - 1
+
+    segments: list[Segment] = []
     for piece in re.split(r"\s+u\s+", stripped):
         match = _POINTS_RE.match(piece)
         if match:
-            for name in match.group(1).split(","):
-                raw_segments.append(("point", name))
-                names.append(name)
+            segments.extend(Point(number(name)) for name in match.group(1).split(","))
             continue
         match = _INTERVAL_RE.match(piece)
-        if match:
-            lo, hi, removed_text = match.groups()
-            removed = _REMOVED_RE.findall(removed_text)
-            if lo != "-inf":
-                names.append(lo)
-            names.extend(removed)
-            if hi != "inf":
-                names.append(hi)
-            raw_segments.append(("interval", lo, hi, removed))
-            continue
-        raise MalformedExpressionError(f"cannot parse expression piece {piece!r}")
+        if not match:
+            raise MalformedExpressionError(f"cannot parse expression piece {piece!r}")
+        lo, hi, removed_text = match.groups()
+        lower = None if lo == "-inf" else number(lo)
+        removed = tuple(number(r) for r in _REMOVED_RE.findall(removed_text))
+        upper = None if hi == "inf" else number(hi)
+        segments.append(Interval(lower, upper, removed))
     ranks = [symbol_index(name) for name in names]
     if any(a >= b for a, b in zip(ranks, ranks[1:])):
         raise MalformedExpressionError(
             f"symbols must be strictly increasing left to right: {names}"
         )
-    index_of = {name: rank for rank, name in enumerate(names)}
-    segments: list[Segment] = []
-    for raw in raw_segments:
-        if raw[0] == "point":
-            segments.append(Point(index_of[raw[1]]))
-        else:
-            _, lo, hi, removed = raw
-            segments.append(
-                Interval(
-                    None if lo == "-inf" else index_of[lo],
-                    None if hi == "inf" else index_of[hi],
-                    tuple(index_of[r] for r in removed),
-                )
-            )
     return IntervalExpr(tuple(segments), len(names))
 
 

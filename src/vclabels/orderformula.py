@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -100,59 +101,30 @@ _REL_FUNCS = {
 _REFLEXIVE_TRUE = {"=", "<=", ">="}
 
 
+_TOKEN_RE = re.compile(r"y(\d*)|<=|>=|!=|\S")
+_TOKEN_KINDS = dict.fromkeys(_REL_FUNCS, "rel") | {
+    "x": "x", "!": "not", "&": "and", "|": "or", "(": "lparen", ")": "rparen"
+}
+
+
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "x":
-            tokens.append(("x", "x", i))
-            i += 1
-            continue
-        if ch == "y":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
+    for match in _TOKEN_RE.finditer(text):
+        symbol, digits, i = match.group(), match.group(1), match.start()
+        if digits is not None:
+            if not digits:
                 raise FormulaSyntaxError("parameter needs digits after 'y'", i)
-            index = int(text[i + 1 : j])
+            try:
+                index = int(digits)
+            except ValueError:
+                raise FormulaSyntaxError("parameter index is too large", i) from None
             if index < 1:
                 raise FormulaSyntaxError("parameter index must be >= 1", i)
             tokens.append(("param", index, i))
-            i = j
-            continue
-        if text[i : i + 2] in ("<=", ">=", "!="):
-            tokens.append(("rel", text[i : i + 2], i))
-            i += 2
-            continue
-        if ch in "<>=":
-            tokens.append(("rel", ch, i))
-            i += 1
-            continue
-        if ch == "!":
-            tokens.append(("not", ch, i))
-            i += 1
-            continue
-        if ch == "&":
-            tokens.append(("and", ch, i))
-            i += 1
-            continue
-        if ch == "|":
-            tokens.append(("or", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(("rparen", ch, i))
-            i += 1
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
+        elif symbol in _TOKEN_KINDS:
+            tokens.append((_TOKEN_KINDS[symbol], symbol, i))
+        else:
+            raise FormulaSyntaxError(f"unexpected character {symbol!r}", i)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -267,11 +239,7 @@ def _format(node: FormulaAst, parent_precedence: int) -> str:
     if isinstance(node, Compare):
         return f"x{node.rel}y{node.index}"
     if isinstance(node, Not):
-        child = node.child
-        body = _format(child, 3)
-        if isinstance(child, (And, Or)):
-            body = f"({body})"
-        return f"!{body}"
+        return "!" + _format(node.child, 3)
     symbol = "&" if isinstance(node, And) else "|"
     own = _PRECEDENCE[type(node)]
     left = _format(node.left, own)
@@ -330,14 +298,10 @@ def _cell_truths(ast: FormulaAst, n: int) -> tuple[int, ...]:
 
 
 def cof(ast: FormulaAst, n: int) -> int:
-    """Truth value of the formula at a point above n increasing parameters.
-
-    This is the top cell of ``_cell_truths``, evaluated alone so that
-    ``compile_label``, which calls it once per bit, stays quadratic.
-    """
+    """Truth value of the formula at a point above n increasing parameters."""
     if n < formula_arity(ast):
         raise ValueError(f"declared arity {n} is below the formula arity")
-    return 1 if _eval(ast, 2 * n, range(1, 2 * n, 2)) else 0
+    return _cell_truths(ast, formula_arity(ast))[-1]  # unused parameters change nothing
 
 
 @dataclass(frozen=True)
@@ -449,8 +413,8 @@ def label_of_formula(ast: FormulaAst, n: int | None = None) -> Label:
 
     Enumerates the family on a ground of n+3 points, identifies the
     dimension from the family size, reads the label off the leftmost
-    (d+1)-subset, and verifies the candidate by comparing the full families
-    on grounds of n+3 and n+4 points.
+    (d+1)-subset, and verifies the candidate against that family and the
+    family on a ground of n+4 points.
     """
     if n is None:
         n = formula_arity(ast)
@@ -468,9 +432,9 @@ def label_of_formula(ast: FormulaAst, n: int | None = None) -> Label:
         eta = forbidden_label(family, mask_from_indices(m, range(d + 1)))
     except ValueError as exc:
         raise ExtractionFailedError(str(exc)) from exc
-    for check_m in (m, m + 1):
-        if not is_characterized_by(ordered_trace_family(ast, n, check_m), eta):
+    for check in (family, ordered_trace_family(ast, n, m + 1)):
+        if not is_characterized_by(check, eta):
             raise ExtractionFailedError(
-                f"candidate label {eta} fails verification on ground {check_m}"
+                f"candidate label {eta} fails verification on ground {check.ground_size}"
             )
     return eta

@@ -7,6 +7,7 @@ lexicographic order so that every derived output is deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -159,9 +160,11 @@ class SetSystem:
                 continue
             if ground_size is None:
                 parts = line.split()
-                if len(parts) != 2 or parts[0] != "ground" or not parts[1].isdigit():
+                if len(parts) == 2 and parts[0] == "ground" and parts[1].isdecimal():
+                    with contextlib.suppress(ValueError):  # too many digits for int()
+                        ground_size = int(parts[1])
+                if ground_size is None:
                     raise ValueError(f"line {lineno}: expected 'ground <m>', got {line!r}")
-                ground_size = int(parts[1])
                 continue
             if len(line) != ground_size or any(ch not in "01" for ch in line):
                 raise ValueError(
@@ -341,8 +344,9 @@ def _shatters_some(columns, count: int, size: int) -> bool:
     Adding point j splits every cell by column j; the branch is dropped as
     soon as one cell does not split, since no superset of an unshattered
     set is shattered, and once too few points remain to reach ``size``.
-    So only shattered sets are visited, and there are at most ``count``
-    of those.
+    So only shattered sets are visited: in classify's call, where ``size``
+    is d + 1, at most phi(d, m) = |F| of them below that size.  (In
+    general a family shatters at least |F| sets, by Pajor's lemma.)
     """
     m = len(columns)
     stack = [(((1 << count) - 1,), 0)]

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -228,6 +229,28 @@ def test_deep_formula_is_a_syntax_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: formula nests deeper than 200 levels (position 200)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compile", "--label", "1010"], ["avoid", "--label", "10101", "--ground", "20"]],
+)
+def test_closed_stdout_is_quiet(argv):
+    # A buffered stdout whose reader is gone before the first write: the
+    # short output fails at the final flush, the long one while printing.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "vclabels", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, b"")
 
 
 def test_module_invocation_deterministic():

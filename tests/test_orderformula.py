@@ -1,12 +1,13 @@
+import contextlib
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
-from vclabels.labelcalc import avoid_family, complement_label
-from vclabels.labelcompiler import compile_label
+from vclabels.labelcalc import avoid_family, complement_label, parse_label
+from vclabels.labelcompiler import MalformedExpressionError, compile_label, parse_expr
 from vclabels.orderformula import (
     FORMULA_DEPTH_CAP,
     And,
@@ -58,12 +59,62 @@ def test_parse_precedence_and_associativity():
 
 @pytest.mark.parametrize(
     "text",
-    ["x<<y1", "", "y1<x", "x<y0", "x<", "x<y", "(x<y1", "x<y1)", "x ? y1", "x<y1 x<y2"],
+    [
+        "x<<y1",
+        "",
+        "y1<x",
+        "x<y0",
+        "x<",
+        "x<y",
+        "(x<y1",
+        "x<y1)",
+        "x ? y1",
+        "x<y1 x<y2",
+        "x<y\u00b2",
+        pytest.param("x<y" + "1" * 5000, id="x<y1...1"),
+    ],
 )
 def test_parse_errors(text):
     with pytest.raises(FormulaSyntaxError) as info:
         parse_formula(text)
     assert "position" in str(info.value)
+
+
+def test_parse_accepts_any_decimal_digits():
+    assert parse_formula("x<y\u0663") == Compare("<", 3)
+    assert parse_formula("x<y1\u00a0&\tx>y2") == And(Compare("<", 1), Compare(">", 2))
+
+
+# Grammar pieces of every text parser, with runs of digits, numerals and
+# spaces from all of Unicode where a parser reads numbers and gaps.
+_DIGITS = st.text(st.characters(categories=("Nd", "No")), max_size=3)
+_FUZZ_PIECES = (
+    st.sampled_from(
+        ["x", "y1", "<", "<=", "=", "!=", ">", "!", "&", "|", "(", ")", "{", "}"]
+        + [",", "a", "b", " u ", "-inf", "inf", "\\{", "#", "0", "1", "01", "\n"]
+    )
+    | st.text(st.characters(categories=("Zs", "Cc")), max_size=2)
+    | _DIGITS
+    | _DIGITS.map("y".__add__)
+    | _DIGITS.map("ground {}\n".format)
+)
+
+
+@settings(max_examples=300)
+@given(st.text() | st.lists(_FUZZ_PIECES, max_size=8).map("".join))
+def test_text_parsers_end_in_a_result_or_a_typed_error(text):
+    with contextlib.suppress(FormulaSyntaxError):
+        parse_formula(text)
+    with contextlib.suppress(MalformedExpressionError):
+        parse_expr(text)
+    try:
+        parse_label(text)
+    except ValueError as exc:
+        assert repr(text) in str(exc)
+    try:
+        SetSystem.from_text(text)
+    except ValueError as exc:
+        assert "line" in str(exc)
 
 
 def test_syntax_error_carries_position():
@@ -109,6 +160,7 @@ def test_format_examples():
     assert format_formula(Bottom()) == "x!=x"
     ast = And(Or(Bottom(), Compare(">", 1)), Compare("<", 2))
     assert format_formula(ast) == "(x!=x | x>y1) & x<y2"
+    assert format_formula(Not(And(Compare("<", 1), Compare(">", 2)))) == "!(x<y1 & x>y2)"
 
 
 @st.composite

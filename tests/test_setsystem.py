@@ -486,6 +486,10 @@ def test_from_text_errors():
         SetSystem.from_text("ground 2\n02\n")
     with pytest.raises(ValueError, match="header"):
         SetSystem.from_text("# nothing\n")
+    with pytest.raises(ValueError, match="line 1: expected 'ground <m>'"):
+        SetSystem.from_text("ground \u00b2\n")
+    with pytest.raises(ValueError, match="line 2: expected 'ground <m>'"):
+        SetSystem.from_text("#\nground " + "1" * 5000 + "\n")
 
 
 def test_from_masks_normalizes_and_validates():
