@@ -76,7 +76,7 @@ def avoid_family(ground_size: int, eta: Label) -> SetSystem:
     """All subsets of the ground whose membership string avoids eta.
 
     The members are the words on which the greedy matcher never completes
-    eta; its state is the length of the prefix of eta matched so far.
+    eta.
     """
     eta = as_label(eta)
     if ground_size < 0:
@@ -86,13 +86,21 @@ def avoid_family(ground_size: int, eta: Label) -> SetSystem:
             f"avoidance enumeration on ground {ground_size} exceeds cap "
             f"{ENUMERATION_GROUND_CAP}"
         )
+    return _automaton_family(ground_size, 0, _avoid_step(eta))
+
+
+def _avoid_step(eta: Label):
+    """Step of the greedy matcher whose words are those avoiding eta.
+
+    The state is the length of the prefix of eta matched so far.
+    """
 
     def step(matched: int, bit: int):
         if bit == eta[matched]:
             matched += 1
         return matched if matched < len(eta) else None
 
-    return _automaton_family(ground_size, 0, step)
+    return step
 
 
 def is_characterized_by(system: SetSystem, eta: Label) -> bool:
@@ -132,11 +140,10 @@ def extend_avoiding(ground_size: int, region: Mask, partial: Mask, eta: Label) -
     inside ``region``.  The result agrees with ``partial`` on ``region``
     and does not induce eta anywhere on the ground.
 
-    The construction recurses on the pattern: strip the last bit t of
-    eta = mu + (t,); if mu is not induced, recurse on mu; otherwise locate
-    the least witness end b of mu inside the region, rebuild everything
-    below b against mu, pin the last bit of mu at b, and fill the constant
-    1 - t above b.
+    The construction strips the pattern bit by bit: with eta = mu + (t,),
+    if mu is not induced, go on with mu; otherwise locate the least witness
+    end b of mu inside the region, build everything below b against mu,
+    pin the last bit of mu at b, and fill the constant 1 - t above b.
     """
     eta = as_label(eta)
     _check_mask(region, ground_size)
@@ -151,18 +158,17 @@ def extend_avoiding(ground_size: int, region: Mask, partial: Mask, eta: Label) -
 
 
 def _extend(m: int, region: Mask, partial: Mask, eta: Label) -> Mask:
-    if len(eta) == 1:
-        # Not inducing (0,) forces partial == region, so the full ground works;
-        # not inducing (1,) forces partial empty, so the empty set works.
-        return tuple([1] * m) if eta[0] == 0 else tuple([0] * m)
-    mu, t = eta[:-1], eta[-1]
-    end = _witness_end(partial, region, mu)
-    if end is None:
-        return _extend(m, region, partial, mu)
-    region_below = tuple(b if j < end else 0 for j, b in enumerate(region))
-    partial_below = tuple(b if j < end else 0 for j, b in enumerate(partial))
-    base = _extend(m, region_below, partial_below, mu)
-    s = mu[-1]
-    return tuple(
-        base[j] if j < end else (s if j == end else 1 - t) for j in range(m)
-    )
+    levels = []
+    while len(eta) > 1:
+        eta, t = eta[:-1], eta[-1]
+        end = _witness_end(partial, region, eta)
+        if end is not None:
+            levels.append((end, eta[-1], t))
+            region = tuple(b if j < end else 0 for j, b in enumerate(region))
+            partial = tuple(b if j < end else 0 for j, b in enumerate(partial))
+    # Not inducing (0,) forces partial == region, so the full ground works;
+    # not inducing (1,) forces partial empty, so the empty set works.
+    result = [1 - eta[0]] * m
+    for end, s, t in reversed(levels):
+        result[end:] = [s] + [1 - t] * (m - end - 1)
+    return tuple(result)

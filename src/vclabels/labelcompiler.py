@@ -248,7 +248,8 @@ def parse_expr(text: str) -> IntervalExpr:
         removed = tuple(number(r) for r in _REMOVED_RE.findall(removed_text))
         upper = None if hi == "inf" else number(hi)
         segments.append(Interval(lower, upper, removed))
-    ranks = [symbol_index(name) for name in names]
+    # symbol_name counts in bijective base 26, so (length, text) is rank order.
+    ranks = [(len(name), name) for name in names]
     if any(a >= b for a, b in zip(ranks, ranks[1:])):
         raise MalformedExpressionError(
             f"symbols must be strictly increasing left to right: {names}"

@@ -3,37 +3,31 @@
 n strictly increasing parameters cut a dense line into 2n+1 cells: the
 open gaps below, between and above them, and each parameter itself.  A
 quantifier-free order formula is constant on each cell, so its ground
-traces are the words of a small automaton over those cells.  A position
-grid (ground element j at position 2*j, parameter tuples realizing every
-order type relative to the ground) is kept as the reference enumeration.
+traces are the words of a small automaton over those cells, and its
+forbidden label is read off that automaton without enumerating traces.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .labelcalc import is_characterized_by
+from .labelcalc import _avoid_step, format_label
 from .setsystem import (
+    ENUMERATION_GROUND_CAP,
     Label,
     SetSystem,
     SizeGuardError,
     _automaton_family,
-    forbidden_label,
-    mask_from_indices,
-    phi_bound,
 )
 
-TRACE_GROUND_CAP = 12
 TRACE_ARITY_CAP = 6
-# Evaluating, formatting and measuring a formula recurse once per level of
-# its tree, and parsing up to three times per level.  Under Python's
-# default limit of 1,000 frames, compiling a label failed between 900 and
-# 1,000 bits, and parsing failed at 1,000 leading '!' or 600 parentheses.
+# Evaluating and formatting a formula recurse once per level of its tree,
+# and parsing up to three times per level.  Under Python's default limit of
+# 1,000 frames, compiling a label failed between 900 and 1,000 bits, and
+# parsing failed at 1,000 leading '!' or 600 parentheses.
 FORMULA_DEPTH_CAP = 200
 # The text of a compiled L-bit label nests up to 3L/2 levels, so compiled
 # formulas up to this length parse back under FORMULA_DEPTH_CAP.
@@ -49,7 +43,7 @@ class FormulaSyntaxError(ValueError):
 
 
 class ExtractionFailedError(RuntimeError):
-    """No forbidden label is consistent with the enumerated trace families."""
+    """The formula's trace families are not the avoidance families of any label."""
 
 
 @dataclass(frozen=True)
@@ -252,18 +246,30 @@ def _format(node: FormulaAst, parent_precedence: int) -> str:
 
 def format_formula(ast: FormulaAst) -> str:
     """Deterministic text form; parse_formula(format_formula(ast)) == ast."""
+    formula_arity(ast)  # rejects trees too deep to format
     return _format(ast, 0)
 
 
 def formula_arity(ast: FormulaAst) -> int:
-    """Largest parameter index used; 0 for constant formulas."""
-    if isinstance(ast, Compare):
-        return ast.index
-    if isinstance(ast, Not):
-        return formula_arity(ast.child)
-    if isinstance(ast, (And, Or)):
-        return max(formula_arity(ast.left), formula_arity(ast.right))
-    return 0
+    """Largest parameter index used; 0 for constant formulas.
+
+    Trees nesting deeper than FORMULA_DEPTH_CAP levels (each node on a path
+    is one, as in parse_formula) raise SizeGuardError, since evaluating and
+    formatting recurse once per level.
+    """
+    arity = 0
+    stack = [(ast, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > FORMULA_DEPTH_CAP:
+            raise SizeGuardError(f"formula nests deeper than {FORMULA_DEPTH_CAP} levels")
+        if isinstance(node, Compare):
+            arity = max(arity, node.index)
+        elif isinstance(node, Not):
+            stack.append((node.child, depth + 1))
+        elif isinstance(node, (And, Or)):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
+    return arity
 
 
 def _eval(ast: FormulaAst, x, params: Sequence) -> bool:
@@ -304,81 +310,11 @@ def cof(ast: FormulaAst, n: int) -> int:
     return _cell_truths(ast, formula_arity(ast))[-1]  # unused parameters change nothing
 
 
-@dataclass(frozen=True)
-class PositionGrid:
-    """Finite stand-in for a dense order: ground element j at position 2*j.
-
-    Single parameters range over the integers in [-1, 2m-1], one per order
-    type.  Larger tuples are refined with extra integers past both ends and
-    fractional points inside interior gaps, so that any number of
-    parameters can share a region while staying strictly increasing.
-    """
-
-    ground_size: int
-
-    def ground_position(self, j: int) -> int:
-        if not 0 <= j < self.ground_size:
-            raise ValueError(f"ground index {j} out of range")
-        return 2 * j
-
-    def ground_positions(self) -> tuple[int, ...]:
-        return tuple(2 * j for j in range(self.ground_size))
-
-    def base_candidates(self) -> tuple[int, ...]:
-        """One integer candidate per single-parameter order type."""
-        return tuple(range(-1, 2 * self.ground_size))
-
-    def parameter_tuples(self, n: int) -> Iterator[tuple]:
-        """All strictly increasing n-tuples, one per parameter order type.
-
-        Regions are indexed by slots: even slots are the open regions
-        (below, the gaps, above) and may hold several parameters; odd slots
-        are the ground points themselves and hold at most one.
-        """
-        if n < 0:
-            raise ValueError("tuple length must be nonnegative")
-        m = self.ground_size
-        if n == 0:
-            yield ()
-            return
-        if m == 0:
-            yield tuple(range(1, n + 1))
-            return
-        nslots = 2 * m + 1
-        for combo in itertools.combinations_with_replacement(range(nslots), n):
-            if any(
-                slot % 2 == 1 and count > 1
-                for slot, count in _slot_counts(combo)
-            ):
-                continue
-            positions: list = []
-            for slot, count in _slot_counts(combo):
-                if slot % 2 == 1:
-                    positions.append(2 * (slot // 2))
-                elif slot == 0:
-                    positions.extend(range(-count, 0))
-                elif slot == nslots - 1:
-                    positions.extend(2 * m - 2 + i for i in range(1, count + 1))
-                elif count == 1:
-                    positions.append(slot - 1)
-                else:
-                    left = slot - 2
-                    positions.extend(
-                        left + Fraction(2 * i, count + 1) for i in range(1, count + 1)
-                    )
-            yield tuple(positions)
-
-
-def _slot_counts(combo):
-    for slot, group in itertools.groupby(combo):
-        yield slot, sum(1 for _ in group)
-
-
 def _check_trace_guards(ast: FormulaAst, n: int, m: int) -> None:
     if m < 0 or n < 0:
         raise ValueError("ground size and arity must be nonnegative")
-    if m > TRACE_GROUND_CAP:
-        raise SizeGuardError(f"ground size {m} exceeds cap {TRACE_GROUND_CAP}")
+    if m > ENUMERATION_GROUND_CAP:
+        raise SizeGuardError(f"ground size {m} exceeds cap {ENUMERATION_GROUND_CAP}")
     if n > TRACE_ARITY_CAP:
         raise SizeGuardError(f"arity {n} exceeds cap {TRACE_ARITY_CAP}")
     if formula_arity(ast) > n:
@@ -387,17 +323,15 @@ def _check_trace_guards(ast: FormulaAst, n: int, m: int) -> None:
         )
 
 
-def ordered_trace_family(ast: FormulaAst, n: int, m: int) -> SetSystem:
-    """Family of ground traces of the formula with n strictly increasing parameters.
+def _cell_step(truths: Sequence[int]):
+    """Step of the automaton whose words are the traces over cells with these truths.
 
-    Along the ground the cells of ``_cell_truths`` never decrease, and a
-    parameter's own odd cell holds at most one point.  The automaton's state
-    is the least cell the next ground point may take; each point takes the
-    least allowed cell with the wanted truth value, since a lower cell never
-    leaves fewer choices for the points after it.
+    Along the ground the cells never decrease, and a parameter's own odd
+    cell holds at most one point.  The state is the least cell the next
+    ground point may take; each point takes the least allowed cell with the
+    wanted truth value, since a lower cell never leaves fewer choices for
+    the points after it.
     """
-    _check_trace_guards(ast, n, m)
-    truths = _cell_truths(ast, n)
 
     def step(least: int, bit: int):
         for cell in range(least, len(truths)):
@@ -405,36 +339,63 @@ def ordered_trace_family(ast: FormulaAst, n: int, m: int) -> SetSystem:
                 return cell + cell % 2
         return None
 
-    return _automaton_family(m, 0, step)
+    return step
+
+
+def ordered_trace_family(ast: FormulaAst, n: int, m: int) -> SetSystem:
+    """Family of ground traces of the formula with n strictly increasing parameters."""
+    _check_trace_guards(ast, n, m)
+    return _automaton_family(m, 0, _cell_step(_cell_truths(ast, n)))
+
+
+def _shortest_rejected(step) -> Label:
+    """Shortest word the automaton rejects from state 0, by breadth-first walk."""
+    # Each alternation of an accepted word needs a strictly higher cell, so
+    # with the 2n+1 cells of n parameters the alternating word of 2n+2 bits
+    # is rejected, and the walk returns before the queue runs out.
+    queue = [((), 0)]
+    seen = {0}
+    for word, state in queue:
+        for bit in (0, 1):
+            after = step(state, bit)
+            if after is None:
+                return word + (bit,)
+            if after not in seen:
+                seen.add(after)
+                queue.append((word + (bit,), after))
 
 
 def label_of_formula(ast: FormulaAst, n: int | None = None) -> Label:
-    """Extract the forbidden label characterizing the ordered trace family.
+    """The forbidden label whose avoidance family is the formula's trace family.
 
-    Enumerates the family on a ground of n+3 points, identifies the
-    dimension from the family size, reads the label off the leftmost
-    (d+1)-subset, and verifies the candidate against that family and the
-    family on a ground of n+4 points.
+    The label is the shortest word the cell automaton rejects.  A walk over
+    the reachable state pairs of the cell automaton and the label's greedy
+    matcher then checks that both accept the same words, which makes the
+    formula characterized by the label on every ground.  Parameters past
+    the formula arity change nothing, so a declared arity ``n`` is only
+    checked against it; formula arities above LABEL_LENGTH_CAP raise
+    SizeGuardError.
     """
-    if n is None:
-        n = formula_arity(ast)
-    if n < formula_arity(ast):
+    arity = formula_arity(ast)
+    if n is not None and n < arity:
         raise ValueError(f"declared arity {n} is below the formula arity")
-    m = n + 3
-    family = ordered_trace_family(ast, n, m)
-    count = len(family.members)
-    d = next((k for k in range(m + 1) if phi_bound(k, m) == count), None)
-    if d is None or d + 1 > m:
-        raise ExtractionFailedError(
-            f"family size {count} matches no dimension on ground {m}"
-        )
-    try:
-        eta = forbidden_label(family, mask_from_indices(m, range(d + 1)))
-    except ValueError as exc:
-        raise ExtractionFailedError(str(exc)) from exc
-    for check in (family, ordered_trace_family(ast, n, m + 1)):
-        if not is_characterized_by(check, eta):
-            raise ExtractionFailedError(
-                f"candidate label {eta} fails verification on ground {check.ground_size}"
-            )
+    if arity > LABEL_LENGTH_CAP:
+        raise SizeGuardError(f"formula arity {arity} exceeds cap {LABEL_LENGTH_CAP}")
+    cells = _cell_step(_cell_truths(ast, arity))
+    eta = _shortest_rejected(cells)
+    matcher = _avoid_step(eta)
+    seen = {(0, 0)}
+    stack = [(0, 0)]
+    while stack:
+        cell, matched = stack.pop()
+        for bit in (0, 1):
+            pair = (cells(cell, bit), matcher(matched, bit))
+            if (pair[0] is None) != (pair[1] is None):
+                raise ExtractionFailedError(
+                    "the trace family is not the avoidance family of its "
+                    f"shortest missing trace {format_label(eta)}"
+                )
+            if pair[0] is not None and pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
     return eta

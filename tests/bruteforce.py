@@ -6,7 +6,10 @@ obviously correct on small inputs.
 """
 
 import itertools
+from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
+from typing import Iterator
 
 
 def phi(d, n):
@@ -96,3 +99,73 @@ def alternation(mask):
             if mask[j] != mask[i]:
                 best[i] = max(best[i], best[j] + 1)
     return max(best)
+
+
+@dataclass(frozen=True)
+class PositionGrid:
+    """Finite stand-in for a dense order: ground element j at position 2*j.
+
+    Single parameters range over the integers in [-1, 2m-1], one per order
+    type.  Larger tuples are refined with extra integers past both ends and
+    fractional points inside interior gaps, so that any number of
+    parameters can share a region while staying strictly increasing.
+    """
+
+    ground_size: int
+
+    def ground_position(self, j: int) -> int:
+        if not 0 <= j < self.ground_size:
+            raise ValueError(f"ground index {j} out of range")
+        return 2 * j
+
+    def ground_positions(self) -> tuple[int, ...]:
+        return tuple(2 * j for j in range(self.ground_size))
+
+    def base_candidates(self) -> tuple[int, ...]:
+        """One integer candidate per single-parameter order type."""
+        return tuple(range(-1, 2 * self.ground_size))
+
+    def parameter_tuples(self, n: int) -> Iterator[tuple]:
+        """All strictly increasing n-tuples, one per parameter order type.
+
+        Regions are indexed by slots: even slots are the open regions
+        (below, the gaps, above) and may hold several parameters; odd slots
+        are the ground points themselves and hold at most one.
+        """
+        if n < 0:
+            raise ValueError("tuple length must be nonnegative")
+        m = self.ground_size
+        if n == 0:
+            yield ()
+            return
+        if m == 0:
+            yield tuple(range(1, n + 1))
+            return
+        nslots = 2 * m + 1
+        for combo in itertools.combinations_with_replacement(range(nslots), n):
+            if any(
+                slot % 2 == 1 and count > 1
+                for slot, count in _slot_counts(combo)
+            ):
+                continue
+            positions: list = []
+            for slot, count in _slot_counts(combo):
+                if slot % 2 == 1:
+                    positions.append(2 * (slot // 2))
+                elif slot == 0:
+                    positions.extend(range(-count, 0))
+                elif slot == nslots - 1:
+                    positions.extend(2 * m - 2 + i for i in range(1, count + 1))
+                elif count == 1:
+                    positions.append(slot - 1)
+                else:
+                    left = slot - 2
+                    positions.extend(
+                        left + Fraction(2 * i, count + 1) for i in range(1, count + 1)
+                    )
+            yield tuple(positions)
+
+
+def _slot_counts(combo):
+    for slot, group in itertools.groupby(combo):
+        yield slot, sum(1 for _ in group)

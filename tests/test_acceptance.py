@@ -10,6 +10,7 @@ import random
 import time
 
 import bruteforce as bf
+from bruteforce import PositionGrid
 from vclabels.harness import (
     build_ict_tensor,
     ict_witness_family,
@@ -33,7 +34,6 @@ from vclabels.labelcompiler import (
 )
 from vclabels.orderformula import (
     Not,
-    PositionGrid,
     label_of_formula,
     ordered_trace_family,
 )

@@ -1,6 +1,8 @@
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -150,6 +152,22 @@ def test_label_subcommand(capsys):
     code, out, _ = run_cli(capsys, "label", "--formula", "x>y1 & x<y2")
     assert code == 0
     assert out == "label 101\n"
+
+
+def test_label_round_trips_a_compiled_100_bit_label(capsys):
+    bits = "".join(random.Random(8).choice("01") for _ in range(100))
+    code, out, _ = run_cli(capsys, "compile", "--label", bits)
+    assert code == 0
+    formula = out.splitlines()[0].removeprefix("formula ")
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "vclabels", "label", "--formula", formula],
+        capture_output=True,
+        text=True,
+    )
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"label {bits}\n", "")
+    assert elapsed < 1.0
 
 
 def test_classify_subcommand(capsys, mixed_file):

@@ -232,3 +232,15 @@ def test_extend_randomized_postconditions():
         assert all(o == p for o, r, p in zip(out, region, partial) if r)
         assert not bf.induces(out, eta)
         checked += 1
+
+
+def test_extend_long_label_without_recursion():
+    # One loop level per label bit; recursing once per bit ran out of stack.
+    rng = random.Random(3)
+    for _ in range(5):
+        eta = tuple(rng.randint(0, 1) for _ in range(3000))
+        region = tuple(rng.randint(0, 1) for _ in range(20))
+        partial = tuple(b and rng.randint(0, 1) for b in region)
+        out = extend_avoiding(20, region, partial, eta)
+        assert all(o == p for o, r, p in zip(out, region, partial) if r)
+        assert not induces(out, eta)

@@ -1,22 +1,32 @@
 import contextlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
-from vclabels.labelcalc import avoid_family, complement_label, parse_label
+from bruteforce import PositionGrid
+from vclabels import labelcalc, orderformula, setsystem
+from vclabels.cli import main
+from vclabels.labelcalc import (
+    avoid_family,
+    complement_label,
+    is_characterized_by,
+    parse_label,
+)
 from vclabels.labelcompiler import MalformedExpressionError, compile_label, parse_expr
 from vclabels.orderformula import (
     FORMULA_DEPTH_CAP,
+    LABEL_LENGTH_CAP,
     And,
     Bottom,
     Compare,
+    ExtractionFailedError,
     FormulaSyntaxError,
     Not,
     Or,
-    PositionGrid,
     Top,
     cof,
     eval_formula,
@@ -26,7 +36,13 @@ from vclabels.orderformula import (
     ordered_trace_family,
     parse_formula,
 )
-from vclabels.setsystem import SetSystem, SizeGuardError
+from vclabels.setsystem import (
+    SetSystem,
+    SizeGuardError,
+    forbidden_label,
+    mask_from_indices,
+    phi_bound,
+)
 
 
 # --- parsing -------------------------------------------------------------
@@ -206,6 +222,36 @@ def test_formula_arity():
     assert formula_arity(parse_formula("(x>y1 & x<y2) | x=y3")) == 3
 
 
+def _and_chain(levels):
+    ast = Compare("<", 1)
+    for _ in range(levels - 1):
+        ast = And(ast, Compare(">", 2))
+    return ast
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        formula_arity,
+        format_formula,
+        lambda ast: eval_formula(ast, 0, (1, 2)),
+        lambda ast: cof(ast, 2),
+        lambda ast: ordered_trace_family(ast, 2, 3),
+        label_of_formula,
+        lambda ast: label_of_formula(ast, 2),
+    ],
+    ids=["arity", "format", "eval", "cof", "trace_family", "label", "label_n"],
+)
+def test_deep_python_ast_is_a_size_guard_error(entry):
+    # Trees built in Python skip the parser's nesting cap; a 5,000-deep
+    # chain used to end in RecursionError.
+    with pytest.raises(SizeGuardError, match="nests deeper"):
+        entry(_and_chain(5000))
+    with pytest.raises(SizeGuardError, match="nests deeper"):
+        entry(_and_chain(FORMULA_DEPTH_CAP + 1))
+    entry(_and_chain(FORMULA_DEPTH_CAP))
+
+
 def test_cof_examples():
     assert cof(parse_formula("x>y1"), 1) == 1
     assert cof(parse_formula("x<y1"), 1) == 0
@@ -287,7 +333,7 @@ def test_ordered_trace_family_examples():
 
 def test_ordered_trace_family_guards():
     with pytest.raises(SizeGuardError):
-        ordered_trace_family(Top(), 0, 13)
+        ordered_trace_family(Top(), 0, 21)
     with pytest.raises(SizeGuardError):
         ordered_trace_family(Top(), 7, 4)
     with pytest.raises(ValueError, match="arity"):
@@ -331,6 +377,112 @@ def test_label_of_formula_examples():
 
 def test_label_of_formula_infers_arity():
     assert label_of_formula(parse_formula("x=y1")) == (1, 1)
+
+
+def test_label_of_formula_validates_declared_arity():
+    with pytest.raises(ValueError, match="declared arity 1 is below the formula arity"):
+        label_of_formula(parse_formula("x<y2"), 1)
+    assert label_of_formula(parse_formula("x<y2"), 10**9) == (0, 1)
+
+
+def test_label_of_formula_arity_cap():
+    # Every label compile_label accepts comes back, at any declared arity.
+    rng = random.Random(5)
+    for _ in range(3):
+        eta = tuple(rng.randint(0, 1) for _ in range(LABEL_LENGTH_CAP))
+        assert label_of_formula(compile_label(eta)) == eta
+        assert label_of_formula(compile_label(eta), LABEL_LENGTH_CAP + 5) == eta
+    assert label_of_formula(Compare("<", LABEL_LENGTH_CAP)) == (0, 1)
+    with pytest.raises(SizeGuardError, match="arity"):
+        label_of_formula(Compare("<", LABEL_LENGTH_CAP + 1))
+
+
+def _enumerated_label(ast, n):
+    """Enumerate-and-verify extraction, the reference for label_of_formula.
+
+    Enumerates the family on a ground of n+3 points, identifies the
+    dimension from its size, reads the label off the leftmost (d+1)-subset
+    and verifies it on grounds n+3 and n+4.
+    """
+    m = n + 3
+    family = ordered_trace_family(ast, n, m)
+    count = len(family.members)
+    d = next((k for k in range(m + 1) if phi_bound(k, m) == count), None)
+    if d is None or d + 1 > m:
+        raise ExtractionFailedError(f"family size {count} matches no dimension")
+    try:
+        eta = forbidden_label(family, mask_from_indices(m, range(d + 1)))
+    except ValueError as exc:
+        raise ExtractionFailedError(str(exc)) from exc
+    for check in (family, ordered_trace_family(ast, n, m + 1)):
+        if not is_characterized_by(check, eta):
+            raise ExtractionFailedError(f"label {eta} fails on ground {check.ground_size}")
+    return eta
+
+
+@settings(max_examples=150)
+@given(formulas(depth=5), st.data())
+def test_label_of_formula_matches_enumeration(ast, data):
+    n = data.draw(st.integers(formula_arity(ast), 6))
+    try:
+        expected = _enumerated_label(ast, n)
+    except ExtractionFailedError:
+        with pytest.raises(ExtractionFailedError):
+            label_of_formula(ast, n)
+    else:
+        assert label_of_formula(ast, n) == expected
+
+
+KNOWN_LABELS = {
+    "x<y1": "01",
+    "x>y1 & x<y2": "101",
+    "x=x": "0",
+    "x!=x": "1",
+    "!(x<y1)": "10",
+}
+
+
+def test_label_of_formula_enumerates_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("label extraction enumerated a family")
+
+    for module in (setsystem, labelcalc, orderformula):
+        monkeypatch.setattr(module, "_automaton_family", refuse)
+    for text, bits in KNOWN_LABELS.items():
+        assert label_of_formula(parse_formula(text)) == parse_label(bits)
+    for length in range(1, 7):
+        for eta in itertools.product((0, 1), repeat=length):
+            assert label_of_formula(compile_label(eta)) == eta
+
+
+def _also_accepting(make_step, word):
+    """Wrap a step factory so that its automaton also accepts ``word``."""
+
+    def make(arg):
+        inner = make_step(arg)
+
+        def step(state, bit):
+            state, k = state if isinstance(state, tuple) else (state, 0)
+            state = None if state is None else inner(state, bit)
+            k = k + 1 if 0 <= k < len(word) and word[k] == bit else -1
+            return None if state is None and k < 0 else (state, k)
+
+        return step
+
+    return make
+
+
+@pytest.mark.parametrize("name", ["_cell_step", "_avoid_step"])
+@pytest.mark.parametrize("text", list(KNOWN_LABELS))
+def test_label_of_formula_negative_control(monkeypatch, capsys, name, text):
+    # One extra accepted word makes the two languages differ, which the
+    # product walk must report whichever side accepts it.
+    eta = parse_label(KNOWN_LABELS[text])
+    monkeypatch.setattr(orderformula, name, _also_accepting(getattr(orderformula, name), eta))
+    with pytest.raises(ExtractionFailedError):
+        label_of_formula(parse_formula(text))
+    assert main(["label", "--formula", text]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_label_extraction_stability():
