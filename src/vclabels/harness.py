@@ -9,7 +9,6 @@ exactly the on-path instances can be made true).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .labelcalc import as_label
 from .labelcompiler import compile_label
@@ -19,12 +18,13 @@ from .setsystem import (
     Mask,
     SetSystem,
     SizeGuardError,
+    _Value,
     classify,
     forbidden_labels,
     mask_from_indices,
 )
 
-XOR_PAIR_CAP = 6
+XOR_PAIR_CAP = 10
 XOR_ARITY_CAP = 4
 ICT_DEPTH_CAP = 3
 ICT_COLUMN_CAP = 4
@@ -63,11 +63,13 @@ def xor_pair_family(ast: FormulaAst, n: int, m_pairs: int) -> SetSystem:
     )
 
 
-@dataclass(frozen=True)
-class PairXorReport:
-    passed: bool
-    family_size: int
-    expected_size: int
+class PairXorReport(_Value):
+    __match_args__ = ("passed", "family_size", "expected_size")
+
+    def __init__(self, passed: bool, family_size: int, expected_size: int):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "family_size", family_size)
+        object.__setattr__(self, "expected_size", expected_size)
 
 
 def verify_pair_xor(eta: Label, m_pairs: int) -> PairXorReport:
@@ -125,32 +127,34 @@ def ramsey_homogenize(system: SetSystem) -> tuple[Mask, Label]:
     return mask_from_indices(m, chosen), label_of[tuple(chosen[: d + 1])]
 
 
-@dataclass(frozen=True)
-class IctWitness:
+class IctWitness(_Value):
     """One realized path: sat[i][j] says whether the row-i, column-j
     instance holds at the witness."""
 
-    path: tuple[int, ...]
-    sat: tuple[tuple[int, ...], ...]
+    __match_args__ = ("path", "sat")
+
+    def __init__(self, path: tuple[int, ...], sat: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "sat", sat)
 
 
-@dataclass(frozen=True)
-class IctTensor:
+class IctTensor(_Value):
     """Finite ICT-pattern witness tensor: depth rows, a column count, and
     one witness record per covered path."""
 
-    depth: int
-    columns: int
-    witnesses: tuple[IctWitness, ...]
+    __match_args__ = ("depth", "columns", "witnesses")
 
-    def __post_init__(self):
-        for witness in self.witnesses:
-            if len(witness.path) != self.depth or len(witness.sat) != self.depth:
+    def __init__(self, depth: int, columns: int, witnesses: tuple[IctWitness, ...]):
+        for witness in witnesses:
+            if len(witness.path) != depth or len(witness.sat) != depth:
                 raise ValueError("witness shape does not match tensor depth")
-            if any(len(row) != self.columns for row in witness.sat):
+            if any(len(row) != columns for row in witness.sat):
                 raise ValueError("witness row width does not match column count")
-            if any(not 0 <= j < self.columns for j in witness.path):
+            if any(not 0 <= j < columns for j in witness.path):
                 raise ValueError("path column out of range")
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "witnesses", witnesses)
 
 
 def build_ict_tensor(depth: int, columns: int) -> IctTensor:

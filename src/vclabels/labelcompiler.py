@@ -11,7 +11,6 @@ end, 00 a removed point), and a trailing 0 closes a ray at plus infinity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .labelcalc import as_label
 from .orderformula import (
@@ -23,7 +22,7 @@ from .orderformula import (
     Or,
     Top,
 )
-from .setsystem import Label, Mask, SizeGuardError
+from .setsystem import Label, Mask, SizeGuardError, _Value
 
 
 class MalformedExpressionError(ValueError):
@@ -42,33 +41,30 @@ def symbol_name(index: int) -> str:
     return name
 
 
-def symbol_index(name: str) -> int:
-    if not name or any(not "a" <= ch <= "z" for ch in name):
-        raise MalformedExpressionError(f"bad symbol name {name!r}")
-    value = 0
-    for ch in name:
-        value = value * 26 + (ord(ch) - ord("a") + 1)
-    return value - 1
-
-
-@dataclass(frozen=True)
-class Point:
+class Point(_Value):
     """An isolated point of the expression."""
 
-    symbol: int
+    __match_args__ = ("symbol",)
+
+    def __init__(self, symbol: int):
+        object.__setattr__(self, "symbol", symbol)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Value):
     """An open interval, possibly unbounded, minus finitely many points.
 
     ``lower`` None means unbounded below; ``upper`` None means unbounded
     above; ``removed`` lists the symbols of points deleted from the span.
     """
 
-    lower: int | None
-    upper: int | None
-    removed: tuple[int, ...] = ()
+    __match_args__ = ("lower", "upper", "removed")
+
+    def __init__(
+        self, lower: int | None, upper: int | None, removed: tuple[int, ...] = ()
+    ):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "removed", removed)
 
 
 Segment = Point | Interval
@@ -85,29 +81,29 @@ def _segment_symbols(segment: Segment):
         yield segment.upper
 
 
-@dataclass(frozen=True)
-class IntervalExpr:
+class IntervalExpr(_Value):
     """Ordered union of points and open intervals over symbols a < b < ..."""
 
-    segments: tuple[Segment, ...]
-    symbol_count: int
+    __match_args__ = ("segments", "symbol_count")
 
-    def __post_init__(self):
-        walk = [s for segment in self.segments for s in _segment_symbols(segment)]
-        if walk != list(range(self.symbol_count)):
+    def __init__(self, segments: tuple[Segment, ...], symbol_count: int):
+        walk = [s for segment in segments for s in _segment_symbols(segment)]
+        if walk != list(range(symbol_count)):
             raise MalformedExpressionError(
                 f"segment symbols must read a, b, c, ... left to right, got {walk}"
             )
-        for i, segment in enumerate(self.segments):
+        for i, segment in enumerate(segments):
             if isinstance(segment, Interval):
                 if segment.lower is None and i != 0:
                     raise MalformedExpressionError(
                         "an interval unbounded below must come first"
                     )
-                if segment.upper is None and i != len(self.segments) - 1:
+                if segment.upper is None and i != len(segments) - 1:
                     raise MalformedExpressionError(
                         "an interval unbounded above must come last"
                     )
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "symbol_count", symbol_count)
 
 
 def compile_label(eta: Label) -> FormulaAst:

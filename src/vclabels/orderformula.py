@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 from .labelcalc import _avoid_step, format_label
@@ -21,6 +20,7 @@ from .setsystem import (
     SetSystem,
     SizeGuardError,
     _automaton_family,
+    _Value,
 )
 
 TRACE_ARITY_CAP = 6
@@ -29,6 +29,12 @@ TRACE_ARITY_CAP = 6
 # 1,000 frames, compiling a label failed between 900 and 1,000 bits, and
 # parsing failed at 1,000 leading '!' or 600 parentheses.
 FORMULA_DEPTH_CAP = 200
+# A tree built in Python may share subtrees, and every walk of it visits a
+# shared node once per path to it: `a = And(a, a)` repeated k times is
+# 2^(k+1) - 1 nodes unfolded.  A parsed tree has at most one node per
+# symbol of its text, and one command-line argument (at most 128 KiB on
+# Linux) holds no more symbols than this bound.
+FORMULA_SIZE_CAP = 1 << 17
 # The text of a compiled L-bit label nests up to 3L/2 levels, so compiled
 # formulas up to this length parse back under FORMULA_DEPTH_CAP.
 LABEL_LENGTH_CAP = 128
@@ -46,40 +52,94 @@ class ExtractionFailedError(RuntimeError):
     """The formula's trace families are not the avoidance families of any label."""
 
 
-@dataclass(frozen=True)
-class Top:
+class _Formula(_Value):
+    """Base of the formula nodes.
+
+    Each node stores its hash at construction, from its children's stored
+    hashes, and ``==`` walks both trees with an explicit stack, so neither
+    recurses however deep a tree built in Python is.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
+                return False
+            for name in a.__match_args__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, _Formula):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+
+class Top(_Formula):
     """Constant truth; written x=x."""
 
+    __slots__ = ()
+    _hash = hash(())
 
-@dataclass(frozen=True)
-class Bottom:
+
+class Bottom(_Formula):
     """Constant falsehood; written x!=x."""
 
+    __slots__ = ()
+    _hash = hash(())
 
-@dataclass(frozen=True)
-class Compare:
+
+class Compare(_Formula):
     """Atom relating x to the parameter y{index}."""
 
-    rel: str
-    index: int
+    __slots__ = __match_args__ = ("rel", "index")
+
+    def __init__(self, rel: str, index: int):
+        _set_rel(self, rel)
+        _set_index(self, index)
+        _set_hash(self, hash((rel, index)))
 
 
-@dataclass(frozen=True)
-class Not:
-    child: "FormulaAst"
+class Not(_Formula):
+    __slots__ = __match_args__ = ("child",)
+
+    def __init__(self, child: FormulaAst):
+        _set_child(self, child)
+        _set_hash(self, hash((child._hash,)))
 
 
-@dataclass(frozen=True)
-class And:
-    left: "FormulaAst"
-    right: "FormulaAst"
+class _Connective(_Formula):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: FormulaAst, right: FormulaAst):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((left._hash, right._hash)))
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "FormulaAst"
-    right: "FormulaAst"
+class And(_Connective):
+    __slots__ = ()
 
+
+class Or(_Connective):
+    __slots__ = ()
+
+
+# Nodes refuse attribute assignment, so each __init__ fills its slots
+# through the slot descriptors' own setters, faster than object.__setattr__.
+_set_hash = _Formula._hash.__set__
+_set_rel, _set_index = Compare.rel.__set__, Compare.index.__set__
+_set_child = Not.child.__set__
+_set_left, _set_right = _Connective.left.__set__, _Connective.right.__set__
 
 FormulaAst = Top | Bottom | Compare | Not | And | Or
 
@@ -217,9 +277,17 @@ def parse_formula(text: str) -> FormulaAst:
     applied to a literal, a parenthesized formula, or an atom ``x REL y<k>``
     with REL one of < <= = != >= >; ``x=x`` is truth and ``x!=x`` falsehood.
     Text nesting deeper than FORMULA_DEPTH_CAP levels (each ``!``, group
-    and binary connective on a path is one) raises FormulaSyntaxError.
+    and binary connective on a path is one) raises FormulaSyntaxError, and
+    so does text of more than FORMULA_SIZE_CAP symbols, which bounds the
+    nodes of the tree.
     """
-    return _Parser(_tokenize(text)).parse()
+    tokens = _tokenize(text)
+    if len(tokens) > FORMULA_SIZE_CAP + 1:  # the last token marks the end
+        raise FormulaSyntaxError(
+            f"formula has more than {FORMULA_SIZE_CAP} symbols",
+            tokens[FORMULA_SIZE_CAP][2],
+        )
+    return _Parser(tokens).parse()
 
 
 _PRECEDENCE = {Or: 1, And: 2}
@@ -255,20 +323,29 @@ def formula_arity(ast: FormulaAst) -> int:
 
     Trees nesting deeper than FORMULA_DEPTH_CAP levels (each node on a path
     is one, as in parse_formula) raise SizeGuardError, since evaluating and
-    formatting recurse once per level.
+    formatting recurse once per level.  So do trees of more than
+    FORMULA_SIZE_CAP nodes, counting a shared subtree once per path to it,
+    since every walk visits it that often.
     """
-    arity = 0
-    stack = [(ast, 1)]
-    while stack:
-        node, depth = stack.pop()
+    arity = size = depth = 0
+    level = [ast]  # the nodes at this depth, one entry per path to each
+    while level:
+        depth += 1
+        size += len(level)
+        if size > FORMULA_SIZE_CAP:
+            raise SizeGuardError(f"formula has more than {FORMULA_SIZE_CAP} nodes")
         if depth > FORMULA_DEPTH_CAP:
             raise SizeGuardError(f"formula nests deeper than {FORMULA_DEPTH_CAP} levels")
-        if isinstance(node, Compare):
-            arity = max(arity, node.index)
-        elif isinstance(node, Not):
-            stack.append((node.child, depth + 1))
-        elif isinstance(node, (And, Or)):
-            stack += ((node.left, depth + 1), (node.right, depth + 1))
+        below = []
+        for node in level:
+            if isinstance(node, Compare):
+                arity = max(arity, node.index)
+            elif isinstance(node, Not):
+                below.append(node.child)
+            elif isinstance(node, (And, Or)):
+                below.append(node.left)
+                below.append(node.right)
+        level = below
     return arity
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -75,23 +74,65 @@ def _mask_int(mask: Mask) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class SetSystem:
+class _Value:
+    """Base of the frozen value classes, from the field names in ``__match_args__``.
+
+    Instances are equal when their classes and all their fields are; the
+    hash is that of the field values and the repr lists them by name.
+    Fields cannot be assigned or deleted, so each subclass's ``__init__``
+    stores them through ``object.__setattr__`` or its slots' own setters.
+    Copies and unpickled values are built by ``__init__`` too, so what it
+    derives from the fields, such as a stored hash, is computed afresh in
+    each process.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__match_args__
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SetSystem(_Value):
     """A deduplicated family of subsets of an ordered ground set."""
 
-    ground_size: int
-    members: tuple[Mask, ...]
+    __match_args__ = ("ground_size", "members")
 
-    def __post_init__(self):
-        if self.ground_size < 0:
+    def __init__(self, ground_size: int, members: tuple[Mask, ...]):
+        if ground_size < 0:
             raise ValueError("ground size must be nonnegative")
-        for mask in self.members:
-            _check_mask(mask, self.ground_size)
-        if list(self.members) != sorted(set(self.members)):
+        for mask in members:
+            _check_mask(mask, ground_size)
+        if list(members) != sorted(set(members)):
             raise ValueError(
                 "members must be deduplicated and lexicographically sorted; "
                 "use SetSystem.from_masks"
             )
+        object.__setattr__(self, "ground_size", ground_size)
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def from_masks(cls, ground_size: int, masks: Iterable[Mask]) -> SetSystem:
@@ -199,14 +240,22 @@ def _automaton_family(ground_size: int, start, step) -> SetSystem:
     return SetSystem(ground_size, tuple(words))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Value):
     """VC dimension together with the maximum/maximal verdicts."""
 
-    vc_dimension: int
-    is_maximum: bool
-    is_maximal: bool
-    sauer_profile: tuple[tuple[int, int], ...]
+    __match_args__ = ("vc_dimension", "is_maximum", "is_maximal", "sauer_profile")
+
+    def __init__(
+        self,
+        vc_dimension: int,
+        is_maximum: bool,
+        is_maximal: bool,
+        sauer_profile: tuple[tuple[int, int], ...],
+    ):
+        object.__setattr__(self, "vc_dimension", vc_dimension)
+        object.__setattr__(self, "is_maximum", is_maximum)
+        object.__setattr__(self, "is_maximal", is_maximal)
+        object.__setattr__(self, "sauer_profile", sauer_profile)
 
 
 def phi_bound(d: int, n: int) -> int:

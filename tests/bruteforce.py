@@ -89,6 +89,16 @@ def forbidden(members, region_indices):
     return missing[0] if len(missing) == 1 else None
 
 
+def symbol_index(name):
+    """Rank of a symbol name a, b, ..., z, aa, ab, ... (bijective base 26)."""
+    if not name or any(not "a" <= ch <= "z" for ch in name):
+        raise ValueError(f"bad symbol name {name!r}")
+    value = 0
+    for ch in name:
+        value = value * 26 + (ord(ch) - ord("a") + 1)
+    return value - 1
+
+
 def alternation(mask):
     """Longest alternating subsequence by dynamic programming."""
     if not mask:

@@ -60,6 +60,16 @@ def test_verify_l2(capsys):
     assert out == "PASS family=11 expected=11\n"
 
 
+def test_verify_l2_at_the_pair_cap(capsys):
+    # 10 pairs are 20 ground points, the enumeration ground cap.
+    code, out, _ = run_cli(capsys, "verify", "l2", "--label", "10101", "--pairs", "10")
+    assert code == 0
+    assert out == "PASS family=386 expected=386\n"
+    code, _, err = run_cli(capsys, "verify", "l2", "--label", "10101", "--pairs", "11")
+    assert code == 2
+    assert err == "error: size guard: pair count 11 exceeds cap 10\n"
+
+
 def test_verify_t2(capsys):
     code, out, _ = run_cli(capsys, "verify", "t2", "--depth", "2", "--cols", "3")
     assert code == 0

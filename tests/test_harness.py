@@ -45,7 +45,7 @@ def test_xor_pair_family_examples():
 
 def test_xor_pair_family_guards():
     with pytest.raises(SizeGuardError):
-        xor_pair_family(Top(), 0, 7)
+        xor_pair_family(Top(), 0, 11)
     with pytest.raises(SizeGuardError):
         xor_pair_family(Top(), 5, 3)
 

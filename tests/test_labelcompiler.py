@@ -16,7 +16,6 @@ from vclabels.labelcompiler import (
     from_interval_expr,
     parse_expr,
     realize_expr,
-    symbol_index,
     symbol_name,
     to_interval_expr,
 )
@@ -100,9 +99,9 @@ def test_symbol_names():
     assert symbol_name(25) == "z"
     assert symbol_name(26) == "aa"
     for i in (0, 5, 25, 26, 700):
-        assert symbol_index(symbol_name(i)) == i
-    with pytest.raises(MalformedExpressionError):
-        symbol_index("A")
+        assert bf.symbol_index(symbol_name(i)) == i
+    with pytest.raises(ValueError):
+        bf.symbol_index("A")
 
 
 # --- label <-> expression ------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from vclabels.labelcalc import (
 from vclabels.labelcompiler import MalformedExpressionError, compile_label, parse_expr
 from vclabels.orderformula import (
     FORMULA_DEPTH_CAP,
+    FORMULA_SIZE_CAP,
     LABEL_LENGTH_CAP,
     And,
     Bottom,
@@ -250,6 +252,54 @@ def test_deep_python_ast_is_a_size_guard_error(entry):
     with pytest.raises(SizeGuardError, match="nests deeper"):
         entry(_and_chain(FORMULA_DEPTH_CAP + 1))
     entry(_and_chain(FORMULA_DEPTH_CAP))
+
+
+def test_deep_python_ast_compares_and_hashes():
+    # The dataclass-generated == and hash recursed once per level and ended
+    # in RecursionError past about 1,000 levels.
+    first, second = _and_chain(5000), _and_chain(5000)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != Or(first.left, first.right)
+    assert first != _and_chain(4999)
+    assert first != And(first.left, Compare("<", 2))
+    assert len({first, second, _and_chain(4999)}) == 2
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        formula_arity,
+        format_formula,
+        lambda ast: eval_formula(ast, 0, (1,)),
+        lambda ast: cof(ast, 1),
+        lambda ast: ordered_trace_family(ast, 1, 3),
+        label_of_formula,
+    ],
+    ids=["arity", "format", "eval", "cof", "trace_family", "label"],
+)
+def test_shared_subtrees_are_a_size_guard_error(entry):
+    # 41 distinct nodes, 2^41 - 1 once unfolded; every walk used to visit
+    # each node once per path and never finished.
+    ast = Compare("<", 1)
+    for _ in range(40):
+        ast = And(ast, ast)
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match=f"more than {FORMULA_SIZE_CAP} nodes"):
+        entry(ast)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_formula_size_cap_fits_compiled_labels_and_bounds_parsed_text():
+    unfolded = Compare("<", 1)
+    for _ in range(16):  # 2^17 - 1 nodes: the largest complete tree that fits
+        unfolded = Or(unfolded, unfolded)
+    assert formula_arity(unfolded) == 1
+    assert formula_arity(compile_label((1, 0) * (LABEL_LENGTH_CAP // 2))) == 127
+    # A parsed tree has at most one node per symbol of its text.
+    too_long = "(" + " | ".join(["x<y1"] * (FORMULA_SIZE_CAP // 4 + 1)) + ")"
+    with pytest.raises(FormulaSyntaxError, match=f"more than {FORMULA_SIZE_CAP} symbols"):
+        parse_formula(too_long)
 
 
 def test_cof_examples():
