@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import operator
 from functools import cached_property
 from typing import Iterable
 
@@ -25,6 +26,10 @@ CLASSIFY_GROUND_CAP = 16
 # The maximum test runs while its shatter search would build at most this
 # many member cells per fold that the fold path makes (see classify).
 SEARCH_CELLS_PER_FOLD = 8
+# vc_dim looks at most this many (subset, member) pairs at one subset size,
+# C(m, k) * |F|: about 0.6 s at 75 ns a pair (Python 3.11, 2-core Xeon).
+# Above it a family on a ground within CLASSIFY_GROUND_CAP is classified.
+VC_DIM_WORK_CAP = 1 << 23
 
 
 class GroundMismatchError(ValueError):
@@ -43,12 +48,24 @@ class SizeGuardError(ValueError):
     """The input exceeds an enumeration size cap."""
 
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+_CHAR_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _all_bits(entries) -> bool:
+    """True iff every entry is the int 0 or 1 (a bool counts as an int)."""
+    try:
+        return not bytes(entries).translate(None, b"\x00\x01")
+    except (TypeError, ValueError):
+        return False
+
+
 def _check_mask(mask: Mask, ground_size: int) -> None:
     if len(mask) != ground_size:
         raise GroundMismatchError(
             f"mask length {len(mask)} does not match ground size {ground_size}"
         )
-    if any(b not in (0, 1) for b in mask):
+    if not _all_bits(mask):
         raise ValueError(f"mask entries must be 0 or 1: {mask!r}")
 
 
@@ -67,11 +84,7 @@ def mask_indices(mask: Mask) -> tuple[int, ...]:
 
 
 def _mask_int(mask: Mask) -> int:
-    value = 0
-    for j, b in enumerate(mask):
-        if b:
-            value |= 1 << j
-    return value
+    return int(bytes(mask[::-1]).translate(_BIT_CHARS) or b"0", 2)
 
 
 class _Value:
@@ -124,13 +137,21 @@ class SetSystem(_Value):
     def __init__(self, ground_size: int, members: tuple[Mask, ...]):
         if ground_size < 0:
             raise ValueError("ground size must be nonnegative")
-        for mask in members:
-            _check_mask(mask, ground_size)
-        if list(members) != sorted(set(members)):
-            raise ValueError(
-                "members must be deduplicated and lexicographically sorted; "
-                "use SetSystem.from_masks"
-            )
+        # One C-level pass per check; only a family that fails one is
+        # checked again mask by mask, for the first error in member order.
+        if not (
+            set(map(type, members)) <= {tuple}
+            and set(map(len, members)) <= {ground_size}
+            and _all_bits(itertools.chain.from_iterable(members))
+            and all(map(operator.lt, members, itertools.islice(members, 1, None)))
+        ):
+            for mask in members:
+                _check_mask(mask, ground_size)
+            if list(members) != sorted(set(members)):
+                raise ValueError(
+                    "members must be deduplicated and lexicographically sorted; "
+                    "use SetSystem.from_masks"
+                )
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "members", members)
 
@@ -182,7 +203,7 @@ class SetSystem(_Value):
     def to_text(self) -> str:
         """Serialize in the set-system file format."""
         lines = [f"ground {self.ground_size}"]
-        lines.extend("".join(map(str, mask)) for mask in self.members)
+        lines.extend(bytes(mask).translate(_BIT_CHARS).decode() for mask in self.members)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -207,12 +228,12 @@ class SetSystem(_Value):
                 if ground_size is None:
                     raise ValueError(f"line {lineno}: expected 'ground <m>', got {line!r}")
                 continue
-            if len(line) != ground_size or any(ch not in "01" for ch in line):
+            if len(line) != ground_size or line.strip("01"):
                 raise ValueError(
                     f"line {lineno}: expected a 0/1 string of length {ground_size}, "
                     f"got {line!r}"
                 )
-            masks.append(tuple(int(ch) for ch in line))
+            masks.append(tuple(line.encode().translate(_CHAR_BITS)))
         if ground_size is None:
             raise ValueError("missing 'ground <m>' header line")
         return cls.from_masks(ground_size, masks)
@@ -221,22 +242,35 @@ class SetSystem(_Value):
 def _automaton_family(ground_size: int, start, step) -> SetSystem:
     """The family of length-``ground_size`` words a deterministic automaton accepts.
 
-    ``step(state, bit)`` gives the next state, or None to reject.  The
-    depth-first walk tries bit 0 before bit 1, so every accepted word comes
-    out once and in lexicographic order.
+    ``step(state, bit)`` gives the next state, or None to reject.  It must
+    be a pure function of a hashable state and a bit: the walk calls it
+    once per reachable state and bit and keeps the answers in a move
+    table.  The depth-first walk pops bit 0 before bit 1, so every
+    accepted word comes out once and in lexicographic order; its stack
+    holds at most one entry per level, and words end at the last level
+    without being pushed.
     """
+    if not ground_size:
+        return SetSystem(0, ((),))
     words: list[Mask] = []
-
-    def walk(prefix: Mask, state) -> None:
-        if len(prefix) == ground_size:
-            words.append(prefix)
-            return
-        for bit in (0, 1):
-            after = step(state, bit)
-            if after is not None:
-                walk(prefix + (bit,), after)
-
-    walk((), start)
+    moves = {}
+    stack = [((), start)]
+    last = ground_size - 1
+    while stack:
+        word, state = stack.pop()
+        if state not in moves:
+            moves[state] = step(state, 0), step(state, 1)
+        zero, one = moves[state]
+        if len(word) == last:
+            if zero is not None:
+                words.append(word + (0,))
+            if one is not None:
+                words.append(word + (1,))
+        else:
+            if one is not None:
+                stack.append((word + (1,), one))
+            if zero is not None:
+                stack.append((word + (0,), zero))
     return SetSystem(ground_size, tuple(words))
 
 
@@ -291,16 +325,28 @@ def vc_dim(system: SetSystem) -> int:
 
     Shattering is hereditary, so sizes are tried in increasing order and
     the search stops at the first size with no shattered subset, or once
-    2^k exceeds the number of members.
+    2^k exceeds the number of members.  A size whose C(m, k) * |F| pairs
+    exceed VC_DIM_WORK_CAP is left to classify, or raises SizeGuardError
+    above CLASSIFY_GROUND_CAP.
     """
     ints = system.member_ints
     if not ints:
         return -1
+    m = system.ground_size
     d = 0
-    for k in range(1, system.ground_size + 1):
-        if 1 << k > len(ints) or not any(
+    for k in range(1, m + 1):
+        if 1 << k > len(ints):
+            break
+        if math.comb(m, k) * len(ints) > VC_DIM_WORK_CAP:
+            if m <= CLASSIFY_GROUND_CAP:
+                return classify(system).vc_dimension
+            raise SizeGuardError(
+                f"vc_dim of {len(ints)} members on ground {m} exceeds work cap "
+                f"{VC_DIM_WORK_CAP} at size {k}"
+            )
+        if not any(
             _shattered(ints, sum(1 << j for j in combo))
-            for combo in itertools.combinations(range(system.ground_size), k)
+            for combo in itertools.combinations(range(m), k)
         ):
             break
         d = k
@@ -372,9 +418,6 @@ def _trace_counts(indicator: int, m: int, low) -> list[int]:
         for i in range(j + 1, m):
             stack.append((nxt, b, i))
     return counts
-
-
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _columns(members) -> list[int]:

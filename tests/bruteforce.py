@@ -111,6 +111,27 @@ def alternation(mask):
     return max(best)
 
 
+def automaton_words(ground_size, start, step):
+    """Words of length ``ground_size`` a deterministic automaton accepts.
+
+    A recursive walk over the trie of accepted prefixes, calling ``step``
+    at every node and trying bit 0 before bit 1.
+    """
+    words = []
+
+    def walk(prefix, state):
+        if len(prefix) == ground_size:
+            words.append(prefix)
+            return
+        for bit in (0, 1):
+            after = step(state, bit)
+            if after is not None:
+                walk(prefix + (bit,), after)
+
+    walk((), start)
+    return words
+
+
 @dataclass(frozen=True)
 class PositionGrid:
     """Finite stand-in for a dense order: ground element j at position 2*j.

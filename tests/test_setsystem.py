@@ -1,12 +1,16 @@
 import itertools
+import math
 import random
+import sys
 import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce as bf
-from vclabels import setsystem
+from vclabels import labelcalc, setsystem
 from vclabels.labelcalc import avoid_family
 from vclabels.setsystem import (
     Classification,
@@ -125,6 +129,36 @@ def test_vc_dim_matches_oracle(sys_):
 def test_vc_dim_on_a_large_ground_stops_early():
     # 3 members cannot shatter 2 points, so no 2^24 scan is needed
     assert vc_dim(SetSystem.from_index_sets(24, [{0}, {1, 2}, set()])) == 1
+
+
+def test_vc_dim_work_cap_raises_quickly_above_the_classify_cap():
+    rng = random.Random(20)
+    sys_ = SetSystem.from_masks(
+        20, (tuple(rng.getrandbits(1) for _ in range(20)) for _ in range(3000))
+    )
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="work cap"):
+        vc_dim(sys_)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_vc_dim_work_cap_hands_small_grounds_to_classify():
+    # C(14, 7) * 2^14 pairs at size 7 is over the cap; classify answers
+    assert math.comb(14, 7) << 14 > setsystem.VC_DIM_WORK_CAP
+    assert vc_dim(SetSystem.power_set(14)) == 14
+    assert vc_dim(avoid_family(16, (1, 0, 1, 0, 1, 0))) == 5
+
+
+@given(small_systems(), st.integers(0, 40))
+def test_vc_dim_under_a_tiny_work_cap(sys_, cap):
+    with mock.patch.object(setsystem, "VC_DIM_WORK_CAP", cap):
+        assert vc_dim(sys_) == bf.vc_dim(set(sys_.members), sys_.ground_size)
+        wide = SetSystem.from_index_sets(17, [{0}, {1, 2}, set(), {3}])
+        if 17 * 4 > cap:
+            with pytest.raises(SizeGuardError):
+                vc_dim(wide)
+        else:
+            assert vc_dim(wide) == 1
 
 
 # --- classify -----------------------------------------------------------
@@ -499,3 +533,164 @@ def test_from_masks_normalizes_and_validates():
         SetSystem(2, ((1, 0), (0, 1)))  # unsorted direct construction
     with pytest.raises(GroundMismatchError):
         SetSystem.from_masks(2, [(1, 0, 1)])
+
+
+def test_text_round_trip_of_bool_masks():
+    sys_ = SetSystem.from_masks(2, [(True, False), (0, 0)])
+    assert sys_.to_text() == "ground 2\n00\n10\n"
+    assert SetSystem.from_text(sys_.to_text()) == sys_
+
+
+@pytest.mark.parametrize("mask", [(1.0, 0), (0, 0.0), (2, 0), (-1, 0)])
+def test_mask_entries_must_be_int_bits(mask):
+    message = "mask entries must be 0 or 1"
+    with pytest.raises(ValueError, match=message):
+        SetSystem.from_masks(2, [(1, 1), mask])
+    with pytest.raises(ValueError, match=message):
+        SetSystem(2, (mask,))
+    with pytest.raises(ValueError, match=message):
+        trace(SetSystem.power_set(2), mask)
+
+
+# --- construction checks --------------------------------------------------
+
+
+def _old_checks(ground_size, members):
+    """The per-mask constructor checks as they stood before the one-pass checks."""
+    for mask in members:
+        if len(mask) != ground_size:
+            raise GroundMismatchError(
+                f"mask length {len(mask)} does not match ground size {ground_size}"
+            )
+        if any(b not in (0, 1) for b in mask):
+            raise ValueError(f"mask entries must be 0 or 1: {mask!r}")
+    if list(members) != sorted(set(members)):
+        raise ValueError(
+            "members must be deduplicated and lexicographically sorted; "
+            "use SetSystem.from_masks"
+        )
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and text are compared
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def member_tuples(draw):
+    m = draw(st.integers(0, 4))
+    entry = st.sampled_from([0, 1, 0, 1, 2, "1", True, False, None])
+    mask = st.lists(entry, min_size=max(m - 1, 0), max_size=m + 1)
+    members = draw(st.lists(mask, max_size=6))
+    if draw(st.booleans()):  # well-formed masks, sorted or not
+        members = [tuple(b if b in (0, 1) else 0 for b in mask[:m]) for mask in members]
+        members = [mask + (0,) * (m - len(mask)) for mask in members]
+        if draw(st.booleans()):
+            members = sorted(set(members))
+    as_list = draw(st.sampled_from([None, 0, -1]))
+    members = [tuple(mask) for mask in members]
+    if as_list is not None and members:
+        members[as_list] = list(members[as_list])  # unhashable
+    return m, tuple(members)
+
+
+@given(member_tuples())
+def test_constructor_checks_match_the_per_mask_checks(case):
+    m, members = case
+    expected = _outcome(_old_checks, m, members)
+    assert _outcome(SetSystem, m, members) == expected
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        ((0, 1), (1,)),
+        ((0, 2),),
+        ((0, "1"),),
+        ((0, 1), (0, 1)),
+        ((1, 0), (0, 1)),
+        ((0, 0), [0, 1]),
+        ([0, 1],),
+        ((0, 1), (1, 0), (1, 0, 1)),
+    ],
+)
+def test_constructor_rejects_malformed_members(members):
+    expected = _outcome(_old_checks, 2, members)
+    assert expected is not None
+    assert _outcome(SetSystem, 2, members) == expected
+
+
+# --- automaton kernel ----------------------------------------------------
+
+
+@st.composite
+def move_tables(draw):
+    states = draw(st.integers(1, 6))
+    target = st.one_of(st.none(), st.integers(0, states - 1))
+    return [(draw(target), draw(target)) for _ in range(states)]
+
+
+def _reachable(table):
+    seen, todo = {0}, [0]
+    while todo:
+        for after in table[todo.pop()]:
+            if after is not None and after not in seen:
+                seen.add(after)
+                todo.append(after)
+    return seen
+
+
+@given(move_tables(), st.integers(0, 10))
+def test_automaton_family_matches_recursive_walk(table, m):
+    def step(state, bit):
+        return table[state][bit]
+
+    family = setsystem._automaton_family(m, 0, step)
+    assert family.members == tuple(bf.automaton_words(m, 0, step))
+
+
+@given(move_tables(), st.integers(0, 10))
+def test_automaton_family_steps_each_state_at_most_twice(table, m):
+    calls = []
+
+    def step(state, bit):
+        calls.append(state)
+        return table[state][bit]
+
+    setsystem._automaton_family(m, 0, step)
+    assert set(calls) <= _reachable(table)
+    assert all(calls.count(state) <= 2 for state in set(calls))
+
+
+def test_avoid_family_steps_each_matcher_state_at_most_twice(monkeypatch):
+    calls = []
+    make = labelcalc._avoid_step
+
+    def counting(eta):
+        step = make(eta)
+
+        def wrapped(state, bit):
+            calls.append(state)
+            return step(state, bit)
+
+        return wrapped
+
+    monkeypatch.setattr(labelcalc, "_avoid_step", counting)
+    assert len(avoid_family(16, (1, 0, 1, 0, 1, 0)).members) == 6885
+    assert len(calls) == 2 * 6  # the six matcher states, two bits each
+
+
+def test_avoid_family_peak_memory_stays_near_its_members():
+    # A walk that holds whole levels of (word, state) pairs peaks near 3x.
+    tracemalloc.start()
+    try:
+        family = avoid_family(16, (1, 0, 1, 0, 1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(family.members) == 6885
+    member_bytes = sum(sys.getsizeof(mask) for mask in family.members)
+    assert peak <= 1.5 * member_bytes
