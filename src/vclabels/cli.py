@@ -136,83 +136,52 @@ def _cmd_avoid(args) -> int:
     return 0
 
 
-def _write_report(path: str | None, record: dict) -> None:
-    if path is None:
-        return
-    line = " ".join(f"{key}={value}" for key, value in record.items())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(line + "\n")
+def _key_values(record: dict) -> str:
+    return " ".join(f"{key}={value}" for key, value in record.items())
 
 
 def _cmd_verify(args) -> int:
+    shown = {}  # printed after the counts, not reported
     if args.claim == "l2":
         if args.label is None:
             raise UsageError("verify l2 requires --label")
-        eta = parse_label(args.label)
-        report = verify_pair_xor(eta, args.pairs)
-        verdict = "PASS" if report.passed else "FAIL"
-        print(f"{verdict} family={report.family_size} expected={report.expected_size}")
-        _write_report(
-            args.report,
-            {
-                "claim": "l2",
-                "label": args.label,
-                "pairs": args.pairs,
-                "family": report.family_size,
-                "expected": report.expected_size,
-                "pass": _bool_text(report.passed),
-            },
-        )
-        return 0 if report.passed else 1
-    if args.claim == "t2":
+        report = verify_pair_xor(parse_label(args.label), args.pairs)
+        passed = report.passed
+        inputs = {"label": args.label, "pairs": args.pairs}
+        counts = {"family": report.family_size, "expected": report.expected_size}
+    elif args.claim == "t2":
         tensor = build_ict_tensor(args.depth, args.cols)
         verified = verify_ict(tensor)
         expected = SetSystem.size_exactly(args.cols, args.depth)
         family = ict_witness_family(tensor) if verified else None
         passed = verified and family == expected
-        verdict = "PASS" if passed else "FAIL"
-        family_size = len(family.members) if family is not None else 0
-        print(
-            f"{verdict} witnesses={len(tensor.witnesses)} "
-            f"family={family_size} expected={len(expected.members)}"
-        )
-        _write_report(
-            args.report,
-            {
-                "claim": "t2",
-                "depth": args.depth,
-                "cols": args.cols,
-                "witnesses": len(tensor.witnesses),
-                "family": family_size,
-                "expected": len(expected.members),
-                "pass": _bool_text(passed),
-            },
-        )
-        return 0 if passed else 1
-    # sauer: avoidance family sizes meet the counting bound on every ground
-    if args.label is None:
-        raise UsageError("verify sauer requires --label")
-    eta = parse_label(args.label)
-    d = len(eta) - 1
-    failures = [
-        m
-        for m in range(args.ground + 1)
-        if len(avoid_family(m, eta).members) != phi_bound(d, m)
-    ]
-    passed = not failures
-    verdict = "PASS" if passed else "FAIL"
-    detail = f" first_failure={failures[0]}" if failures else ""
-    print(f"{verdict} cases={args.ground + 1}{detail}")
-    _write_report(
-        args.report,
-        {
-            "claim": "sauer",
-            "label": args.label,
-            "ground": args.ground,
-            "cases": args.ground + 1,
-            "pass": _bool_text(passed),
-        },
-    )
+        inputs = {"depth": args.depth, "cols": args.cols}
+        counts = {
+            "witnesses": len(tensor.witnesses),
+            "family": len(family.members) if family is not None else 0,
+            "expected": len(expected.members),
+        }
+    else:
+        # sauer: avoidance family sizes meet the counting bound on every ground
+        if args.label is None:
+            raise UsageError("verify sauer requires --label")
+        eta = parse_label(args.label)
+        d = len(eta) - 1
+        failures = [
+            m
+            for m in range(args.ground + 1)
+            if len(avoid_family(m, eta).members) != phi_bound(d, m)
+        ]
+        passed = not failures
+        inputs = {"label": args.label, "ground": args.ground}
+        counts = {"cases": args.ground + 1}
+        if failures:
+            shown = {"first_failure": failures[0]}
+    print("PASS" if passed else "FAIL", _key_values(counts | shown))
+    if args.report is not None:
+        record = {"claim": args.claim, **inputs, **counts, "pass": _bool_text(passed)}
+        with open(args.report, "w", encoding="utf-8") as handle:
+            handle.write(_key_values(record) + "\n")
     return 0 if passed else 1
 
 

@@ -12,20 +12,20 @@ import itertools
 
 from .labelcalc import as_label
 from .labelcompiler import compile_label
-from .orderformula import FormulaAst, ordered_trace_family
+from .orderformula import FormulaAst, _cell_step, _cells
 from .setsystem import (
+    ENUMERATION_GROUND_CAP,
     Label,
     Mask,
     SetSystem,
     SizeGuardError,
+    _automaton_family,
     _Value,
     classify,
     forbidden_labels,
     mask_from_indices,
 )
 
-XOR_PAIR_CAP = 10
-XOR_ARITY_CAP = 4
 ICT_DEPTH_CAP = 3
 ICT_COLUMN_CAP = 4
 # Beyond this, homogenization falls back to a greedy left-to-right filter.
@@ -46,21 +46,29 @@ def xor_pair_family(ast: FormulaAst, n: int, m_pairs: int) -> SetSystem:
     Pair k occupies grid positions 4k and 4k+2 (two adjacent ground points
     of a doubled ground, with a cut point available between them); it
     belongs to the set defined by a parameter tuple exactly when the
-    formula's truth differs at its two points.
+    formula's truth differs at its two points.  The family is the words of
+    the cell automaton read a pair at a time: a pair with bit b has truths
+    t and t ^ b for either t, so the state is the set of cell states the
+    two points can reach, and a pair is rejected when that set is empty.
     """
     if m_pairs < 0:
         raise ValueError("pair count must be nonnegative")
-    if m_pairs > XOR_PAIR_CAP:
-        raise SizeGuardError(f"pair count {m_pairs} exceeds cap {XOR_PAIR_CAP}")
-    if n > XOR_ARITY_CAP:
-        raise SizeGuardError(f"arity {n} exceeds cap {XOR_ARITY_CAP}")
-    return SetSystem.from_masks(
-        m_pairs,
-        (
-            tuple(1 if tr[2 * k] != tr[2 * k + 1] else 0 for k in range(m_pairs))
-            for tr in ordered_trace_family(ast, n, 2 * m_pairs).members
-        ),
-    )
+    if m_pairs > ENUMERATION_GROUND_CAP:
+        raise SizeGuardError(
+            f"pair count {m_pairs} exceeds cap {ENUMERATION_GROUND_CAP}"
+        )
+    cell = _cell_step(_cells(ast, n))
+
+    def pair_step(states: frozenset, bit: int):
+        after = set()
+        for state in states:
+            for t in (0, 1):
+                first = cell(state, t)
+                if first is not None and (second := cell(first, t ^ bit)) is not None:
+                    after.add(second)
+        return frozenset(after) or None
+
+    return _automaton_family(m_pairs, frozenset({0}), pair_step)
 
 
 class PairXorReport(_Value):
@@ -170,14 +178,18 @@ def build_ict_tensor(depth: int, columns: int) -> IctTensor:
         raise SizeGuardError(f"depth {depth} exceeds cap {ICT_DEPTH_CAP}")
     if columns > ICT_COLUMN_CAP:
         raise SizeGuardError(f"column count {columns} exceeds cap {ICT_COLUMN_CAP}")
-    witnesses = []
-    for path in itertools.product(range(columns), repeat=depth):
-        sat = tuple(
-            tuple(1 if j == path[i] else 0 for j in range(columns))
-            for i in range(depth)
-        )
-        witnesses.append(IctWitness(path, sat))
-    return IctTensor(depth, columns, tuple(witnesses))
+    witnesses = tuple(
+        IctWitness(path, _on_path(path, columns))
+        for path in itertools.product(range(columns), repeat=depth)
+    )
+    return IctTensor(depth, columns, witnesses)
+
+
+def _on_path(path: tuple[int, ...], columns: int) -> tuple[tuple[int, ...], ...]:
+    """The instance truths a path's witness must show: row i holds only at path[i]."""
+    return tuple(
+        tuple(1 if j == column else 0 for j in range(columns)) for column in path
+    )
 
 
 def ict_failure(tensor: IctTensor):
@@ -185,11 +197,7 @@ def ict_failure(tensor: IctTensor):
     matched = {
         witness.path
         for witness in tensor.witnesses
-        if all(
-            witness.sat[i][j] == (1 if j == witness.path[i] else 0)
-            for i in range(tensor.depth)
-            for j in range(tensor.columns)
-        )
+        if tuple(map(tuple, witness.sat)) == _on_path(witness.path, tensor.columns)
     }
     for witness in tensor.witnesses:
         if witness.path not in matched:

@@ -74,6 +74,10 @@ def _segment_symbols(segment: Segment):
     if isinstance(segment, Point):
         yield segment.symbol
         return
+    if not isinstance(segment, Interval):
+        raise MalformedExpressionError(
+            f"a segment is a Point or an Interval, got {segment!r}"
+        )
     if segment.lower is not None:
         yield segment.lower
     yield from segment.removed
@@ -151,42 +155,27 @@ def to_interval_expr(eta: Label) -> IntervalExpr:
     return IntervalExpr(tuple(segments), len(eta) - 1)
 
 
-_EVENT_DIGITS = {
-    "point": (1, 1),
-    "begin": (1, 0),
-    "end": (0, 1),
-    "remove": (0, 0),
-}
-
-
 def from_interval_expr(expr: IntervalExpr) -> Label:
-    """Recover the label from a point-interval expression (inverse walk)."""
+    """Recover the label from a point-interval expression (inverse walk).
+
+    The first digit is 0 for a leading ray and 1 otherwise; then each
+    symbol adds the second digit of its pair: 1 for a point or an interval
+    end, 0 for an interval start or a removed point.  The constructor's
+    checks make every IntervalExpr the image of a label.
+    """
     if not isinstance(expr, IntervalExpr):
         raise MalformedExpressionError("expected an IntervalExpr")
-    events: list[str] = []
+    first = expr.segments[0] if expr.segments else None
+    digits = [0 if isinstance(first, Interval) and first.lower is None else 1]
     for segment in expr.segments:
         if isinstance(segment, Point):
-            events.append("point")
+            digits.append(1)
             continue
         if segment.lower is not None:
-            events.append("begin")
-        events.extend("remove" for _ in segment.removed)
+            digits.append(0)
+        digits.extend(0 for _ in segment.removed)
         if segment.upper is not None:
-            events.append("end")
-    first = expr.segments[0] if expr.segments else None
-    opens_left = isinstance(first, Interval) and first.lower is None
-    digits = [0 if opens_left else 1]
-    for event in events:
-        before, after = _EVENT_DIGITS[event]
-        if digits[-1] != before:
-            raise MalformedExpressionError(
-                f"{event} event cannot follow digit {digits[-1]}"
-            )
-        digits.append(after)
-    last = expr.segments[-1] if expr.segments else None
-    closes_right = isinstance(last, Interval) and last.upper is None
-    if (digits[-1] == 0) != closes_right:
-        raise MalformedExpressionError("expression ends inconsistently")
+            digits.append(1)
     return tuple(digits)
 
 

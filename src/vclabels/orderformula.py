@@ -23,7 +23,6 @@ from .setsystem import (
     _Value,
 )
 
-TRACE_ARITY_CAP = 6
 # Evaluating and formatting a formula recurse once per level of its tree,
 # and parsing up to three times per level.  Under Python's default limit of
 # 1,000 frames, compiling a label failed between 900 and 1,000 bits, and
@@ -36,7 +35,8 @@ FORMULA_DEPTH_CAP = 200
 # Linux) holds no more symbols than this bound.
 FORMULA_SIZE_CAP = 1 << 17
 # The text of a compiled L-bit label nests up to 3L/2 levels, so compiled
-# formulas up to this length parse back under FORMULA_DEPTH_CAP.
+# formulas up to this length parse back under FORMULA_DEPTH_CAP.  It also
+# caps the formula arity, and with it the cells, of every cell automaton.
 LABEL_LENGTH_CAP = 128
 
 
@@ -370,34 +370,30 @@ def eval_formula(ast: FormulaAst, x_position, params: Sequence) -> bool:
     return _eval(ast, x_position, params)
 
 
-def _cell_truths(ast: FormulaAst, n: int) -> tuple[int, ...]:
-    """Truth of the formula in each of the 2n+1 cells of n increasing parameters.
+def _cells(ast: FormulaAst, n: int | None) -> tuple[int, ...]:
+    """Truth of the formula in each cell of its own arity's parameters.
 
-    With y_i at position 2i-1, cell c is position c: even cells are the open
-    gaps below, between and above the parameters, odd cell 2i-1 is y_i.
+    k increasing parameters cut the line into 2k+1 cells: with y_i at
+    position 2i-1, cell c is position c, so even cells are the open gaps
+    below, between and above the parameters, and odd cell 2i-1 is y_i.
+    Parameters past the formula arity only repeat the top cell, which
+    already holds any number of points, so every family and label built
+    from the cells is the same for any declared arity ``n`` at or above
+    the formula arity; a lower ``n`` raises ValueError.  Formula arities
+    above LABEL_LENGTH_CAP raise SizeGuardError.
     """
-    params = range(1, 2 * n, 2)
-    return tuple(1 if _eval(ast, c, params) else 0 for c in range(2 * n + 1))
+    arity = formula_arity(ast)
+    if n is not None and n < arity:
+        raise ValueError(f"declared arity {n} is below the formula arity")
+    if arity > LABEL_LENGTH_CAP:
+        raise SizeGuardError(f"formula arity {arity} exceeds cap {LABEL_LENGTH_CAP}")
+    params = range(1, 2 * arity, 2)
+    return tuple(1 if _eval(ast, c, params) else 0 for c in range(2 * arity + 1))
 
 
 def cof(ast: FormulaAst, n: int) -> int:
     """Truth value of the formula at a point above n increasing parameters."""
-    if n < formula_arity(ast):
-        raise ValueError(f"declared arity {n} is below the formula arity")
-    return _cell_truths(ast, formula_arity(ast))[-1]  # unused parameters change nothing
-
-
-def _check_trace_guards(ast: FormulaAst, n: int, m: int) -> None:
-    if m < 0 or n < 0:
-        raise ValueError("ground size and arity must be nonnegative")
-    if m > ENUMERATION_GROUND_CAP:
-        raise SizeGuardError(f"ground size {m} exceeds cap {ENUMERATION_GROUND_CAP}")
-    if n > TRACE_ARITY_CAP:
-        raise SizeGuardError(f"arity {n} exceeds cap {TRACE_ARITY_CAP}")
-    if formula_arity(ast) > n:
-        raise ValueError(
-            f"formula uses y{formula_arity(ast)} but declared arity is {n}"
-        )
+    return _cells(ast, n)[-1]
 
 
 def _cell_step(truths: Sequence[int]):
@@ -421,8 +417,11 @@ def _cell_step(truths: Sequence[int]):
 
 def ordered_trace_family(ast: FormulaAst, n: int, m: int) -> SetSystem:
     """Family of ground traces of the formula with n strictly increasing parameters."""
-    _check_trace_guards(ast, n, m)
-    return _automaton_family(m, 0, _cell_step(_cell_truths(ast, n)))
+    if m < 0:
+        raise ValueError("ground size must be nonnegative")
+    if m > ENUMERATION_GROUND_CAP:
+        raise SizeGuardError(f"ground size {m} exceeds cap {ENUMERATION_GROUND_CAP}")
+    return _automaton_family(m, 0, _cell_step(_cells(ast, n)))
 
 
 def _shortest_rejected(step) -> Label:
@@ -448,17 +447,10 @@ def label_of_formula(ast: FormulaAst, n: int | None = None) -> Label:
     The label is the shortest word the cell automaton rejects.  A walk over
     the reachable state pairs of the cell automaton and the label's greedy
     matcher then checks that both accept the same words, which makes the
-    formula characterized by the label on every ground.  Parameters past
-    the formula arity change nothing, so a declared arity ``n`` is only
-    checked against it; formula arities above LABEL_LENGTH_CAP raise
-    SizeGuardError.
+    formula characterized by the label on every ground.  A declared arity
+    ``n`` is only checked against the formula arity (see _cells).
     """
-    arity = formula_arity(ast)
-    if n is not None and n < arity:
-        raise ValueError(f"declared arity {n} is below the formula arity")
-    if arity > LABEL_LENGTH_CAP:
-        raise SizeGuardError(f"formula arity {arity} exceeds cap {LABEL_LENGTH_CAP}")
-    cells = _cell_step(_cell_truths(ast, arity))
+    cells = _cell_step(_cells(ast, n))
     eta = _shortest_rejected(cells)
     matcher = _avoid_step(eta)
     seen = {(0, 0)}

@@ -134,9 +134,10 @@ class SetSystem(_Value):
 
     __match_args__ = ("ground_size", "members")
 
-    def __init__(self, ground_size: int, members: tuple[Mask, ...]):
+    def __init__(self, ground_size: int, members: Iterable[Mask]):
         if ground_size < 0:
             raise ValueError("ground size must be nonnegative")
+        members = tuple(members)
         # One C-level pass per check; only a family that fails one is
         # checked again mask by mask, for the first error in member order.
         if not (
@@ -157,7 +158,14 @@ class SetSystem(_Value):
 
     @classmethod
     def from_masks(cls, ground_size: int, masks: Iterable[Mask]) -> SetSystem:
-        return cls(ground_size, tuple(sorted({tuple(mask) for mask in masks})))
+        masks = [tuple(mask) for mask in masks]
+        try:
+            members = sorted(set(masks))
+        except TypeError:  # an unhashable or unorderable entry
+            for mask in masks:
+                _check_mask(mask, ground_size)
+            raise
+        return cls(ground_size, members)
 
     @classmethod
     def from_index_sets(cls, ground_size: int, index_sets) -> SetSystem:
@@ -178,23 +186,14 @@ class SetSystem(_Value):
         """All subsets of the ground of size at most d."""
         if d < 0:
             raise ValueError("size bound must be nonnegative")
-        masks = (
-            mask_from_indices(ground_size, combo)
-            for k in range(min(d, ground_size) + 1)
-            for combo in itertools.combinations(range(ground_size), k)
-        )
-        return cls.from_masks(ground_size, masks)
+        return _sized_family(ground_size, 0, d)
 
     @classmethod
     def size_exactly(cls, ground_size: int, d: int) -> SetSystem:
         """All subsets of the ground of size exactly d."""
         if d < 0:
             raise ValueError("size must be nonnegative")
-        masks = (
-            mask_from_indices(ground_size, combo)
-            for combo in itertools.combinations(range(ground_size), d)
-        )
-        return cls.from_masks(ground_size, masks)
+        return _sized_family(ground_size, d, d)
 
     @cached_property
     def member_ints(self) -> tuple[int, ...]:
@@ -272,6 +271,34 @@ def _automaton_family(ground_size: int, start, step) -> SetSystem:
             if zero is not None:
                 stack.append((word + (0,), zero))
     return SetSystem(ground_size, tuple(words))
+
+
+def _sized_family(ground_size: int, low: int, high: int) -> SetSystem:
+    """All subsets of the ground with between ``low`` and ``high`` members.
+
+    The automaton's state is (points read, members so far); a point joins
+    while the size stays at most ``high``, and stays out while the points
+    left can still reach ``low``.  The walk's cost follows the ground as
+    much as the family (the m one-point sets of m points copy about m^3/6
+    word entries), so grounds above ENUMERATION_GROUND_CAP raise
+    SizeGuardError, which also bounds the family at 2^20 members.
+    """
+    if ground_size > ENUMERATION_GROUND_CAP:
+        raise SizeGuardError(
+            f"sized family on ground {ground_size} exceeds cap {ENUMERATION_GROUND_CAP}"
+        )
+    if low > ground_size:
+        # No such subset, though the walk accepts the empty word on the
+        # empty ground; SetSystem refuses a negative ground size.
+        return SetSystem(ground_size, ())
+
+    def step(state, bit):
+        read, size = state[0] + 1, state[1] + bit
+        if size <= high and size + ground_size - read >= low:
+            return read, size
+        return None
+
+    return _automaton_family(ground_size, (0, 0), step)
 
 
 class Classification(_Value):

@@ -200,3 +200,21 @@ class PositionGrid:
 def _slot_counts(combo):
     for slot, group in itertools.groupby(combo):
         yield slot, sum(1 for _ in group)
+
+
+def xor_pair_members(traces, m_pairs):
+    """Pair bits of traces on 2 * m_pairs points: bit k is 1 when the trace
+    differs at points 2k and 2k + 1."""
+    return {
+        tuple(1 if trace[2 * k] != trace[2 * k + 1] else 0 for k in range(m_pairs))
+        for trace in traces
+    }
+
+
+def sized_members(m, sizes):
+    """Masks of the subsets of an m-point ground whose size is in ``sizes``."""
+    return {
+        tuple(1 if j in combo else 0 for j in range(m))
+        for k in sizes
+        for combo in itertools.combinations(range(m), k)
+    }

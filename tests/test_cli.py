@@ -61,13 +61,20 @@ def test_verify_l2(capsys):
 
 
 def test_verify_l2_at_the_pair_cap(capsys):
-    # 10 pairs are 20 ground points, the enumeration ground cap.
-    code, out, _ = run_cli(capsys, "verify", "l2", "--label", "10101", "--pairs", "10")
+    # The pair-xor family lives on the pairs, so the enumeration ground cap
+    # bounds the pair count.
+    code, out, _ = run_cli(capsys, "verify", "l2", "--label", "10101", "--pairs", "20")
     assert code == 0
-    assert out == "PASS family=386 expected=386\n"
-    code, _, err = run_cli(capsys, "verify", "l2", "--label", "10101", "--pairs", "11")
+    assert out == "PASS family=6196 expected=6196\n"
+    code, _, err = run_cli(capsys, "verify", "l2", "--label", "10101", "--pairs", "21")
     assert code == 2
-    assert err == "error: size guard: pair count 11 exceeds cap 10\n"
+    assert err == "error: size guard: pair count 21 exceeds cap 20\n"
+
+
+def test_verify_l2_takes_labels_longer_than_five_bits(capsys):
+    code, out, _ = run_cli(capsys, "verify", "l2", "--label", "101010", "--pairs", "4")
+    assert code == 0
+    assert out == "PASS family=16 expected=16\n"
 
 
 def test_verify_t2(capsys):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import bruteforce as bf
 from vclabels.harness import (
     IctTensor,
     IctWitness,
@@ -17,7 +18,7 @@ from vclabels.harness import (
 )
 from vclabels.labelcalc import avoid_family
 from vclabels.labelcompiler import compile_label
-from vclabels.orderformula import Top, parse_formula
+from vclabels.orderformula import Compare, Top, ordered_trace_family, parse_formula
 from vclabels.setsystem import (
     SetSystem,
     SizeGuardError,
@@ -44,10 +45,25 @@ def test_xor_pair_family_examples():
 
 
 def test_xor_pair_family_guards():
-    with pytest.raises(SizeGuardError):
-        xor_pair_family(Top(), 0, 11)
-    with pytest.raises(SizeGuardError):
-        xor_pair_family(Top(), 5, 3)
+    with pytest.raises(SizeGuardError, match="pair count 21 exceeds cap 20"):
+        xor_pair_family(Top(), 0, 21)
+    assert xor_pair_family(Top(), 0, 20).members == ((0,) * 20,)
+    with pytest.raises(SizeGuardError, match="arity 129 exceeds cap 128"):
+        xor_pair_family(Compare("<", 129), 129, 3)
+    assert xor_pair_family(Compare("<", 128), 128, 3) == SetSystem.size_at_most(3, 1)
+    with pytest.raises(ValueError, match="declared arity 1 is below"):
+        xor_pair_family(Compare("<", 2), 1, 3)
+
+
+def test_xor_pair_family_of_compiled_labels_matches_projection():
+    # The reference projects the trace family on twice as many points.
+    for length in range(1, 7):
+        for eta in itertools.product((0, 1), repeat=length):
+            ast = compile_label(eta)
+            for m in range(7):
+                traces = ordered_trace_family(ast, length - 1, 2 * m).members
+                expected = tuple(sorted(bf.xor_pair_members(traces, m)))
+                assert xor_pair_family(ast, length - 1, m).members == expected
 
 
 def test_verify_pair_xor_reports():

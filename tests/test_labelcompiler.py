@@ -176,6 +176,56 @@ def test_interval_expr_validation():
         IntervalExpr((Point(1),), 1)  # symbols must start at a
     with pytest.raises(MalformedExpressionError):
         IntervalExpr((Interval(0, None), Point(1)), 2)  # right ray not last
+    # A segment of another type used to raise a stray AttributeError.
+    for segment in ("x", None, (0, 1)):
+        with pytest.raises(MalformedExpressionError, match="a Point or an Interval"):
+            IntervalExpr((Point(0), segment), 1)
+
+
+def _constructor_accepted(symbols, segments):
+    """Every IntervalExpr the constructor accepts within the given sizes."""
+    kinds = [(None, 1)] + [
+        ((lower, removed, upper), lower + removed + upper)
+        for lower in (0, 1)
+        for upper in (0, 1)
+        for removed in range(symbols + 1)
+    ]
+
+    def shapes(left, count):
+        yield ()
+        if count:
+            for kind, used in kinds:
+                if used <= left:
+                    for rest in shapes(left - used, count - 1):
+                        yield (kind,) + rest
+
+    for shape in shapes(symbols, segments):
+        built, sym = [], 0
+        for kind in shape:
+            if kind is None:
+                built.append(Point(sym))
+                sym += 1
+                continue
+            lower, removed, upper = kind
+            built.append(
+                Interval(
+                    sym if lower else None,
+                    sym + lower + removed if upper else None,
+                    tuple(range(sym + lower, sym + lower + removed)),
+                )
+            )
+            sym += lower + removed + upper
+        try:
+            yield IntervalExpr(tuple(built), sym)
+        except MalformedExpressionError:
+            pass
+
+
+def test_every_accepted_expression_is_the_image_of_a_label():
+    accepted = list(_constructor_accepted(4, 6))
+    assert len(accepted) == 2**6 - 2  # the labels of 1 to 5 bits
+    for expr in accepted:
+        assert to_interval_expr(from_interval_expr(expr)) == expr
 
 
 # --- realize_expr ----------------------------------------------------------------

@@ -11,6 +11,7 @@ import bruteforce as bf
 from bruteforce import PositionGrid
 from vclabels import labelcalc, orderformula, setsystem
 from vclabels.cli import main
+from vclabels.harness import xor_pair_family
 from vclabels.labelcalc import (
     avoid_family,
     complement_label,
@@ -311,6 +312,15 @@ def test_cof_examples():
         cof(parse_formula("x<y2"), 1)
 
 
+def test_cof_refuses_arities_above_the_label_length_cap_quickly():
+    # The cells used to be built for the formula arity whatever its size.
+    assert cof(Compare("<", LABEL_LENGTH_CAP), LABEL_LENGTH_CAP) == 0
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match=f"arity {10**6} exceeds cap"):
+        cof(Compare("<", 10**6), 10**6)
+    assert time.perf_counter() - start < 0.1
+
+
 # --- position grid -----------------------------------------------------------
 
 
@@ -384,8 +394,9 @@ def test_ordered_trace_family_examples():
 def test_ordered_trace_family_guards():
     with pytest.raises(SizeGuardError):
         ordered_trace_family(Top(), 0, 21)
-    with pytest.raises(SizeGuardError):
-        ordered_trace_family(Top(), 7, 4)
+    with pytest.raises(SizeGuardError, match="arity 129 exceeds cap 128"):
+        ordered_trace_family(Compare("<", 129), 129, 4)
+    assert ordered_trace_family(Top(), 129, 4) == ordered_trace_family(Top(), 0, 4)
     with pytest.raises(ValueError, match="arity"):
         ordered_trace_family(parse_formula("x<y2"), 1, 4)
 
@@ -411,6 +422,15 @@ def test_ordered_trace_family_matches_grid_enumeration(ast, data):
         ),
     )
     assert ordered_trace_family(ast, n, m) == expected
+
+
+@given(formulas(), st.data())
+def test_xor_pair_family_matches_projection(ast, data):
+    n = data.draw(st.integers(formula_arity(ast), 4))
+    m = data.draw(st.integers(0, 7))
+    traces = ordered_trace_family(ast, n, 2 * m).members
+    expected = tuple(sorted(bf.xor_pair_members(traces, m)))
+    assert xor_pair_family(ast, n, m).members == expected
 
 
 # --- label extraction -----------------------------------------------------------

@@ -535,6 +535,28 @@ def test_from_masks_normalizes_and_validates():
         SetSystem.from_masks(2, [(1, 0, 1)])
 
 
+def test_from_masks_reports_the_first_bad_mask_in_input_order():
+    # Masks that cannot be sorted or hashed used to raise a stray TypeError.
+    cases = [
+        ([(1, 1), (1, None)], (1, None)),
+        ([(1, None), (1, "1")], (1, None)),
+        ([(1, "1"), (1, None)], (1, "1")),
+        ([(1, 1), (0, [1])], (0, [1])),
+    ]
+    for masks, bad in cases:
+        with pytest.raises(ValueError) as info:
+            SetSystem.from_masks(2, masks)
+        assert str(info.value) == f"mask entries must be 0 or 1: {bad!r}"
+
+
+def test_constructor_takes_any_iterable_of_members():
+    members = [(0, 1), (1, 0)]
+    for given_members in (iter(members), members):
+        system = SetSystem(2, given_members)
+        assert system.members == tuple(members)
+        assert hash(system) == hash(SetSystem(2, tuple(members)))
+
+
 def test_text_round_trip_of_bool_masks():
     sys_ = SetSystem.from_masks(2, [(True, False), (0, 0)])
     assert sys_.to_text() == "ground 2\n00\n10\n"
@@ -694,3 +716,25 @@ def test_avoid_family_peak_memory_stays_near_its_members():
     assert len(family.members) == 6885
     member_bytes = sum(sys.getsizeof(mask) for mask in family.members)
     assert peak <= 1.5 * member_bytes
+
+
+def test_sized_families_match_combinations():
+    for m in range(14):
+        for d in range(m + 3):
+            at_most = tuple(sorted(bf.sized_members(m, range(d + 1))))
+            exactly = tuple(sorted(bf.sized_members(m, [d])))
+            assert SetSystem.size_at_most(m, d).members == at_most
+            assert SetSystem.size_exactly(m, d).members == exactly
+    # The kernel accepts the empty word on the empty ground.
+    assert SetSystem.size_exactly(0, 1).members == ()
+
+
+def test_sized_families_refuse_grounds_above_the_enumeration_cap():
+    assert len(SetSystem.size_exactly(20, 1).members) == 20
+    start = time.perf_counter()
+    for build in (SetSystem.size_at_most, SetSystem.size_exactly):
+        with pytest.raises(SizeGuardError, match="ground 40 exceeds cap 20"):
+            build(40, 20)
+        with pytest.raises(ValueError, match="ground size must be nonnegative"):
+            build(-1, 0)
+    assert time.perf_counter() - start < 0.1
