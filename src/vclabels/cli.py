@@ -10,22 +10,7 @@ import argparse
 import os
 import sys
 
-from .harness import (
-    build_ict_tensor,
-    ict_witness_family,
-    ramsey_homogenize,
-    verify_ict,
-    verify_pair_xor,
-)
 from .labelcalc import avoid_family, format_label, parse_label
-from .labelcompiler import (
-    compile_label,
-    format_expr,
-    from_interval_expr,
-    parse_expr,
-    to_interval_expr,
-)
-from .orderformula import format_formula, formula_arity, label_of_formula, parse_formula
 from .setsystem import (
     Classification,
     SetSystem,
@@ -35,6 +20,40 @@ from .setsystem import (
     mask_indices,
     phi_bound,
 )
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``module.name`` that imports the module when first called.
+
+    ``classify``, ``labels``, ``avoid`` and ``verify sauer`` then compile
+    none of the modules they do not run.  The stand-in carries the
+    function's names, so wrappers that read them see the real function.
+    """
+    qualified = f"{__package__}.{module}"
+
+    def stand_in(*args, **kwargs):
+        __import__(qualified)  # shows in -X importtime, unlike import_module
+        return getattr(sys.modules[qualified], name)(*args, **kwargs)
+
+    stand_in.__module__ = qualified
+    stand_in.__name__ = stand_in.__qualname__ = name
+    return stand_in
+
+
+format_formula = _deferred("orderformula", "format_formula")
+formula_arity = _deferred("orderformula", "formula_arity")
+label_of_formula = _deferred("orderformula", "label_of_formula")
+parse_formula = _deferred("orderformula", "parse_formula")
+compile_label = _deferred("labelcompiler", "compile_label")
+format_expr = _deferred("labelcompiler", "format_expr")
+from_interval_expr = _deferred("labelcompiler", "from_interval_expr")
+parse_expr = _deferred("labelcompiler", "parse_expr")
+to_interval_expr = _deferred("labelcompiler", "to_interval_expr")
+build_ict_tensor = _deferred("harness", "build_ict_tensor")
+ict_witness_family = _deferred("harness", "ict_witness_family")
+ramsey_homogenize = _deferred("harness", "ramsey_homogenize")
+verify_ict = _deferred("harness", "verify_ict")
+verify_pair_xor = _deferred("harness", "verify_pair_xor")
 
 
 class UsageError(ValueError):
@@ -166,6 +185,8 @@ def _cmd_verify(args) -> int:
         if args.label is None:
             raise UsageError("verify sauer requires --label")
         eta = parse_label(args.label)
+        if args.ground < 0:
+            raise ValueError("ground size must be nonnegative")
         d = len(eta) - 1
         failures = [
             m

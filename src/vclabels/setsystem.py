@@ -94,9 +94,12 @@ class _Value:
     hash is that of the field values and the repr lists them by name.
     Fields cannot be assigned or deleted, so each subclass's ``__init__``
     stores them through ``object.__setattr__`` or its slots' own setters.
-    Copies and unpickled values are built by ``__init__`` too, so what it
+    A value is its own copy, and its own deep copy when it hashes; one that
+    a caller built with a mutable field, such as a list, deep-copies field
+    by field.  Unpickled values are built by ``__init__``, so what it
     derives from the fields, such as a stored hash, is computed afresh in
-    each process.
+    each process.  ``repr`` walks nested values with an explicit stack, so
+    it does not recurse however deep a tree of values is.
     """
 
     __slots__ = ()
@@ -108,6 +111,18 @@ class _Value:
     def __reduce__(self):
         return type(self), self._values()
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        try:
+            hash(self)
+        except TypeError:
+            import copy
+
+            return type(self)(*copy.deepcopy(self._values(), memo))
+        return self
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -117,10 +132,21 @@ class _Value:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__match_args__
-        )
-        return f"{type(self).__qualname__}({fields})"
+        # The stack holds text, and values still to be written out.
+        parts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, _Value):
+                parts.append(item)
+                continue
+            pieces = [f"{type(item).__qualname__}("]
+            for i, name in enumerate(item.__match_args__):
+                value = getattr(item, name)
+                pieces.append(f"{', ' if i else ''}{name}=")
+                pieces.append(value if isinstance(value, _Value) else repr(value))
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(parts)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -218,3 +218,13 @@ def sized_members(m, sizes):
         for k in sizes
         for combo in itertools.combinations(range(m), k)
     }
+
+
+def value_repr(value):
+    """The repr a frozen dataclass gives a value, built recursively:
+    ``Name(field=repr, ...)`` over the fields in ``__match_args__``."""
+    names = getattr(type(value), "__match_args__", None)
+    if names is None:
+        return repr(value)
+    fields = ", ".join(f"{name}={value_repr(getattr(value, name))}" for name in names)
+    return f"{type(value).__qualname__}({fields})"

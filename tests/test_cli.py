@@ -89,6 +89,21 @@ def test_verify_sauer(capsys):
     assert out == "PASS cases=9\n"
 
 
+@pytest.mark.parametrize("ground", ["-1", "-5"])
+def test_verify_sauer_rejects_a_negative_ground(capsys, tmp_path, ground):
+    # A verifier that checks no ground must not pass.
+    report = tmp_path / "report.txt"
+    code, out, err = run_cli(
+        capsys, "verify", "sauer", "--label", "101", "--ground", ground,
+        "--report", str(report),
+    )
+    assert (code, out, err) == (2, "", "error: ground size must be nonnegative\n")
+    assert not report.exists()
+    assert run_cli(capsys, "avoid", "--label", "101", "--ground", ground) == (
+        code, out, err
+    )
+
+
 def test_verify_report_file(capsys, tmp_path):
     report = tmp_path / "report.txt"
     code, out, _ = run_cli(

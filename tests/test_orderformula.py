@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import itertools
 import random
 import time
@@ -265,6 +266,23 @@ def test_deep_python_ast_compares_and_hashes():
     assert first != _and_chain(4999)
     assert first != And(first.left, Compare("<", 2))
     assert len({first, second, _and_chain(4999)}) == 2
+
+
+def test_deep_python_ast_copies_and_reprs():
+    # copy.deepcopy and the field-by-field repr recursed once per level and
+    # ended in RecursionError past about 1,000 levels.
+    ast = _and_chain(5000)
+    assert copy.copy(ast) is ast
+    assert copy.deepcopy(ast) is ast and copy.deepcopy([ast])[0] is ast
+    text = repr(ast)
+    assert text == "And(left=" * 4999 + "Compare(rel='<', index=1)" + (
+        ", right=Compare(rel='>', index=2))" * 4999
+    )
+
+
+@given(formulas(depth=5))
+def test_repr_matches_the_recursive_reference(ast):
+    assert repr(ast) == bf.value_repr(ast)
 
 
 @pytest.mark.parametrize(

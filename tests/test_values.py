@@ -69,6 +69,22 @@ def test_value_repr_equality_hash_and_freezing(value, text):
 def test_values_copy_and_pickle(value):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert twin == value and hash(twin) == hash(value)
+    # Values hold only hashable fields here, so they are their own copies.
+    assert copy.copy(value) is value and copy.deepcopy(value) is value
+
+
+def test_deepcopy_does_not_share_mutable_fields_a_caller_gave():
+    interval = Interval(0, 1, [2])
+    twin = copy.deepcopy(interval)
+    assert twin == interval and twin.removed is not interval.removed
+    witness = IctWitness([0], [[1, 0]])
+    tensor = IctTensor(1, 2, [witness])
+    twin = copy.deepcopy(tensor)
+    assert twin == tensor
+    assert twin.witnesses[0] is not witness
+    assert twin.witnesses[0].sat[0] is not witness.sat[0]
+    # A shallow copy shares its fields, as a copy of a frozen dataclass did.
+    assert copy.copy(interval).removed is interval.removed
 
 
 def test_formula_pickled_under_another_hash_seed():
@@ -181,12 +197,12 @@ def test_constructor_checks_keep_their_errors(build, error, text):
 
 @pytest.mark.parametrize(
     "argv",
-    [["-m", "vclabels", "--help"], ["-c", "import vclabels"]],
+    [["-m", "vclabels", "--help"], ["-c", "from vclabels import *"]],
     ids=["cli-help", "import"],
 )
 def test_start_up_imports_neither_dataclasses_nor_inspect(argv):
     # Importing dataclasses pulls in inspect, ast, dis and tokenize, about
-    # 10 ms of every process start.
+    # 10 ms of every process start.  The star import loads every module.
     done = subprocess.run(
         [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True
     )
