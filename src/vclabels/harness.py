@@ -48,8 +48,10 @@ def xor_pair_family(ast: FormulaAst, n: int, m_pairs: int) -> SetSystem:
     belongs to the set defined by a parameter tuple exactly when the
     formula's truth differs at its two points.  The family is the words of
     the cell automaton read a pair at a time: a pair with bit b has truths
-    t and t ^ b for either t, so the state is the set of cell states the
-    two points can reach, and a pair is rejected when that set is empty.
+    t and t ^ b for either t.  Of the cell states the two points can reach
+    the state keeps the least, since from a lower cell the cell automaton
+    accepts every word it accepts from a higher one (see _cell_step), and
+    a pair is rejected when neither t reaches a state.
     """
     if m_pairs < 0:
         raise ValueError("pair count must be nonnegative")
@@ -59,16 +61,15 @@ def xor_pair_family(ast: FormulaAst, n: int, m_pairs: int) -> SetSystem:
         )
     cell = _cell_step(_cells(ast, n))
 
-    def pair_step(states: frozenset, bit: int):
-        after = set()
-        for state in states:
-            for t in (0, 1):
-                first = cell(state, t)
-                if first is not None and (second := cell(first, t ^ bit)) is not None:
-                    after.add(second)
-        return frozenset(after) or None
+    def pair_step(least: int, bit: int):
+        ends = []
+        for t in (0, 1):
+            first = cell(least, t)
+            if first is not None and (second := cell(first, t ^ bit)) is not None:
+                ends.append(second)
+        return min(ends, default=None)
 
-    return _automaton_family(m_pairs, frozenset({0}), pair_step)
+    return _automaton_family(m_pairs, 0, pair_step)
 
 
 class PairXorReport(_Value):
@@ -112,26 +113,25 @@ def ramsey_homogenize(system: SetSystem) -> tuple[Mask, Label]:
             "the family shatters its whole ground; no forbidden labels exist"
         )
     label_of = forbidden_labels(system, d + 1)
+
+    def common_label(indices):
+        """The label every (d+1)-subset of the indices carries, or None."""
+        labels = {label_of[sub] for sub in itertools.combinations(indices, d + 1)}
+        return labels.pop() if len(labels) == 1 else None
+
     if m <= EXHAUSTIVE_GROUND_CAP:
         for size in range(m, d, -1):
-            candidates = []
-            for combo in itertools.combinations(range(m), size):
-                labels = {label_of[sub] for sub in itertools.combinations(combo, d + 1)}
-                if len(labels) == 1:
-                    candidates.append((mask_from_indices(m, combo), labels.pop()))
+            candidates = [
+                (mask_from_indices(m, combo), label)
+                for combo in itertools.combinations(range(m), size)
+                if (label := common_label(combo)) is not None
+            ]
             if candidates:
                 return min(candidates)
     chosen: list[int] = []
     for x in range(m):
-        trial = chosen + [x]
-        if len(trial) < d + 1:
-            chosen = trial
-            continue
-        labels = {
-            label_of[sub] for sub in itertools.combinations(tuple(trial), d + 1)
-        }
-        if len(labels) == 1:
-            chosen = trial
+        if len(chosen) < d + 1 or common_label(chosen + [x]) is not None:
+            chosen.append(x)
     return mask_from_indices(m, chosen), label_of[tuple(chosen[: d + 1])]
 
 

@@ -20,6 +20,7 @@ from .setsystem import (
     SetSystem,
     SizeGuardError,
     _automaton_family,
+    _first_disagreement,
     _Value,
 )
 
@@ -57,13 +58,34 @@ class _Formula(_Value):
 
     Each node stores its hash at construction, from its children's stored
     hashes, and ``==`` walks both trees with an explicit stack, so neither
-    recurses however deep a tree built in Python is.
+    recurses however deep a tree built in Python is.  A tree pickles as a
+    flat list in postorder that holds each distinct node once, with its
+    children given by their places in the list, so pickling does not
+    recurse either and a shared subtree stays shared.
     """
 
     __slots__ = ("_hash",)
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        places, nodes, stack = {}, [], [self]
+        while stack:
+            node = stack[-1]
+            values = node._values()
+            waiting = [
+                v for v in values if isinstance(v, _Formula) and id(v) not in places
+            ]
+            if waiting:
+                stack.extend(waiting)
+                continue
+            stack.pop()
+            if id(node) not in places:
+                places[id(node)] = len(nodes)
+                refs = (places[id(v)] if isinstance(v, _Formula) else v for v in values)
+                nodes.append((type(node), tuple(refs)))
+        return _unflatten, (nodes,)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -142,6 +164,17 @@ _set_child = Not.child.__set__
 _set_left, _set_right = _Connective.left.__set__, _Connective.right.__set__
 
 FormulaAst = Top | Bottom | Compare | Not | And | Or
+
+
+def _unflatten(nodes) -> FormulaAst:
+    """The tree that _Formula.__reduce__ flattened: the last node of the list."""
+    built = []
+    for cls, values in nodes:
+        if cls is not Compare:  # the one node whose fields are not children
+            values = [built[place] for place in values]
+        built.append(cls(*values))
+    return built[-1]
+
 
 _REL_FUNCS = {
     "<": operator.lt,
@@ -424,47 +457,23 @@ def ordered_trace_family(ast: FormulaAst, n: int, m: int) -> SetSystem:
     return _automaton_family(m, 0, _cell_step(_cells(ast, n)))
 
 
-def _shortest_rejected(step) -> Label:
-    """Shortest word the automaton rejects from state 0, by breadth-first walk."""
-    # Each alternation of an accepted word needs a strictly higher cell, so
-    # with the 2n+1 cells of n parameters the alternating word of 2n+2 bits
-    # is rejected, and the walk returns before the queue runs out.
-    queue = [((), 0)]
-    seen = {0}
-    for word, state in queue:
-        for bit in (0, 1):
-            after = step(state, bit)
-            if after is None:
-                return word + (bit,)
-            if after not in seen:
-                seen.add(after)
-                queue.append((word + (bit,), after))
-
-
 def label_of_formula(ast: FormulaAst, n: int | None = None) -> Label:
     """The forbidden label whose avoidance family is the formula's trace family.
 
-    The label is the shortest word the cell automaton rejects.  A walk over
-    the reachable state pairs of the cell automaton and the label's greedy
-    matcher then checks that both accept the same words, which makes the
+    The label is the shortest word the cell automaton rejects: the first
+    disagreement with an automaton that accepts everything.  There always
+    is one, since each alternation of an accepted word needs a strictly
+    higher cell, so with the 2n+1 cells of n parameters the alternating
+    word of 2n+2 bits is rejected.  The label's greedy matcher then must
+    not disagree with the cell automaton on any word, which makes the
     formula characterized by the label on every ground.  A declared arity
     ``n`` is only checked against the formula arity (see _cells).
     """
     cells = _cell_step(_cells(ast, n))
-    eta = _shortest_rejected(cells)
-    matcher = _avoid_step(eta)
-    seen = {(0, 0)}
-    stack = [(0, 0)]
-    while stack:
-        cell, matched = stack.pop()
-        for bit in (0, 1):
-            pair = (cells(cell, bit), matcher(matched, bit))
-            if (pair[0] is None) != (pair[1] is None):
-                raise ExtractionFailedError(
-                    "the trace family is not the avoidance family of its "
-                    f"shortest missing trace {format_label(eta)}"
-                )
-            if pair[0] is not None and pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
+    eta = _first_disagreement(0, cells, 0, lambda state, bit: state)
+    if _first_disagreement(0, cells, 0, _avoid_step(eta)) is not None:
+        raise ExtractionFailedError(
+            "the trace family is not the avoidance family of its "
+            f"shortest missing trace {format_label(eta)}"
+        )
     return eta

@@ -186,12 +186,16 @@ class SetSystem(_Value):
     def from_masks(cls, ground_size: int, masks: Iterable[Mask]) -> SetSystem:
         masks = [tuple(mask) for mask in masks]
         try:
-            members = sorted(set(masks))
-        except TypeError:  # an unhashable or unorderable entry
+            return cls(ground_size, sorted(set(masks)))
+        except (TypeError, ValueError):
+            # Sorting fails on an unhashable or unorderable entry, and the
+            # constructor names the first bad mask in sorted order; name the
+            # first in input order instead.
+            if ground_size < 0:
+                raise ValueError("ground size must be nonnegative") from None
             for mask in masks:
                 _check_mask(mask, ground_size)
             raise
-        return cls(ground_size, members)
 
     @classmethod
     def from_index_sets(cls, ground_size: int, index_sets) -> SetSystem:
@@ -299,6 +303,28 @@ def _automaton_family(ground_size: int, start, step) -> SetSystem:
     return SetSystem(ground_size, tuple(words))
 
 
+def _first_disagreement(start_a, step_a, start_b, step_b) -> Mask | None:
+    """Least shortest word one automaton accepts and the other rejects, or None.
+
+    The steps follow the contract of _automaton_family.  A breadth-first
+    walk over the reachable state pairs reads bit 0 before bit 1, so it
+    meets the words of each length in lexicographic order; a pair already
+    reached by an earlier word is not walked again, since every word on
+    which the two disagree after it extends that earlier word as well.
+    """
+    queue = [((), start_a, start_b)]
+    seen = {(start_a, start_b)}
+    for word, state_a, state_b in queue:
+        for bit in (0, 1):
+            after_a, after_b = step_a(state_a, bit), step_b(state_b, bit)
+            if (after_a is None) != (after_b is None):
+                return word + (bit,)
+            if after_a is not None and (after_a, after_b) not in seen:
+                seen.add((after_a, after_b))
+                queue.append((word + (bit,), after_a, after_b))
+    return None
+
+
 def _sized_family(ground_size: int, low: int, high: int) -> SetSystem:
     """All subsets of the ground with between ``low`` and ``high`` members.
 
@@ -404,29 +430,6 @@ def vc_dim(system: SetSystem) -> int:
             break
         d = k
     return d
-
-
-def _missing_pattern(present, a: int):
-    """Largest submask of ``a`` absent from ``present``; None if all occur."""
-    sub = a
-    while sub in present:
-        if sub == 0:
-            return None
-        sub = (sub - 1) & a
-    return sub
-
-
-def _almost_shattered(ints, m: int, d: int, counts):
-    """(subset, missing trace) pairs for (d+1)-subsets one trace short of full."""
-    full = (1 << (d + 1)) - 1
-    out = []
-    for combo in itertools.combinations(range(m), d + 1):
-        a = 0
-        for j in combo:
-            a |= 1 << j
-        if counts[a] == full:
-            out.append((a, _missing_pattern({v & a for v in ints}, a)))
-    return out
 
 
 def _indicator(ints, m: int) -> int:
@@ -597,12 +600,13 @@ def classify(system: SetSystem) -> Classification:
         everything = (1 << (1 << m)) - 1
         high = [everything ^ half for half in low]
         blocked = 0
-        for a, miss in _almost_shattered(ints, m, d, counts):
-            cylinder = everything
-            for j in range(m):
-                if (a >> j) & 1:
-                    cylinder &= high[j] if (miss >> j) & 1 else low[j]
-            blocked |= cylinder
+        full = (1 << (d + 1)) - 1
+        for combo in itertools.combinations(range(m), d + 1):
+            if counts[sum(1 << j for j in combo)] == full:
+                cylinder = everything
+                for j, bit in zip(combo, _label_on(ints, combo)):
+                    cylinder &= high[j] if bit else low[j]
+                blocked |= cylinder
         is_maximal = everything & ~indicator & ~blocked == 0
 
     assert not is_maximum or is_maximal
@@ -616,7 +620,9 @@ def _label_on(ints, indices) -> Label | None:
     present = {v & a for v in ints}
     if len(present) != (1 << len(indices)) - 1:
         return None
-    missing = _missing_pattern(present, a)
+    missing = a  # the submasks of a, from the largest down, until one is absent
+    while missing in present:
+        missing = (missing - 1) & a
     return tuple((missing >> j) & 1 for j in indices)
 
 

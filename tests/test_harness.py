@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 import bruteforce as bf
 from vclabels.harness import (
+    EXHAUSTIVE_GROUND_CAP,
     IctTensor,
     IctWitness,
     NotMaximumError,
@@ -118,6 +120,25 @@ def test_homogenize_greedy_mode_beyond_cap():
     subset, eta = ramsey_homogenize(system)
     assert subset == (1,) * 13
     assert eta == (0, 1)
+
+
+@pytest.mark.parametrize("m", range(6, 15))
+def test_homogenize_matches_brute_force_on_permuted_avoidance_families(m):
+    # A permuted avoidance family is still maximum, but unless the label is
+    # constant its (d+1)-subsets carry different labels.
+    rng = random.Random(m)
+    sizes = []
+    for length in (2, 3, 4):
+        eta = tuple(rng.randint(0, 1) for _ in range(length))
+        order = rng.sample(range(m), m)
+        system = SetSystem.from_masks(
+            m, (tuple(mask[i] for i in order) for mask in avoid_family(m, eta).members)
+        )
+        exhaustive = m <= EXHAUSTIVE_GROUND_CAP
+        want = bf.homogenize(system.members, m, length - 1, exhaustive)
+        assert ramsey_homogenize(system) == want
+        sizes.append(sum(want[0]))
+    assert min(sizes) < m
 
 
 # --- ICT tensors -------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import itertools
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -278,6 +279,35 @@ def test_deep_python_ast_copies_and_reprs():
     assert text == "And(left=" * 4999 + "Compare(rel='<', index=1)" + (
         ", right=Compare(rel='>', index=2))" * 4999
     )
+
+
+def test_deep_python_ast_pickles():
+    # Pickling field by field recursed once per level and ended in
+    # RecursionError past about 1,000 levels.
+    ast = _and_chain(5000)
+    twin = pickle.loads(pickle.dumps(ast))
+    assert twin is not ast and twin == ast and hash(twin) == hash(ast)
+
+
+def test_pickle_keeps_shared_subtrees_shared():
+    # Unfolded, this tree has 2^21 - 1 nodes; it holds 21 distinct ones.
+    ast = Compare("<", 1)
+    for _ in range(20):
+        ast = And(ast, ast)
+    data = pickle.dumps(ast)
+    assert len(data) < 1000
+    node = pickle.loads(data)
+    assert node == ast
+    for _ in range(20):
+        assert isinstance(node, And) and node.left is node.right
+        node = node.left
+    assert node == Compare("<", 1)
+
+
+@given(formulas(depth=5))
+def test_formula_pickles_to_an_equal_tree(ast):
+    twin = pickle.loads(pickle.dumps(ast))
+    assert twin == ast and repr(twin) == repr(ast)
 
 
 @given(formulas(depth=5))

@@ -549,6 +549,27 @@ def test_from_masks_reports_the_first_bad_mask_in_input_order():
         assert str(info.value) == f"mask entries must be 0 or 1: {bad!r}"
 
 
+def test_from_masks_names_the_first_bad_mask_in_input_order_when_masks_sort():
+    cases = [
+        ([(1, None), (0, "1")], ValueError, "mask entries must be 0 or 1: (1, None)"),
+        ([(1, 2), (0, 3)], ValueError, "mask entries must be 0 or 1: (1, 2)"),
+        ([(1, 0, 0), (0,)], GroundMismatchError, "mask length 3 does not match ground size 2"),
+    ]
+    for masks, error, message in cases:
+        with pytest.raises(error) as info:
+            SetSystem.from_masks(2, masks)
+        assert str(info.value) == message
+    for masks in ([(0,)], [(1, None), (1, "1")], []):
+        with pytest.raises(ValueError, match="^ground size must be nonnegative$"):
+            SetSystem.from_masks(-1, masks)
+
+
+def test_from_masks_checks_valid_masks_in_one_pass():
+    with mock.patch.object(setsystem, "_check_mask", side_effect=AssertionError):
+        system = SetSystem.from_masks(2, [(1, 0), (0, 1), (1, 0)])
+    assert system.members == ((0, 1), (1, 0))
+
+
 def test_constructor_takes_any_iterable_of_members():
     members = [(0, 1), (1, 0)]
     for given_members in (iter(members), members):
@@ -649,8 +670,8 @@ def test_constructor_rejects_malformed_members(members):
 
 
 @st.composite
-def move_tables(draw):
-    states = draw(st.integers(1, 6))
+def move_tables(draw, most_states=6):
+    states = draw(st.integers(1, most_states))
     target = st.one_of(st.none(), st.integers(0, states - 1))
     return [(draw(target), draw(target)) for _ in range(states)]
 
@@ -685,6 +706,42 @@ def test_automaton_family_steps_each_state_at_most_twice(table, m):
     setsystem._automaton_family(m, 0, step)
     assert set(calls) <= _reachable(table)
     assert all(calls.count(state) <= 2 for state in set(calls))
+
+
+def _accepts(table, word):
+    state = 0
+    for bit in word:
+        state = table[state][bit]
+        if state is None:
+            return False
+    return True
+
+
+@given(move_tables(most_states=3), move_tables(most_states=3))
+def test_first_disagreement_matches_brute_force(table_a, table_b):
+    # A shortest disagreement passes through distinct state pairs, so it
+    # has at most 3 * 3 bits and the brute force misses none.
+    got = setsystem._first_disagreement(
+        0, lambda state, bit: table_a[state][bit], 0, lambda state, bit: table_b[state][bit]
+    )
+    want = bf.first_disagreement(
+        lambda word: _accepts(table_a, word), lambda word: _accepts(table_b, word), 9
+    )
+    assert got == want
+
+
+def test_first_disagreement_examples():
+    def accept_all(state, bit):
+        return state
+
+    def avoid_10(state, bit):  # the greedy matcher of the label 10
+        state += bit == (1, 0)[state]
+        return state if state < 2 else None
+
+    assert setsystem._first_disagreement(0, avoid_10, 0, accept_all) == (1, 0)
+    assert setsystem._first_disagreement(0, accept_all, 0, avoid_10) == (1, 0)
+    assert setsystem._first_disagreement(0, avoid_10, 0, avoid_10) is None
+    assert setsystem._first_disagreement(0, accept_all, 5, accept_all) is None
 
 
 def test_avoid_family_steps_each_matcher_state_at_most_twice(monkeypatch):
