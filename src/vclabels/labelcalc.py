@@ -9,12 +9,10 @@ dimension len(eta) - 1.
 from __future__ import annotations
 
 from .setsystem import (
-    ENUMERATION_GROUND_CAP,
     GroundMismatchError,
     Label,
     Mask,
     SetSystem,
-    SizeGuardError,
     _automaton_family,
     _check_mask,
 )
@@ -78,15 +76,7 @@ def avoid_family(ground_size: int, eta: Label) -> SetSystem:
     The members are the words on which the greedy matcher never completes
     eta.
     """
-    eta = as_label(eta)
-    if ground_size < 0:
-        raise ValueError("ground size must be nonnegative")
-    if ground_size > ENUMERATION_GROUND_CAP:
-        raise SizeGuardError(
-            f"avoidance enumeration on ground {ground_size} exceeds cap "
-            f"{ENUMERATION_GROUND_CAP}"
-        )
-    return _automaton_family(ground_size, 0, _avoid_step(eta))
+    return _automaton_family(ground_size, 0, _avoid_step(as_label(eta)))
 
 
 def _avoid_step(eta: Label):

@@ -15,7 +15,6 @@ from typing import Sequence
 
 from .labelcalc import _avoid_step, format_label
 from .setsystem import (
-    ENUMERATION_GROUND_CAP,
     Label,
     SetSystem,
     SizeGuardError,
@@ -450,10 +449,6 @@ def _cell_step(truths: Sequence[int]):
 
 def ordered_trace_family(ast: FormulaAst, n: int, m: int) -> SetSystem:
     """Family of ground traces of the formula with n strictly increasing parameters."""
-    if m < 0:
-        raise ValueError("ground size must be nonnegative")
-    if m > ENUMERATION_GROUND_CAP:
-        raise SizeGuardError(f"ground size {m} exceeds cap {ENUMERATION_GROUND_CAP}")
     return _automaton_family(m, 0, _cell_step(_cells(ast, n)))
 
 

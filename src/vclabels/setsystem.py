@@ -26,9 +26,10 @@ CLASSIFY_GROUND_CAP = 16
 # The maximum test runs while its shatter search would build at most this
 # many member cells per fold that the fold path makes (see classify).
 SEARCH_CELLS_PER_FOLD = 8
-# vc_dim looks at most this many (subset, member) pairs at one subset size,
-# C(m, k) * |F|: about 0.6 s at 75 ns a pair (Python 3.11, 2-core Xeon).
-# Above it a family on a ground within CLASSIFY_GROUND_CAP is classified.
+# vc_dim searches a subset size k while C(m, k) * |F| is at most this many
+# (subset, member) pairs: a bound on the worst case of its pruned shatter
+# search, which usually stops far below it.  Above it a family on a ground
+# within CLASSIFY_GROUND_CAP is classified.
 VC_DIM_WORK_CAP = 1 << 23
 
 
@@ -70,7 +71,11 @@ def _check_mask(mask: Mask, ground_size: int) -> None:
 
 
 def mask_from_indices(ground_size: int, indices: Iterable[int]) -> Mask:
-    """Membership mask of the given element indices."""
+    """Membership mask of the given element indices (ints; a bool counts)."""
+    indices = list(indices)
+    odd = [i for i in indices if not isinstance(i, int)]
+    if odd:
+        raise ValueError(f"indices must be ints, got {odd!r}")
     chosen = set(indices)
     bad = sorted(i for i in chosen if not 0 <= i < ground_size)
     if bad:
@@ -277,8 +282,15 @@ def _automaton_family(ground_size: int, start, step) -> SetSystem:
     table.  The depth-first walk pops bit 0 before bit 1, so every
     accepted word comes out once and in lexicographic order; its stack
     holds at most one entry per level, and words end at the last level
-    without being pushed.
+    without being pushed.  Grounds below 0 raise ValueError, and grounds
+    above ENUMERATION_GROUND_CAP raise SizeGuardError, before any step.
     """
+    if ground_size < 0:
+        raise ValueError("ground size must be nonnegative")
+    if ground_size > ENUMERATION_GROUND_CAP:
+        raise SizeGuardError(
+            f"family on ground {ground_size} exceeds cap {ENUMERATION_GROUND_CAP}"
+        )
     if not ground_size:
         return SetSystem(0, ((),))
     words: list[Mask] = []
@@ -332,17 +344,9 @@ def _sized_family(ground_size: int, low: int, high: int) -> SetSystem:
     while the size stays at most ``high``, and stays out while the points
     left can still reach ``low``.  The walk's cost follows the ground as
     much as the family (the m one-point sets of m points copy about m^3/6
-    word entries), so grounds above ENUMERATION_GROUND_CAP raise
-    SizeGuardError, which also bounds the family at 2^20 members.
+    word entries); the kernel's ground cap also bounds the family at 2^20
+    members.
     """
-    if ground_size > ENUMERATION_GROUND_CAP:
-        raise SizeGuardError(
-            f"sized family on ground {ground_size} exceeds cap {ENUMERATION_GROUND_CAP}"
-        )
-    if low > ground_size:
-        # No such subset, though the walk accepts the empty word on the
-        # empty ground; SetSystem refuses a negative ground size.
-        return SetSystem(ground_size, ())
 
     def step(state, bit):
         read, size = state[0] + 1, state[1] + bit
@@ -350,7 +354,9 @@ def _sized_family(ground_size: int, low: int, high: int) -> SetSystem:
             return read, size
         return None
 
-    return _automaton_family(ground_size, (0, 0), step)
+    family = _automaton_family(ground_size, (0, 0), step)
+    # No such subset, though the walk accepts the empty word on the empty ground.
+    return family if low <= ground_size else SetSystem(ground_size, ())
 
 
 class Classification(_Value):
@@ -389,44 +395,40 @@ def trace(system: SetSystem, region: Mask) -> SetSystem:
     )
 
 
-def _shattered(ints, a: int) -> bool:
-    return len({v & a for v in ints}) == 1 << a.bit_count()
-
-
 def shatters(system: SetSystem, region: Mask) -> bool:
     """True iff every subset of ``region`` occurs as a trace."""
     _check_mask(region, system.ground_size)
-    return _shattered(system.member_ints, _mask_int(region))
+    a = _mask_int(region)
+    return len({v & a for v in system.member_ints}) == 1 << a.bit_count()
 
 
 def vc_dim(system: SetSystem) -> int:
     """Largest shattered subset size; -1 for the empty family.
 
     Shattering is hereditary, so sizes are tried in increasing order and
-    the search stops at the first size with no shattered subset, or once
-    2^k exceeds the number of members.  A size whose C(m, k) * |F| pairs
-    exceed VC_DIM_WORK_CAP is left to classify, or raises SizeGuardError
-    above CLASSIFY_GROUND_CAP.
+    the search stops at the first size with no shattered subset (see
+    _shatters_some), or once 2^k exceeds the number of members.  A size
+    whose C(m, k) * |F| pairs exceed VC_DIM_WORK_CAP is left to classify,
+    or raises SizeGuardError above CLASSIFY_GROUND_CAP.
     """
-    ints = system.member_ints
-    if not ints:
+    count, m = len(system.members), system.ground_size
+    if not count:
         return -1
-    m = system.ground_size
+    columns = None
     d = 0
     for k in range(1, m + 1):
-        if 1 << k > len(ints):
+        if 1 << k > count:
             break
-        if math.comb(m, k) * len(ints) > VC_DIM_WORK_CAP:
+        if math.comb(m, k) * count > VC_DIM_WORK_CAP:
             if m <= CLASSIFY_GROUND_CAP:
                 return classify(system).vc_dimension
             raise SizeGuardError(
-                f"vc_dim of {len(ints)} members on ground {m} exceeds work cap "
+                f"vc_dim of {count} members on ground {m} exceeds work cap "
                 f"{VC_DIM_WORK_CAP} at size {k}"
             )
-        if not any(
-            _shattered(ints, sum(1 << j for j in combo))
-            for combo in itertools.combinations(range(m), k)
-        ):
+        if columns is None:
+            columns = _columns(system.members)
+        if not _shatters_some(columns, count, k):
             break
         d = k
     return d
@@ -581,21 +583,18 @@ def classify(system: SetSystem) -> Classification:
     counts = _trace_counts(indicator, m, low)
 
     best_by_size = [0] * (m + 1)
-    worst_by_size = [1 << m] * (m + 1)
     for a, count in enumerate(counts):
         k = a.bit_count()
         if count > best_by_size[k]:
             best_by_size[k] = count
-        if count < worst_by_size[k]:
-            worst_by_size[k] = count
     d = max(k for k in range(m + 1) if best_by_size[k] == 1 << k)
 
-    is_maximum = all(
-        worst_by_size[k] == best_by_size[k] == phi_bound(d, k) for k in range(m + 1)
-    )
-
-    if is_maximum or d >= m:
-        is_maximal = True  # maximum implies maximal; d = m is the power set
+    # Maximum exactly when |F| = phi(d, m): such a family shatters every set
+    # of at most d points (Pajor's lemma) and each restriction is maximum
+    # (Welzl 1987), so every k-subset carries phi(d, k) traces.
+    is_maximum = len(ints) == phi_bound(d, m)
+    if is_maximum:
+        is_maximal = True
     else:
         everything = (1 << (1 << m)) - 1
         high = [everything ^ half for half in low]
@@ -608,8 +607,6 @@ def classify(system: SetSystem) -> Classification:
                     cylinder &= high[j] if bit else low[j]
                 blocked |= cylinder
         is_maximal = everything & ~indicator & ~blocked == 0
-
-    assert not is_maximum or is_maximal
     profile = tuple((k, best_by_size[k]) for k in range(m + 1))
     return Classification(d, is_maximum, is_maximal, profile)
 

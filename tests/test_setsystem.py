@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 import bruteforce as bf
 from vclabels import labelcalc, setsystem
 from vclabels.labelcalc import avoid_family
+from vclabels.orderformula import Top, ordered_trace_family
 from vclabels.setsystem import (
     Classification,
     EmptyFamilyError,
@@ -159,6 +160,47 @@ def test_vc_dim_under_a_tiny_work_cap(sys_, cap):
                 vc_dim(wide)
         else:
             assert vc_dim(wide) == 1
+
+
+def _permuted(sys_, rng):
+    """The family under a random permutation of its ground."""
+    order = list(range(sys_.ground_size))
+    rng.shuffle(order)
+    return SetSystem.from_masks(
+        sys_.ground_size, (tuple(mask[j] for j in order) for mask in sys_.members)
+    )
+
+
+def _vc_dim_by_definition(sys_):
+    """Largest size of a subset of the ground whose traces are all present,
+    by a scan of every subset (bf.vc_dim does the same on index tuples)."""
+    ints = sys_.member_ints
+    if not ints:
+        return -1
+    return max(
+        a.bit_count()
+        for a in range(1 << sys_.ground_size)
+        if len({v & a for v in ints}) == 1 << a.bit_count()
+    )
+
+
+def test_vc_dim_matches_a_full_scan_on_maximum_families_and_one_less():
+    rng = random.Random(4409)
+    cases = []
+    for length in range(1, 6):
+        for eta in itertools.product((0, 1), repeat=length):
+            cases.extend(_permuted(avoid_family(m, eta), rng) for m in range(11))
+    cases.extend(
+        SetSystem.size_at_most(m, d) for m in range(11) for d in range(m + 1)
+    )
+    for sys_ in cases:
+        drop = rng.randrange(len(sys_.members))
+        less = SetSystem(sys_.ground_size, sys_.members[:drop] + sys_.members[drop + 1:])
+        for family in (sys_, less):
+            expected = _vc_dim_by_definition(family)
+            assert vc_dim(family) == expected
+            if family.ground_size <= 6:
+                assert expected == bf.vc_dim(set(family.members), family.ground_size)
 
 
 # --- classify -----------------------------------------------------------
@@ -357,6 +399,28 @@ def test_maximum_families_skip_the_fold(monkeypatch):
     cases.append((SetSystem(0, ((),)), 0))
     for sys_, d in cases:
         assert classify(sys_) == _closed_form(d, sys_.ground_size)
+
+
+def test_maximum_families_the_search_declines_take_the_fold(monkeypatch):
+    calls = []
+    fold = setsystem._trace_counts
+
+    def counted_fold(*args):
+        calls.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(setsystem, "_trace_counts", counted_fold)
+    rng = random.Random(7121)
+    cases = [(SetSystem.size_at_most(m, 5), 5) for m in (10, 12)]
+    for eta in itertools.product((0, 1), repeat=6):
+        cases.append((_permuted(avoid_family(12, eta), rng), 5))
+    for sys_, d in cases:
+        calls.clear()
+        result = classify(sys_)
+        assert calls, "the shatter search settled a family it should decline"
+        assert result == _closed_form(d, sys_.ground_size)
+        if sys_.ground_size <= 10:
+            assert result == reference_classify(sys_)
 
 
 def _swapped(sys_, rng):
@@ -595,6 +659,23 @@ def test_mask_entries_must_be_int_bits(mask):
         trace(SetSystem.power_set(2), mask)
 
 
+@pytest.mark.parametrize(
+    "indices, named",
+    [([1.5], r"\[1\.5\]"), (["1"], r"\['1'\]"), ([None], r"\[None\]"), ([2, 1.0], r"\[1\.0\]")],
+)
+def test_mask_indices_must_be_ints(indices, named):
+    with pytest.raises(ValueError, match=f"indices must be ints, got {named}"):
+        mask_from_indices(3, indices)
+
+
+def test_index_sets_name_an_index_that_is_not_an_int():
+    with pytest.raises(ValueError, match=r"indices must be ints, got \[1\.5\]"):
+        SetSystem.from_index_sets(3, [{1.5}, {2}])
+    assert mask_from_indices(3, [True, 2]) == (0, 1, 1)
+    with pytest.raises(ValueError, match=r"^indices out of range for ground 3: \[5, 10\]$"):
+        mask_from_indices(3, [10, 1, 5])
+
+
 # --- construction checks --------------------------------------------------
 
 
@@ -784,6 +865,37 @@ def test_sized_families_match_combinations():
             assert SetSystem.size_exactly(m, d).members == exactly
     # The kernel accepts the empty word on the empty ground.
     assert SetSystem.size_exactly(0, 1).members == ()
+
+
+def test_the_kernel_guards_the_ground_before_any_step():
+    def refuse(state, bit):
+        raise AssertionError("the kernel stepped outside its ground bounds")
+
+    with pytest.raises(ValueError, match="^ground size must be nonnegative$"):
+        setsystem._automaton_family(-1, 0, refuse)
+    with pytest.raises(SizeGuardError, match="^family on ground 21 exceeds cap 20$"):
+        setsystem._automaton_family(21, 0, refuse)
+    # No 22-subset of 21 points exists, yet the ground guard answers first.
+    with pytest.raises(SizeGuardError, match="^family on ground 21 exceeds cap 20$"):
+        SetSystem.size_exactly(21, 22)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: avoid_family(m, (1, 0)),
+        lambda m: ordered_trace_family(Top(), 0, m),
+        lambda m: SetSystem.size_at_most(m, 2),
+        lambda m: SetSystem.size_exactly(m, 2),
+    ],
+    ids=["avoid_family", "ordered_trace_family", "size_at_most", "size_exactly"],
+)
+def test_generated_families_raise_the_kernel_ground_errors(build):
+    with pytest.raises(ValueError, match="^ground size must be nonnegative$"):
+        build(-1)
+    with pytest.raises(SizeGuardError, match="^family on ground 21 exceeds cap 20$"):
+        build(21)
+    assert len(build(20).members) > 0
 
 
 def test_sized_families_refuse_grounds_above_the_enumeration_cap():

@@ -1,0 +1,137 @@
+"""Fingerprint the CLI's output on a fixed sweep of inputs.
+
+Usage: python tools/cli_parity.py SRC_DIR > out.txt
+
+Runs ``python -m vclabels`` from the package under SRC_DIR (a ``src``
+directory) once per case, one case at a time, each in a fresh temporary
+directory that holds the case's input file and ``--report`` file.  Prints
+one line per case: the case id, the exit status, and the SHA-256 digests of
+stdout, stderr and the report file ("-" when the case writes none).  Run it
+on two trees and ``diff`` the outputs to see which cases changed.
+
+The set-system files are written here, with a subsequence test of its own
+for the avoidance families, so nothing is imported from the package under
+test.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FAMILY_LABELS = ("10", "011", "101", "1010", "0110", "11001")
+LONG_LABEL = "10" * 64
+
+
+def labels(most_bits: int):
+    """Every label of 1 to ``most_bits`` bits, shortest first."""
+    for length in range(1, most_bits + 1):
+        for bits in itertools.product("01", repeat=length):
+            yield "".join(bits)
+
+
+def avoids(word: str, label: str) -> bool:
+    """True iff ``label`` is not a subsequence of ``word``."""
+    rest = iter(word)
+    return not all(bit in rest for bit in label)
+
+
+def family_text(m: int, words) -> str:
+    return "".join(f"{line}\n" for line in [f"ground {m}", *sorted(set(words))])
+
+
+def permuted_avoidance(m: int, label: str, rng: random.Random) -> list[str]:
+    """The words avoiding ``label`` on m points, under a random permutation."""
+    order = list(range(m))
+    rng.shuffle(order)
+    words = ("".join(bits) for bits in itertools.product("01", repeat=m))
+    return ["".join(word[j] for j in order) for word in words if avoids(word, label)]
+
+
+def family_cases():
+    """(case id, file text) for every family the sweep classifies."""
+    rng = random.Random(1301)
+    for m in range(8, 15):
+        for label in FAMILY_LABELS:
+            words = permuted_avoidance(m, label, rng)
+            yield f"avoid-{label}-g{m}", family_text(m, words)
+            words.pop(rng.randrange(len(words)))
+            yield f"avoid-{label}-g{m}-less1", family_text(m, words)
+    for m in range(1, 13):
+        count = rng.randint(1, 2**m)
+        values = rng.sample(range(2**m), count)
+        words = (format(v, f"0{m}b") for v in values)
+        yield f"random-g{m}-n{count}", family_text(m, words)
+    yield "one-g17", family_text(17, ["1" + "0" * 16])
+
+
+def cases():
+    """(case id, argv, input file text or None), in sweep order.
+
+    An argv of None marks a ``label`` case, whose formula is the one the
+    preceding ``compile`` case printed.
+    """
+    for label in [*labels(6), LONG_LABEL]:
+        yield f"compile:{label}", ["compile", "--label", label], None
+        yield f"label:{label}", None, None
+    for label in labels(4):
+        for ground in (-1, 0, 8, 20, 21):
+            yield f"avoid:{label}:g{ground}", ["avoid", "--label", label, "--ground", str(ground)], None
+            argv = ["verify", "sauer", "--label", label, "--ground", str(ground), "--report", "report"]
+            yield f"sauer:{label}:g{ground}", argv, None
+        for pairs in (*range(7), 20, 21):
+            argv = ["verify", "l2", "--label", label, "--pairs", str(pairs), "--report", "report"]
+            yield f"l2:{label}:p{pairs}", argv, None
+    for depth in range(5):
+        for cols in range(6):
+            argv = ["verify", "t2", "--depth", str(depth), "--cols", str(cols), "--report", "report"]
+            yield f"t2:d{depth}:c{cols}", argv, None
+    for name, text in family_cases():
+        commands = ("classify",) if name == "one-g17" else ("classify", "labels", "homogenize")
+        for command in commands:
+            yield f"{command}:{name}", [command, "--in", "family.txt"], text
+
+
+def digest(data: bytes | None) -> str:
+    return "-" if data is None else hashlib.sha256(data).hexdigest()
+
+
+def run(src: Path, argv: list[str], text: str | None):
+    """Exit status, stdout, stderr and report bytes of one CLI run."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with tempfile.TemporaryDirectory() as work:
+        if text is not None:
+            Path(work, "family.txt").write_text(text, encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "vclabels", *argv],
+            cwd=work, env=env, capture_output=True, check=False,
+        )
+        report = Path(work, "report")
+        data = report.read_bytes() if report.exists() else None
+    return done.returncode, done.stdout, done.stderr, data
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    src = Path(argv[1]).resolve()
+    formula = ""
+    for case_id, command, text in cases():
+        if command is None:
+            command = ["label", "--formula", formula]
+        status, out, err, report = run(src, command, text)
+        if case_id.startswith("compile:"):
+            formula = out.decode().partition("\n")[0].removeprefix("formula ")
+        print(case_id, status, digest(out), digest(err), digest(report), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
