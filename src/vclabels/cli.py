@@ -41,7 +41,6 @@ def _deferred(module: str, name: str):
 
 
 format_formula = _deferred("orderformula", "format_formula")
-formula_arity = _deferred("orderformula", "formula_arity")
 label_of_formula = _deferred("orderformula", "label_of_formula")
 parse_formula = _deferred("orderformula", "parse_formula")
 compile_label = _deferred("labelcompiler", "compile_label")
@@ -111,13 +110,7 @@ def _cmd_labels(args) -> int:
 
 
 def _cmd_label(args) -> int:
-    ast = parse_formula(args.formula)
-    arity = formula_arity(ast) if args.arity is None else args.arity
-    if arity < formula_arity(ast):
-        raise UsageError(
-            f"--arity {arity} is below the formula arity {formula_arity(ast)}"
-        )
-    eta = label_of_formula(ast, arity)
+    eta = label_of_formula(parse_formula(args.formula), args.arity)
     print(f"label {format_label(eta)}")
     return 0
 
@@ -161,9 +154,9 @@ def _key_values(record: dict) -> str:
 
 def _cmd_verify(args) -> int:
     shown = {}  # printed after the counts, not reported
+    if args.claim != "t2" and args.label is None:
+        raise UsageError(f"verify {args.claim} requires --label")
     if args.claim == "l2":
-        if args.label is None:
-            raise UsageError("verify l2 requires --label")
         report = verify_pair_xor(parse_label(args.label), args.pairs)
         passed = report.passed
         inputs = {"label": args.label, "pairs": args.pairs}
@@ -182,8 +175,6 @@ def _cmd_verify(args) -> int:
         }
     else:
         # sauer: avoidance family sizes meet the counting bound on every ground
-        if args.label is None:
-            raise UsageError("verify sauer requires --label")
         eta = parse_label(args.label)
         if args.ground < 0:
             raise ValueError("ground size must be nonnegative")

@@ -47,11 +47,17 @@ def induces(mask: Mask, eta: Label) -> bool:
     Greedy left-to-right matching; equivalent to subsequence containment of
     eta in the membership string.
     """
-    return _witness_end(mask, (1,) * len(mask), as_label(eta)) is not None
+    return induces_within(mask, (1,) * len(mask), eta)
 
 
 def induces_within(mask: Mask, region: Mask, eta: Label) -> bool:
-    """Pattern induction using only positions inside ``region``."""
+    """Pattern induction using only positions inside ``region``.
+
+    A mask of another length than the region raises GroundMismatchError,
+    and entries other than 0 or 1 raise ValueError.
+    """
+    _check_mask(region, len(region))
+    _check_mask(mask, len(region))
     return _witness_end(mask, region, as_label(eta)) is not None
 
 
@@ -140,7 +146,7 @@ def extend_avoiding(ground_size: int, region: Mask, partial: Mask, eta: Label) -
     _check_mask(partial, ground_size)
     if any(p and not r for p, r in zip(partial, region)):
         raise ValueError("partial assignment must be contained in the region")
-    if induces_within(partial, region, eta):
+    if _witness_end(partial, region, eta) is not None:
         raise PreconditionViolatedError(
             "partial assignment already induces the pattern inside the region"
         )

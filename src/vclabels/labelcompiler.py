@@ -71,18 +71,23 @@ Segment = Point | Interval
 
 
 def _segment_symbols(segment: Segment):
+    """The segment's (symbol, label bit) pairs in reading order.
+
+    The bit is the second digit of the symbol's label pair: 1 for a point
+    or an interval's upper end, 0 for a lower end or a removed point.
+    """
     if isinstance(segment, Point):
-        yield segment.symbol
+        yield segment.symbol, 1
         return
     if not isinstance(segment, Interval):
         raise MalformedExpressionError(
             f"a segment is a Point or an Interval, got {segment!r}"
         )
     if segment.lower is not None:
-        yield segment.lower
-    yield from segment.removed
+        yield segment.lower, 0
+    yield from ((symbol, 0) for symbol in segment.removed)
     if segment.upper is not None:
-        yield segment.upper
+        yield segment.upper, 1
 
 
 class IntervalExpr(_Value):
@@ -91,7 +96,7 @@ class IntervalExpr(_Value):
     __match_args__ = ("segments", "symbol_count")
 
     def __init__(self, segments: tuple[Segment, ...], symbol_count: int):
-        walk = [s for segment in segments for s in _segment_symbols(segment)]
+        walk = [s for segment in segments for s, _ in _segment_symbols(segment)]
         if walk != list(range(symbol_count)):
             raise MalformedExpressionError(
                 f"segment symbols must read a, b, c, ... left to right, got {walk}"
@@ -159,24 +164,15 @@ def from_interval_expr(expr: IntervalExpr) -> Label:
     """Recover the label from a point-interval expression (inverse walk).
 
     The first digit is 0 for a leading ray and 1 otherwise; then each
-    symbol adds the second digit of its pair: 1 for a point or an interval
-    end, 0 for an interval start or a removed point.  The constructor's
-    checks make every IntervalExpr the image of a label.
+    symbol adds the second digit of its pair (see _segment_symbols).  The
+    constructor's checks make every IntervalExpr the image of a label.
     """
     if not isinstance(expr, IntervalExpr):
         raise MalformedExpressionError("expected an IntervalExpr")
     first = expr.segments[0] if expr.segments else None
-    digits = [0 if isinstance(first, Interval) and first.lower is None else 1]
-    for segment in expr.segments:
-        if isinstance(segment, Point):
-            digits.append(1)
-            continue
-        if segment.lower is not None:
-            digits.append(0)
-        digits.extend(0 for _ in segment.removed)
-        if segment.upper is not None:
-            digits.append(1)
-    return tuple(digits)
+    head = 0 if isinstance(first, Interval) and first.lower is None else 1
+    bits = (bit for segment in expr.segments for _, bit in _segment_symbols(segment))
+    return (head, *bits)
 
 
 def format_expr(expr: IntervalExpr) -> str:

@@ -416,7 +416,7 @@ def _cells(ast: FormulaAst, n: int | None) -> tuple[int, ...]:
     """
     arity = formula_arity(ast)
     if n is not None and n < arity:
-        raise ValueError(f"declared arity {n} is below the formula arity")
+        raise ValueError(f"declared arity {n} is below the formula arity {arity}")
     if arity > LABEL_LENGTH_CAP:
         raise SizeGuardError(f"formula arity {arity} exceeds cap {LABEL_LENGTH_CAP}")
     params = range(1, 2 * arity, 2)

@@ -210,11 +210,8 @@ class SetSystem(_Value):
 
     @classmethod
     def power_set(cls, ground_size: int) -> SetSystem:
-        if ground_size > ENUMERATION_GROUND_CAP:
-            raise SizeGuardError(
-                f"power set on ground {ground_size} exceeds cap {ENUMERATION_GROUND_CAP}"
-            )
-        return cls(ground_size, tuple(itertools.product((0, 1), repeat=ground_size)))
+        """All subsets of the ground: the words of a one-state automaton."""
+        return _automaton_family(ground_size, 0, lambda state, bit: state)
 
     @classmethod
     def size_at_most(cls, ground_size: int, d: int) -> SetSystem:
@@ -405,18 +402,20 @@ def shatters(system: SetSystem, region: Mask) -> bool:
 def vc_dim(system: SetSystem) -> int:
     """Largest shattered subset size; -1 for the empty family.
 
-    Shattering is hereditary, so sizes are tried in increasing order and
-    the search stops at the first size with no shattered subset (see
-    _shatters_some), or once 2^k exceeds the number of members.  A size
-    whose C(m, k) * |F| pairs exceed VC_DIM_WORK_CAP is left to classify,
-    or raises SizeGuardError above CLASSIFY_GROUND_CAP.
+    By Sauer's bound the family shatters a set of every size up to its
+    floor d (see _sauer_floor).  Shattering is hereditary, so sizes above
+    d are tried in increasing order and the search stops at the first size
+    with no shattered subset (see _shatters_some), or once 2^k exceeds the
+    number of members.  A size whose C(m, k) * |F| pairs exceed
+    VC_DIM_WORK_CAP is left to classify, or raises SizeGuardError above
+    CLASSIFY_GROUND_CAP.
     """
     count, m = len(system.members), system.ground_size
     if not count:
         return -1
+    d, _ = _sauer_floor(count, m)
     columns = None
-    d = 0
-    for k in range(1, m + 1):
+    for k in range(d + 1, m + 1):
         if 1 << k > count:
             break
         if math.comb(m, k) * count > VC_DIM_WORK_CAP:
@@ -519,23 +518,33 @@ def _shatters_some(columns, count: int, size: int) -> bool:
     return False
 
 
+def _sauer_floor(count: int, m: int) -> tuple[int, int]:
+    """The least d with phi(d, m) >= ``count``, and phi(d, m).
+
+    By Sauer's bound a family of ``count`` sets on m points has dimension
+    at least d.
+    """
+    d, bound = 0, 1  # bound = phi(d, m)
+    while bound < count:
+        d += 1
+        bound += math.comb(m, d)
+    return d, bound
+
+
 def _maximum_dimension(system: SetSystem) -> int | None:
     """The dimension d when the family is maximum by the Sauer-size test.
 
-    d is the least value with phi(d, m) >= |F|.  By Sauer's bound every
-    family has dimension at least d, so a family of exactly phi(d, m)
-    members that shatters no (d+1)-subset has dimension d and is maximum
-    (Welzl 1987; Floyd & Warmuth 1995); a maximum family passes the test.
+    d is the family's Sauer floor (see _sauer_floor), so a family of
+    exactly phi(d, m) members that shatters no (d+1)-subset has dimension
+    d and is maximum (Welzl 1987; Floyd & Warmuth 1995); a maximum family
+    passes the test.
     A maximum family shatters every set of at most d points, so the search
     builds sum_t C(m, t) 2^t cells; it runs only while that is at most
     SEARCH_CELLS_PER_FOLD per fold of the fold path.  None when the test
     does not apply or fails.
     """
     count, m = len(system.members), system.ground_size
-    d, bound = 0, 1  # bound = phi(d, m)
-    while bound < count:
-        d += 1
-        bound += math.comb(m, d)
+    d, bound = _sauer_floor(count, m)
     if bound != count:
         return None
     if d == m:
@@ -647,8 +656,11 @@ def forbidden_labels(
     """The forbidden label of every ``size``-subset of the ground.
 
     Keys are index tuples in ``itertools.combinations`` order; the value is
-    None where the trace misses other than exactly one pattern.
+    None where the trace misses other than exactly one pattern.  A
+    negative size raises ValueError.
     """
+    if size < 0:
+        raise ValueError(f"subset size must be nonnegative, got {size}")
     ints = system.member_ints
     return {
         combo: _label_on(ints, combo)

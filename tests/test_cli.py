@@ -184,6 +184,9 @@ def test_label_subcommand(capsys):
     code, out, _ = run_cli(capsys, "label", "--formula", "x>y1 & x<y2")
     assert code == 0
     assert out == "label 101\n"
+    assert run_cli(capsys, "label", "--formula", "x<y2", "--arity", "1") == (
+        2, "", "error: declared arity 1 is below the formula arity 2\n"
+    )
 
 
 def test_label_round_trips_a_compiled_100_bit_label(capsys):
@@ -235,6 +238,16 @@ def test_labels_constant_family(capsys, tmp_path):
     assert out.splitlines()[-1] == "constant yes 11"
 
 
+def test_a_power_set_has_no_forbidden_labels(capsys, tmp_path):
+    path = tmp_path / "power.txt"
+    path.write_text(SetSystem.power_set(3).to_text(), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "labels", "--in", str(path))
+    assert (code, out) == (0, "dimension 3\nconstant vacuous\n")
+    code, out, err = run_cli(capsys, "homogenize", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert "the family shatters its whole ground" in err
+
+
 def test_homogenize_subcommand(capsys, mixed_file):
     code, out, _ = run_cli(capsys, "homogenize", "--in", mixed_file)
     assert code == 0
@@ -242,7 +255,10 @@ def test_homogenize_subcommand(capsys, mixed_file):
 
 
 def test_usage_errors_exit_2(capsys):
-    assert run_cli(capsys, "verify", "l2")[0] == 2
+    for claim in ("sauer", "l2"):
+        assert run_cli(capsys, "verify", claim) == (
+            2, "", f"error: usage: verify {claim} requires --label\n"
+        )
     assert run_cli(capsys, "compile")[0] == 2
     assert run_cli(capsys, "nosuch")[0] == 2
     assert run_cli(capsys, "translate", "--label", "1", "--expr", "{}")[0] == 2

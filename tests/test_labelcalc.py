@@ -68,6 +68,18 @@ def test_induces_matches_oracle_exhaustively():
                     assert induces(mask, eta) == bf.induces(mask, eta)
 
 
+def test_induces_checks_its_masks():
+    with pytest.raises(GroundMismatchError, match="mask length 2 .* ground size 3"):
+        induces_within((1, 0), (1, 1, 1), (1, 0))
+    with pytest.raises(GroundMismatchError, match="mask length 3 .* ground size 2"):
+        induces_within((1, 0, 1), (1, 1), (1, 1))
+    with pytest.raises(ValueError, match=r"mask entries must be 0 or 1: \(2, 3\)"):
+        induces((2, 3), (1,))
+    with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+        induces_within((1, 0), (1, 2), (1,))
+    assert induces_within((1, 0, 1), (1, 1, 1), (1, 0))
+
+
 @given(masks_of(8), masks_of(8), labels)
 def test_induces_within_matches_oracle(mask, region, eta):
     clipped = tuple(b and r for b, r in zip(mask, region))

@@ -73,6 +73,16 @@ def test_phi_bound_rejects_negative():
 # --- trace / shatters --------------------------------------------------
 
 
+def test_power_set_is_every_mask_under_the_kernel_s_guard():
+    for m in range(13):
+        expected = SetSystem(m, tuple(itertools.product((0, 1), repeat=m)))
+        assert SetSystem.power_set(m) == expected
+    with pytest.raises(ValueError, match="ground size must be nonnegative"):
+        SetSystem.power_set(-1)
+    with pytest.raises(SizeGuardError, match="family on ground 21 exceeds cap 20"):
+        SetSystem.power_set(21)
+
+
 def test_trace_of_power_set_is_power_set():
     got = trace(SetSystem.power_set(2), mask_from_indices(2, [0]))
     assert got == SetSystem.power_set(1)
@@ -144,10 +154,28 @@ def test_vc_dim_work_cap_raises_quickly_above_the_classify_cap():
 
 
 def test_vc_dim_work_cap_hands_small_grounds_to_classify():
-    # C(14, 7) * 2^14 pairs at size 7 is over the cap; classify answers
-    assert math.comb(14, 7) << 14 > setsystem.VC_DIM_WORK_CAP
-    assert vc_dim(SetSystem.power_set(14)) == 14
-    assert vc_dim(avoid_family(16, (1, 0, 1, 0, 1, 0))) == 5
+    with mock.patch.object(setsystem, "classify", wraps=classify) as spy:
+        # 2^14 members are phi(14, 14): the Sauer floor settles the power set
+        assert vc_dim(SetSystem.power_set(14)) == 14
+        assert spy.call_count == 0
+        # floor 5; C(16, 6) * phi(5, 16) pairs at size 6 is over the cap
+        assert math.comb(16, 6) * phi_bound(5, 16) > setsystem.VC_DIM_WORK_CAP
+        assert vc_dim(avoid_family(16, (1, 0, 1, 0, 1, 0))) == 5
+        assert spy.call_count == 1
+
+
+def test_vc_dim_hands_off_above_the_sauer_floor_without_columns():
+    rng = random.Random(16)
+    sys_ = SetSystem.from_masks(
+        16, (tuple(rng.getrandbits(1) for _ in range(16)) for _ in range(20000))
+    )
+    with (
+        mock.patch.object(setsystem, "classify", wraps=classify) as handed,
+        mock.patch.object(setsystem, "_columns", wraps=setsystem._columns) as built,
+    ):
+        d = vc_dim(sys_)
+    assert handed.call_count == 1 and built.call_count == 0
+    assert phi_bound(d, 16) >= len(sys_.members)  # at least the Sauer floor
 
 
 @given(small_systems(), st.integers(0, 40))
@@ -533,6 +561,11 @@ def test_forbidden_label_matches_oracle(sys_, data):
             forbidden_label(sys_, region)
     else:
         assert forbidden_label(sys_, region) == expected
+
+
+def test_forbidden_labels_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="subset size must be nonnegative, got -1"):
+        forbidden_labels(SetSystem.power_set(3), -1)
 
 
 @given(small_systems(), st.data())

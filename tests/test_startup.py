@@ -139,7 +139,7 @@ def test_cli_stand_ins_name_real_functions():
             assert real.__name__ == value.__name__ == name
             if real is not value:
                 stand_ins.add((module, name))
-    assert len(stand_ins) == 14
+    assert len(stand_ins) == 13
     assert {module for module, _ in stand_ins} == {
         "vclabels.orderformula", "vclabels.labelcompiler", "vclabels.harness"
     }

@@ -12,6 +12,11 @@ on two trees and ``diff`` the outputs to see which cases changed.
 The set-system files are written here, with a subsequence test of its own
 for the avoidance families, so nothing is imported from the package under
 test.  Standard library only.
+
+A case may take an argument from an earlier case's stdout: ``label``
+cases read the formula the last ``compile`` case printed, and
+``translate --expr`` cases the expression the last ``translate --label``
+case printed.
 """
 
 from __future__ import annotations
@@ -27,6 +32,12 @@ from pathlib import Path
 
 FAMILY_LABELS = ("10", "011", "101", "1010", "0110", "11001")
 LONG_LABEL = "10" * 64
+# Arguments filled in from the first stdout line of an earlier case.
+FORMULA, EXPRESSION = "<formula>", "<expression>"
+PRINTED = {
+    ("compile", "--label"): ("formula ", FORMULA),
+    ("translate", "--label"): ("expression ", EXPRESSION),
+}
 
 
 def labels(most_bits: int):
@@ -68,18 +79,25 @@ def family_cases():
         values = rng.sample(range(2**m), count)
         words = (format(v, f"0{m}b") for v in values)
         yield f"random-g{m}-n{count}", family_text(m, words)
+    for m in range(5):
+        # On ground 0 the one member is a blank line, which the file format
+        # skips, so that file holds the empty family.
+        yield f"power-g{m}", family_text(m, map("".join, itertools.product("01", repeat=m)))
     yield "one-g17", family_text(17, ["1" + "0" * 16])
 
 
 def cases():
-    """(case id, argv, input file text or None), in sweep order.
-
-    An argv of None marks a ``label`` case, whose formula is the one the
-    preceding ``compile`` case printed.
-    """
+    """(case id, argv, input file text or None), in sweep order."""
     for label in [*labels(6), LONG_LABEL]:
         yield f"compile:{label}", ["compile", "--label", label], None
-        yield f"label:{label}", None, None
+        yield f"label:{label}", ["label", "--formula", FORMULA], None
+        arity = len(label) - 1  # the arity of the compiled formula
+        for n in (arity - 1, arity, arity + 1):
+            yield f"label:{label}:n{n}", ["label", "--formula", FORMULA, "--arity", str(n)], None
+        yield f"translate:{label}", ["translate", "--label", label], None
+        yield f"translate-expr:{label}", ["translate", "--expr", EXPRESSION], None
+    for claim in ("sauer", "l2"):
+        yield f"{claim}:no-label", ["verify", claim, "--report", "report"], None
     for label in labels(4):
         for ground in (-1, 0, 8, 20, 21):
             yield f"avoid:{label}:g{ground}", ["avoid", "--label", label, "--ground", str(ground)], None
@@ -122,13 +140,12 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     src = Path(argv[1]).resolve()
-    formula = ""
+    printed = {FORMULA: "", EXPRESSION: ""}
     for case_id, command, text in cases():
-        if command is None:
-            command = ["label", "--formula", formula]
-        status, out, err, report = run(src, command, text)
-        if case_id.startswith("compile:"):
-            formula = out.decode().partition("\n")[0].removeprefix("formula ")
+        status, out, err, report = run(src, [printed.get(a, a) for a in command], text)
+        if tuple(command[:2]) in PRINTED:
+            prefix, key = PRINTED[tuple(command[:2])]
+            printed[key] = out.decode().partition("\n")[0].removeprefix(prefix)
         print(case_id, status, digest(out), digest(err), digest(report), flush=True)
     return 0
 
