@@ -15,6 +15,7 @@ from .setsystem import (
     Classification,
     SetSystem,
     SizeGuardError,
+    _check_size,
     classify,
     forbidden_labels,
     mask_indices,
@@ -176,8 +177,7 @@ def _cmd_verify(args) -> int:
     else:
         # sauer: avoidance family sizes meet the counting bound on every ground
         eta = parse_label(args.label)
-        if args.ground < 0:
-            raise ValueError("ground size must be nonnegative")
+        _check_size(args.ground, "ground size")
         d = len(eta) - 1
         failures = [
             m

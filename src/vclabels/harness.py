@@ -14,16 +14,18 @@ from .labelcalc import as_label
 from .labelcompiler import compile_label
 from .orderformula import FormulaAst, _cell_step, _cells
 from .setsystem import (
-    ENUMERATION_GROUND_CAP,
     Label,
     Mask,
     SetSystem,
     SizeGuardError,
     _automaton_family,
+    _check_size,
+    _first_disagreement,
     _Value,
     classify,
     forbidden_labels,
     mask_from_indices,
+    phi_bound,
 )
 
 ICT_DEPTH_CAP = 3
@@ -47,21 +49,23 @@ def xor_pair_family(ast: FormulaAst, n: int, m_pairs: int) -> SetSystem:
     of a doubled ground, with a cut point available between them); it
     belongs to the set defined by a parameter tuple exactly when the
     formula's truth differs at its two points.  The family is the words of
-    the cell automaton read a pair at a time: a pair with bit b has truths
-    t and t ^ b for either t.  Of the cell states the two points can reach
-    the state keeps the least, since from a lower cell the cell automaton
-    accepts every word it accepts from a higher one (see _cell_step), and
-    a pair is rejected when neither t reaches a state.
+    the automaton of _pair_step; the pairs are its ground.
     """
-    if m_pairs < 0:
-        raise ValueError("pair count must be nonnegative")
-    if m_pairs > ENUMERATION_GROUND_CAP:
-        raise SizeGuardError(
-            f"pair count {m_pairs} exceeds cap {ENUMERATION_GROUND_CAP}"
-        )
+    return _automaton_family(m_pairs, 0, _pair_step(ast, n))
+
+
+def _pair_step(ast: FormulaAst, n: int):
+    """Step of the cell automaton read a pair at a time.
+
+    A pair with bit b has truths t and t ^ b for either t.  Of the cell
+    states the two points can reach the state keeps the least, since from
+    a lower cell the cell automaton accepts every word it accepts from a
+    higher one (see _cell_step), and a pair is rejected when neither t
+    reaches a state.
+    """
     cell = _cell_step(_cells(ast, n))
 
-    def pair_step(least: int, bit: int):
+    def step(least: int, bit: int):
         ends = []
         for t in (0, 1):
             first = cell(least, t)
@@ -69,7 +73,7 @@ def xor_pair_family(ast: FormulaAst, n: int, m_pairs: int) -> SetSystem:
                 ends.append(second)
         return min(ends, default=None)
 
-    return _automaton_family(m_pairs, 0, pair_step)
+    return step
 
 
 class PairXorReport(_Value):
@@ -83,14 +87,27 @@ class PairXorReport(_Value):
 
 def verify_pair_xor(eta: Label, m_pairs: int) -> PairXorReport:
     """Check that the compiled label's pair-xor family is all pair sets of
-    size at most len(eta) - 1."""
+    size at most len(eta) - 1.
+
+    The pair automaton and a counter of members so far are walked side by
+    side for ``m_pairs`` levels (see _first_disagreement).  A 0 bit keeps
+    the state of either (both points of a 0 pair can share the least
+    cell's gap), and a rejection is a dead end, so a disagreement within
+    ``m_pairs`` bits extends to one on exactly ``m_pairs`` pairs.  The pair-xor family is built only to
+    report the size of one that fails.
+    """
     eta = as_label(eta)
+    _check_size(m_pairs, "pair count")
     d = len(eta) - 1
-    family = xor_pair_family(compile_label(eta), d, m_pairs)
-    expected = SetSystem.size_at_most(m_pairs, d)
-    return PairXorReport(
-        family == expected, len(family.members), len(expected.members)
-    )
+    step = _pair_step(compile_label(eta), d)
+    expected = phi_bound(d, m_pairs)
+
+    def count(size: int, bit: int):
+        return size + bit if size + bit <= d else None
+
+    passed = _first_disagreement(0, step, 0, count, m_pairs) is None
+    size = expected if passed else len(_automaton_family(m_pairs, 0, step).members)
+    return PairXorReport(passed, size, expected)
 
 
 def ramsey_homogenize(system: SetSystem) -> tuple[Mask, Label]:

@@ -21,15 +21,16 @@ Label = tuple[int, ...]
 ENUMERATION_GROUND_CAP = 20
 # Classification of a family that the maximum test does not settle folds a
 # 2^m-bit indicator once per subset of the ground: 2^m folds of 2^m-bit
-# ints, whatever the family's size.  The cap bounds that fold path.
+# ints, whatever the family's size.  The cap bounds that fold path only.
 CLASSIFY_GROUND_CAP = 16
 # The maximum test runs while its shatter search would build at most this
-# many member cells per fold that the fold path makes (see classify).
+# many member cells per fold that the fold path makes (see classify).  Above
+# CLASSIFY_GROUND_CAP there is no fold, and the budget of that ground holds.
 SEARCH_CELLS_PER_FOLD = 8
 # vc_dim searches a subset size k while C(m, k) * |F| is at most this many
 # (subset, member) pairs: a bound on the worst case of its pruned shatter
-# search, which usually stops far below it.  Above it a family on a ground
-# within CLASSIFY_GROUND_CAP is classified.
+# search, which usually stops far below it.  Above it the family is
+# classified.
 VC_DIM_WORK_CAP = 1 << 23
 
 
@@ -61,7 +62,16 @@ def _all_bits(entries) -> bool:
         return False
 
 
+def _check_size(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is a nonnegative int (a bool counts)."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+
+
 def _check_mask(mask: Mask, ground_size: int) -> None:
+    _check_size(ground_size, "ground size")
     if len(mask) != ground_size:
         raise GroundMismatchError(
             f"mask length {len(mask)} does not match ground size {ground_size}"
@@ -72,6 +82,7 @@ def _check_mask(mask: Mask, ground_size: int) -> None:
 
 def mask_from_indices(ground_size: int, indices: Iterable[int]) -> Mask:
     """Membership mask of the given element indices (ints; a bool counts)."""
+    _check_size(ground_size, "ground size")
     indices = list(indices)
     odd = [i for i in indices if not isinstance(i, int)]
     if odd:
@@ -166,8 +177,7 @@ class SetSystem(_Value):
     __match_args__ = ("ground_size", "members")
 
     def __init__(self, ground_size: int, members: Iterable[Mask]):
-        if ground_size < 0:
-            raise ValueError("ground size must be nonnegative")
+        _check_size(ground_size, "ground size")
         members = tuple(members)
         # One C-level pass per check; only a family that fails one is
         # checked again mask by mask, for the first error in member order.
@@ -195,9 +205,7 @@ class SetSystem(_Value):
         except (TypeError, ValueError):
             # Sorting fails on an unhashable or unorderable entry, and the
             # constructor names the first bad mask in sorted order; name the
-            # first in input order instead.
-            if ground_size < 0:
-                raise ValueError("ground size must be nonnegative") from None
+            # first in input order instead, after a bad ground.
             for mask in masks:
                 _check_mask(mask, ground_size)
             raise
@@ -216,15 +224,13 @@ class SetSystem(_Value):
     @classmethod
     def size_at_most(cls, ground_size: int, d: int) -> SetSystem:
         """All subsets of the ground of size at most d."""
-        if d < 0:
-            raise ValueError("size bound must be nonnegative")
+        _check_size(d, "size bound")
         return _sized_family(ground_size, 0, d)
 
     @classmethod
     def size_exactly(cls, ground_size: int, d: int) -> SetSystem:
         """All subsets of the ground of size exactly d."""
-        if d < 0:
-            raise ValueError("size must be nonnegative")
+        _check_size(d, "size")
         return _sized_family(ground_size, d, d)
 
     @cached_property
@@ -242,14 +248,15 @@ class SetSystem(_Value):
         """Parse the set-system file format.
 
         First significant line is ``ground <m>``; every further line is a
-        string over {0,1} of length m.  Lines starting with ``#`` and blank
-        lines are ignored; duplicate members are dropped.
+        string over {0,1} of length m.  Lines starting with ``#`` are
+        ignored, and so are blank lines, except after ``ground 0``: there a
+        blank line is the empty member.  Duplicate members are dropped.
         """
         ground_size = None
         masks = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if line.startswith("#") or not line and ground_size != 0:
                 continue
             if ground_size is None:
                 parts = line.split()
@@ -279,11 +286,11 @@ def _automaton_family(ground_size: int, start, step) -> SetSystem:
     table.  The depth-first walk pops bit 0 before bit 1, so every
     accepted word comes out once and in lexicographic order; its stack
     holds at most one entry per level, and words end at the last level
-    without being pushed.  Grounds below 0 raise ValueError, and grounds
-    above ENUMERATION_GROUND_CAP raise SizeGuardError, before any step.
+    without being pushed.  A ground that is not an int or is below 0
+    raises ValueError, and one above ENUMERATION_GROUND_CAP raises
+    SizeGuardError, before any step.
     """
-    if ground_size < 0:
-        raise ValueError("ground size must be nonnegative")
+    _check_size(ground_size, "ground size")
     if ground_size > ENUMERATION_GROUND_CAP:
         raise SizeGuardError(
             f"family on ground {ground_size} exceeds cap {ENUMERATION_GROUND_CAP}"
@@ -312,7 +319,7 @@ def _automaton_family(ground_size: int, start, step) -> SetSystem:
     return SetSystem(ground_size, tuple(words))
 
 
-def _first_disagreement(start_a, step_a, start_b, step_b) -> Mask | None:
+def _first_disagreement(start_a, step_a, start_b, step_b, levels=None) -> Mask | None:
     """Least shortest word one automaton accepts and the other rejects, or None.
 
     The steps follow the contract of _automaton_family.  A breadth-first
@@ -320,10 +327,13 @@ def _first_disagreement(start_a, step_a, start_b, step_b) -> Mask | None:
     meets the words of each length in lexicographic order; a pair already
     reached by an earlier word is not walked again, since every word on
     which the two disagree after it extends that earlier word as well.
+    With ``levels`` the walk reads words of at most that many bits.
     """
     queue = [((), start_a, start_b)]
     seen = {(start_a, start_b)}
     for word, state_a, state_b in queue:
+        if len(word) == levels:
+            break
         for bit in (0, 1):
             after_a, after_b = step_a(state_a, bit), step_b(state_b, bit)
             if (after_a is None) != (after_b is None):
@@ -407,8 +417,7 @@ def vc_dim(system: SetSystem) -> int:
     d are tried in increasing order and the search stops at the first size
     with no shattered subset (see _shatters_some), or once 2^k exceeds the
     number of members.  A size whose C(m, k) * |F| pairs exceed
-    VC_DIM_WORK_CAP is left to classify, or raises SizeGuardError above
-    CLASSIFY_GROUND_CAP.
+    VC_DIM_WORK_CAP is left to classify.
     """
     count, m = len(system.members), system.ground_size
     if not count:
@@ -419,12 +428,7 @@ def vc_dim(system: SetSystem) -> int:
         if 1 << k > count:
             break
         if math.comb(m, k) * count > VC_DIM_WORK_CAP:
-            if m <= CLASSIFY_GROUND_CAP:
-                return classify(system).vc_dimension
-            raise SizeGuardError(
-                f"vc_dim of {count} members on ground {m} exceeds work cap "
-                f"{VC_DIM_WORK_CAP} at size {k}"
-            )
+            return classify(system).vc_dimension
         if columns is None:
             columns = _columns(system.members)
         if not _shatters_some(columns, count, k):
@@ -540,8 +544,9 @@ def _maximum_dimension(system: SetSystem) -> int | None:
     passes the test.
     A maximum family shatters every set of at most d points, so the search
     builds sum_t C(m, t) 2^t cells; it runs only while that is at most
-    SEARCH_CELLS_PER_FOLD per fold of the fold path.  None when the test
-    does not apply or fails.
+    SEARCH_CELLS_PER_FOLD per fold of the fold path, or of the fold on
+    CLASSIFY_GROUND_CAP points above that ground.  None when the test does
+    not apply or fails.
     """
     count, m = len(system.members), system.ground_size
     d, bound = _sauer_floor(count, m)
@@ -550,7 +555,7 @@ def _maximum_dimension(system: SetSystem) -> int | None:
     if d == m:
         return d  # the power set
     cells = sum(math.comb(m, t) << t for t in range(1, d + 1))
-    if cells > SEARCH_CELLS_PER_FOLD << m:
+    if cells > SEARCH_CELLS_PER_FOLD << min(m, CLASSIFY_GROUND_CAP):
         return None
     if _shatters_some(_columns(system.members), count, d + 1):
         return None
@@ -573,19 +578,20 @@ def classify(system: SetSystem) -> Classification:
     it shows the missing trace; those absent sets form one cylinder per
     such subset, and the family is maximal when the cylinders cover every
     absent set.  This fold path costs 2^m folds of 2^m-bit ints,
-    independent of the family's size; CLASSIFY_GROUND_CAP bounds it.
+    independent of the family's size; CLASSIFY_GROUND_CAP bounds it, and
+    nothing else.
     """
     if not system.members:
         raise EmptyFamilyError("cannot classify an empty family")
     m = system.ground_size
-    if m > CLASSIFY_GROUND_CAP:
-        raise SizeGuardError(
-            f"classification on ground {m} exceeds cap {CLASSIFY_GROUND_CAP}"
-        )
     d = _maximum_dimension(system)
     if d is not None:
         profile = tuple((k, phi_bound(d, k)) for k in range(m + 1))
         return Classification(d, True, True, profile)
+    if m > CLASSIFY_GROUND_CAP:
+        raise SizeGuardError(
+            f"classification on ground {m} exceeds cap {CLASSIFY_GROUND_CAP}"
+        )
     ints = system.member_ints
     indicator = _indicator(ints, m)
     low = _low_halves(m)

@@ -220,6 +220,15 @@ def sized_members(m, sizes):
     }
 
 
+def verify_pair_xor(pair_family, d, m_pairs):
+    """The build-and-compare l2 check on an explicit pair-xor family: whether
+    it is every set of at most d of the m_pairs pairs, its size, and the
+    size of that expected family."""
+    family = set(pair_family)
+    expected = sized_members(m_pairs, range(d + 1))
+    return family == expected, len(family), len(expected)
+
+
 def value_repr(value):
     """The repr a frozen dataclass gives a value, built recursively:
     ``Name(field=repr, ...)`` over the fields in ``__match_args__``."""

@@ -54,21 +54,74 @@ def test_avoid_round_trips_through_classify(capsys, tmp_path):
     assert "members 11" in out
 
 
+def test_avoid_on_ground_zero_round_trips_through_classify(capsys, tmp_path):
+    # The one member of the ground-0 family is a blank line after the header.
+    code, out, _ = run_cli(capsys, "avoid", "--label", "1", "--ground", "0")
+    assert (code, out) == (0, "ground 0\n\n")
+    path = tmp_path / "fam.txt"
+    path.write_text(out, encoding="utf-8")
+    assert run_cli(capsys, "classify", "--in", str(path)) == (
+        0,
+        "ground 0\nmembers 1\nvc_dimension 0\nis_maximum true\n"
+        "is_maximal true\nsauer_profile 0:1\n",
+        "",
+    )
+    assert run_cli(capsys, "labels", "--in", str(path)) == (
+        0, "dimension 0\nconstant vacuous\n", ""
+    )
+
+
+def test_labels_names_subsets_that_are_not_locally_maximum(capsys, tmp_path):
+    path = tmp_path / "fam.txt"
+    path.write_text("ground 3\n000\n111\n", encoding="utf-8")
+    assert run_cli(capsys, "labels", "--in", str(path)) == (
+        0,
+        "dimension 1\nsubset 0,1 not-locally-maximum\nsubset 0,2 not-locally-maximum\n"
+        "subset 1,2 not-locally-maximum\nconstant no\n",
+        "",
+    )
+
+
+def test_classify_above_ground_16_when_the_maximum_test_settles_it(capsys, tmp_path):
+    code, text, _ = run_cli(capsys, "avoid", "--label", "1010", "--ground", "20")
+    path = tmp_path / "fam.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "classify", "--in", str(path))
+    assert code == 0
+    assert "members 1351\nvc_dimension 3\nis_maximum true\nis_maximal true\n" in out
+    # Less one member, or with a second member on ground 17, a family needs
+    # the fold, which the cap bounds.
+    less_one = text.rsplit("\n", 2)[0] + "\n"
+    two_members = f"ground 17\n{'0' * 17}\n{'1' * 17}\n"
+    for text, m in ((less_one, 20), (two_members, 17)):
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, "classify", "--in", str(path)) == (
+            2, "", f"error: size guard: classification on ground {m} exceeds cap 16\n"
+        )
+
+
 def test_verify_l2(capsys):
     code, out, _ = run_cli(capsys, "verify", "l2", "--label", "101", "--pairs", "4")
     assert code == 0
     assert out == "PASS family=11 expected=11\n"
 
 
-def test_verify_l2_at_the_pair_cap(capsys):
-    # The pair-xor family lives on the pairs, so the enumeration ground cap
-    # bounds the pair count.
+def test_verify_l2_at_the_pair_cap(capsys, monkeypatch):
+    # A PASS builds no family, so the enumeration ground cap does not bound
+    # the pair count; only a failure enumerates the pair-xor family.
     code, out, _ = run_cli(capsys, "verify", "l2", "--label", "10101", "--pairs", "20")
     assert code == 0
     assert out == "PASS family=6196 expected=6196\n"
+    code, out, _ = run_cli(capsys, "verify", "l2", "--label", "10101", "--pairs", "21")
+    assert code == 0
+    assert out == "PASS family=7547 expected=7547\n"
+    code, out, _ = run_cli(capsys, "verify", "l2", "--label", "10" * 64, "--pairs", "1000")
+    assert code == 0
+    assert out.startswith("PASS family=")
+    monkeypatch.setattr("vclabels.harness.compile_label", lambda eta: Top())
     code, _, err = run_cli(capsys, "verify", "l2", "--label", "10101", "--pairs", "21")
     assert code == 2
-    assert err == "error: size guard: pair count 21 exceeds cap 20\n"
+    assert err == "error: size guard: family on ground 21 exceeds cap 20\n"
 
 
 def test_verify_l2_takes_labels_longer_than_five_bits(capsys):

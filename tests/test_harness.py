@@ -1,14 +1,17 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
 import bruteforce as bf
+from vclabels import harness
 from vclabels.harness import (
     EXHAUSTIVE_GROUND_CAP,
     IctTensor,
     IctWitness,
     NotMaximumError,
+    PairXorReport,
     UnverifiedTensorError,
     build_ict_tensor,
     ict_failure,
@@ -20,7 +23,13 @@ from vclabels.harness import (
 )
 from vclabels.labelcalc import avoid_family
 from vclabels.labelcompiler import compile_label
-from vclabels.orderformula import Compare, Top, ordered_trace_family, parse_formula
+from vclabels.orderformula import (
+    Bottom,
+    Compare,
+    Top,
+    ordered_trace_family,
+    parse_formula,
+)
 from vclabels.setsystem import (
     SetSystem,
     SizeGuardError,
@@ -47,8 +56,11 @@ def test_xor_pair_family_examples():
 
 
 def test_xor_pair_family_guards():
-    with pytest.raises(SizeGuardError, match="pair count 21 exceeds cap 20"):
+    # The pairs are the family's ground, so the kernel guards them.
+    with pytest.raises(SizeGuardError, match="^family on ground 21 exceeds cap 20$"):
         xor_pair_family(Top(), 0, 21)
+    with pytest.raises(ValueError, match="^ground size must be nonnegative$"):
+        xor_pair_family(Top(), 0, -1)
     assert xor_pair_family(Top(), 0, 20).members == ((0,) * 20,)
     with pytest.raises(SizeGuardError, match="arity 129 exceeds cap 128"):
         xor_pair_family(Compare("<", 129), 129, 3)
@@ -79,6 +91,53 @@ def test_verify_pair_xor_reports():
     family = xor_pair_family(compile_label((1, 0, 1)), 2, 4)
     mutated = SetSystem.from_masks(4, family.members[1:])
     assert mutated != SetSystem.size_at_most(4, 2)
+
+
+# The real compiler and five stand-ins whose pair-xor families pass only
+# for some labels and pair counts, or raise on the label's arity.
+COMPILERS = {
+    "compile_label": compile_label,
+    "top": lambda eta: Top(),
+    "bottom": lambda eta: Bottom(),
+    "cut": lambda eta: parse_formula("x<y1"),
+    "two-rays": lambda eta: parse_formula("x>y1 | x<y2"),
+    "point-pair": lambda eta: parse_formula("x=y1 & x!=y2"),
+}
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("compiler", COMPILERS.values(), ids=COMPILERS)
+def test_verify_pair_xor_matches_build_and_compare(monkeypatch, compiler):
+    monkeypatch.setattr(harness, "compile_label", compiler)
+
+    def oracle(eta, m):
+        d = len(eta) - 1
+        family = xor_pair_family(compiler(eta), d, m).members
+        return PairXorReport(*bf.verify_pair_xor(family, d, m))
+
+    for length in range(1, 7):
+        for eta in itertools.product((0, 1), repeat=length):
+            for m in range(11):
+                assert _outcome(verify_pair_xor, eta, m) == _outcome(oracle, eta, m)
+
+
+def test_verify_pair_xor_builds_a_family_only_on_failure(monkeypatch):
+    with mock.patch.object(
+        harness, "_automaton_family", side_effect=AssertionError("built a family")
+    ):
+        assert verify_pair_xor((1, 0, 1), 10) == PairXorReport(True, 56, 56)
+    monkeypatch.setattr(harness, "compile_label", lambda eta: Top())
+    with mock.patch.object(
+        harness, "_automaton_family", wraps=harness._automaton_family
+    ) as spy:
+        assert verify_pair_xor((1, 0, 1), 4) == PairXorReport(False, 1, 11)
+    assert spy.call_count == 1
 
 
 # --- ramsey_homogenize -----------------------------------------------------
@@ -155,6 +214,12 @@ def test_build_ict_examples():
 
     t = build_ict_tensor(3, 4)
     assert len(t.witnesses) == 64 and verify_ict(t)
+
+
+def test_build_ict_refuses_negative_sizes():
+    for depth, columns in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="^depth and columns must be nonnegative$"):
+            build_ict_tensor(depth, columns)
 
 
 def test_build_ict_guards():

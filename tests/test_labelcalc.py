@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 import bruteforce as bf
 from vclabels.labelcalc import (
     PreconditionViolatedError,
+    as_label,
     avoid_family,
     complement_label,
     extend_avoiding,
@@ -256,3 +257,9 @@ def test_extend_long_label_without_recursion():
         out = extend_avoiding(20, region, partial, eta)
         assert all(o == p for o, r, p in zip(out, region, partial) if r)
         assert not induces(out, eta)
+
+
+@pytest.mark.parametrize("value", [(), (0, 2), (1, None), "01"])
+def test_as_label_names_what_is_not_a_label(value):
+    with pytest.raises(ValueError, match="^a label is a nonempty tuple of 0/1 bits, got "):
+        as_label(value)

@@ -94,6 +94,17 @@ def test_compile_label_length_cap():
 # --- symbols -----------------------------------------------------------------
 
 
+def test_symbol_name_refuses_a_negative_index():
+    with pytest.raises(ValueError, match="^symbol index must be nonnegative$"):
+        symbol_name(-1)
+
+
+def test_from_interval_expr_refuses_other_values():
+    for value in ("(a,b)", None, (0, 1)):
+        with pytest.raises(MalformedExpressionError, match="^expected an IntervalExpr$"):
+            from_interval_expr(value)
+
+
 def test_symbol_names():
     assert [symbol_name(i) for i in range(4)] == ["a", "b", "c", "d"]
     assert symbol_name(25) == "z"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -148,7 +149,9 @@ def test_vc_dim_work_cap_raises_quickly_above_the_classify_cap():
         20, (tuple(rng.getrandbits(1) for _ in range(20)) for _ in range(3000))
     )
     start = time.perf_counter()
-    with pytest.raises(SizeGuardError, match="work cap"):
+    # Over its work cap vc_dim hands the family to classify, whose maximum
+    # test does not settle it, and no fold runs above ground 16.
+    with pytest.raises(SizeGuardError, match="^classification on ground 20 exceeds cap 16$"):
         vc_dim(sys_)
     assert time.perf_counter() - start < 1.0
 
@@ -256,14 +259,26 @@ def test_classify_non_maximum():
     assert classify(grown).vc_dimension == 2
 
 
+def test_sized_families_refuse_a_negative_size():
+    with pytest.raises(ValueError, match="^size bound must be nonnegative$"):
+        SetSystem.size_at_most(3, -1)
+    with pytest.raises(ValueError, match="^size must be nonnegative$"):
+        SetSystem.size_exactly(3, -1)
+
+
 def test_classify_rejects_empty_family():
     with pytest.raises(EmptyFamilyError):
         classify(SetSystem(3, ()))
 
 
 def test_classify_ground_cap():
-    with pytest.raises(SizeGuardError):
-        classify(system(17, {0}))
+    # The maximum test settles one member at any ground; the cap bounds
+    # only the fold that a family the test does not settle needs.
+    assert classify(system(17, {0})) == Classification(
+        0, True, True, tuple((k, 1) for k in range(18))
+    )
+    with pytest.raises(SizeGuardError, match="^classification on ground 17 exceeds cap 16$"):
+        classify(system(17, {0}, {1}))
 
 
 @given(small_systems())
@@ -602,6 +617,18 @@ def test_text_round_trip():
     assert SetSystem.from_text(sys_.to_text()) == sys_
 
 
+def test_text_round_trip_on_ground_zero():
+    # The one member on ground 0 is written as a blank line after the header.
+    assert SetSystem.power_set(0).to_text() == "ground 0\n\n"
+    for family in (SetSystem(0, ()), SetSystem.power_set(0)):
+        assert SetSystem.from_text(family.to_text()) == family
+    # Blank lines before the header, comment lines and blank lines on other
+    # grounds are still skipped.
+    assert SetSystem.from_text("\n# c\nground 0\n# c\n").members == ()
+    assert SetSystem.from_text("\nground 0\n# c\n\n\n").members == ((),)
+    assert SetSystem.from_text("ground 1\n\n1\n\n").members == ((1,),)
+
+
 def test_from_text_comments_blank_lines_duplicates():
     text = "# header\n\nground 3\n010\n# mid\n010\n111\n"
     sys_ = SetSystem.from_text(text)
@@ -831,15 +858,25 @@ def _accepts(table, word):
     return True
 
 
-@given(move_tables(most_states=3), move_tables(most_states=3))
-def test_first_disagreement_matches_brute_force(table_a, table_b):
+@given(
+    move_tables(most_states=3),
+    move_tables(most_states=3),
+    st.one_of(st.none(), st.integers(0, 9)),
+)
+def test_first_disagreement_matches_brute_force(table_a, table_b, levels):
     # A shortest disagreement passes through distinct state pairs, so it
     # has at most 3 * 3 bits and the brute force misses none.
     got = setsystem._first_disagreement(
-        0, lambda state, bit: table_a[state][bit], 0, lambda state, bit: table_b[state][bit]
+        0,
+        lambda state, bit: table_a[state][bit],
+        0,
+        lambda state, bit: table_b[state][bit],
+        levels,
     )
     want = bf.first_disagreement(
-        lambda word: _accepts(table_a, word), lambda word: _accepts(table_b, word), 9
+        lambda word: _accepts(table_a, word),
+        lambda word: _accepts(table_b, word),
+        9 if levels is None else min(9, levels),
     )
     assert got == want
 
@@ -940,3 +977,51 @@ def test_sized_families_refuse_grounds_above_the_enumeration_cap():
         with pytest.raises(ValueError, match="ground size must be nonnegative"):
             build(-1, 0)
     assert time.perf_counter() - start < 0.1
+
+
+# A size that is not an int would make the kernel walk forever (its last
+# level is never reached), so each call runs in a child process with an
+# address-space limit and a timeout: a regression fails the test instead of
+# exhausting the machine's memory.
+SIZE_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from vclabels.harness import verify_pair_xor, xor_pair_family
+from vclabels.labelcalc import avoid_family, extend_avoiding
+from vclabels.orderformula import ordered_trace_family, parse_formula
+from vclabels.setsystem import SetSystem, classify, mask_from_indices
+start = time.perf_counter()
+try:
+    eval(sys.argv[1])
+except ValueError as exc:
+    print(f"ValueError: {exc}")
+else:
+    print("returned")
+print(f"{time.perf_counter() - start:.3f}")
+"""
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        ("SetSystem.power_set(2.5)", "ground size", "2.5"),
+        ("avoid_family(2.5, (1, 0))", "ground size", "2.5"),
+        ("xor_pair_family(parse_formula('x<y1'), 1, 2.5)", "ground size", "2.5"),
+        ("ordered_trace_family(parse_formula('x<y1'), 1, 2.5)", "ground size", "2.5"),
+        ("verify_pair_xor((1, 0, 1), 2.5)", "pair count", "2.5"),
+        ("SetSystem.size_at_most(3, 1.5)", "size bound", "1.5"),
+        ("SetSystem.size_exactly(3, 1.5)", "size", "1.5"),
+        ("classify(SetSystem(2.0, ((0, 1),)))", "ground size", "2.0"),
+        ("SetSystem.from_masks(2.0, [(0, 1)])", "ground size", "2.0"),
+        ("mask_from_indices(3.0, [1])", "ground size", "3.0"),
+        ("extend_avoiding(3.0, (1, 1, 1), (0, 0, 0), (1, 0))", "ground size", "3.0"),
+    ],
+)
+def test_a_size_that_is_not_an_int_raises_quickly(call, name, value):
+    done = subprocess.run(
+        [sys.executable, "-c", SIZE_CHILD, call], capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 0, done.stderr
+    outcome, elapsed = done.stdout.splitlines()
+    assert outcome == f"ValueError: {name} must be an int, got {value}"
+    assert float(elapsed) < 1.0

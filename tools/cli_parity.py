@@ -9,9 +9,9 @@ one line per case: the case id, the exit status, and the SHA-256 digests of
 stdout, stderr and the report file ("-" when the case writes none).  Run it
 on two trees and ``diff`` the outputs to see which cases changed.
 
-The set-system files are written here, with a subsequence test of its own
-for the avoidance families, so nothing is imported from the package under
-test.  Standard library only.
+The set-system files are written here, with a subsequence test and a
+prefix matcher of its own for the avoidance families, so nothing is
+imported from the package under test.  Standard library only.
 
 A case may take an argument from an earlier case's stdout: ``label``
 cases read the formula the last ``compile`` case printed, and
@@ -80,10 +80,46 @@ def family_cases():
         words = (format(v, f"0{m}b") for v in values)
         yield f"random-g{m}-n{count}", family_text(m, words)
     for m in range(5):
-        # On ground 0 the one member is a blank line, which the file format
-        # skips, so that file holds the empty family.
+        # On ground 0 the one member is a blank line after the header.
         yield f"power-g{m}", family_text(m, map("".join, itertools.product("01", repeat=m)))
     yield "one-g17", family_text(17, ["1" + "0" * 16])
+
+
+def avoiding_words(m: int, label: str) -> list[str]:
+    """The words of m bits avoiding ``label``, in lexicographic order.
+
+    Each prefix carries the length of the longest prefix of ``label`` it
+    contains as a subsequence, so no 2^m scan is needed.
+    """
+    words = [("", 0)]
+    for _ in range(m):
+        grown = (
+            (word + bit, matched + (bit == label[matched]))
+            for word, matched in words
+            for bit in "01"
+        )
+        words = [(word, matched) for word, matched in grown if matched < len(label)]
+    return [word for word, _ in words]
+
+
+def large_family_cases():
+    """(case id, file text, commands) above ground 16 and on ground 0.
+
+    The avoidance families are maximum; each less one member is not, and
+    needs the fold that the classify cap bounds.
+    """
+    rng = random.Random(1501)
+    for m in (17, 20):
+        for label in labels(4):
+            # labels and homogenize only up to d = 2, to keep the sweep short
+            commands = ("classify",) if len(label) > 3 else ("classify", "labels", "homogenize")
+            words = avoiding_words(m, label)
+            yield f"avoid-{label}-g{m}", family_text(m, words), commands
+            words.pop(rng.randrange(len(words)))
+            yield f"avoid-{label}-g{m}-less1", family_text(m, words), commands
+    commands = ("classify", "labels", "homogenize")
+    yield "empty-g0", "ground 0\n", commands
+    yield "power-g0-comments", "# one blank member\n\nground 0\n# c\n\n\n", commands
 
 
 def cases():
@@ -112,6 +148,13 @@ def cases():
             yield f"t2:d{depth}:c{cols}", argv, None
     for name, text in family_cases():
         commands = ("classify",) if name == "one-g17" else ("classify", "labels", "homogenize")
+        for command in commands:
+            yield f"{command}:{name}", [command, "--in", "family.txt"], text
+    for label in [*map("".join, itertools.product("01", repeat=4)), LONG_LABEL]:
+        for pairs in (22, 64, 1000):
+            argv = ["verify", "l2", "--label", label, "--pairs", str(pairs), "--report", "report"]
+            yield f"l2:{label}:p{pairs}", argv, None
+    for name, text, commands in large_family_cases():
         for command in commands:
             yield f"{command}:{name}", [command, "--in", "family.txt"], text
 
