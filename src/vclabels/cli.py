@@ -10,12 +10,12 @@ import argparse
 import os
 import sys
 
-from .labelcalc import avoid_family, format_label, parse_label
+from .labelcalc import _avoid_step, avoid_family, format_label, parse_label
 from .setsystem import (
     Classification,
     SetSystem,
     SizeGuardError,
-    _check_size,
+    _count_words,
     classify,
     forbidden_labels,
     mask_indices,
@@ -177,13 +177,9 @@ def _cmd_verify(args) -> int:
     else:
         # sauer: avoidance family sizes meet the counting bound on every ground
         eta = parse_label(args.label)
-        _check_size(args.ground, "ground size")
         d = len(eta) - 1
-        failures = [
-            m
-            for m in range(args.ground + 1)
-            if len(avoid_family(m, eta).members) != phi_bound(d, m)
-        ]
+        sizes = _count_words(args.ground, 0, _avoid_step(eta))
+        failures = [m for m, size in enumerate(sizes) if size != phi_bound(d, m)]
         passed = not failures
         inputs = {"label": args.label, "ground": args.ground}
         counts = {"cases": args.ground + 1}

@@ -20,6 +20,7 @@ from .setsystem import (
     SizeGuardError,
     _automaton_family,
     _check_size,
+    _count_words,
     _first_disagreement,
     _Value,
     classify,
@@ -93,8 +94,9 @@ def verify_pair_xor(eta: Label, m_pairs: int) -> PairXorReport:
     side for ``m_pairs`` levels (see _first_disagreement).  A 0 bit keeps
     the state of either (both points of a 0 pair can share the least
     cell's gap), and a rejection is a dead end, so a disagreement within
-    ``m_pairs`` bits extends to one on exactly ``m_pairs`` pairs.  The pair-xor family is built only to
-    report the size of one that fails.
+    ``m_pairs`` bits extends to one on exactly ``m_pairs`` pairs.  A
+    failing family's size is a count of the pair automaton's words (see
+    _count_words); no family is built.
     """
     eta = as_label(eta)
     _check_size(m_pairs, "pair count")
@@ -106,7 +108,7 @@ def verify_pair_xor(eta: Label, m_pairs: int) -> PairXorReport:
         return size + bit if size + bit <= d else None
 
     passed = _first_disagreement(0, step, 0, count, m_pairs) is None
-    size = expected if passed else len(_automaton_family(m_pairs, 0, step).members)
+    size = expected if passed else _count_words(m_pairs, 0, step)[-1]
     return PairXorReport(passed, size, expected)
 
 
@@ -189,8 +191,8 @@ def build_ict_tensor(depth: int, columns: int) -> IctTensor:
     witness of a path picks one element per block, so the row-i instance
     holds at column j exactly when j is the path's column in row i.
     """
-    if depth < 0 or columns < 0:
-        raise ValueError("depth and columns must be nonnegative")
+    _check_size(depth, "depth")
+    _check_size(columns, "column count")
     if depth > ICT_DEPTH_CAP:
         raise SizeGuardError(f"depth {depth} exceeds cap {ICT_DEPTH_CAP}")
     if columns > ICT_COLUMN_CAP:
@@ -231,9 +233,9 @@ def verify_ict(tensor: IctTensor) -> bool:
 def ict_witness_family(tensor: IctTensor) -> SetSystem:
     """Recover all size-``depth`` column sets from the injective-path witnesses.
 
-    A column belongs to a witness's member set when the row values at that
-    column are not all equal (for depth 1, when the single value holds).
-    Only injective paths are used: repeated-column paths give smaller sets.
+    A verified witness holds row i only at column path[i], so the member
+    of an injective path is the set of its columns.  Only injective paths
+    are used: repeated-column paths give smaller sets.
     """
     if not verify_ict(tensor):
         raise UnverifiedTensorError(f"tensor fails at path {ict_failure(tensor)}")
@@ -247,19 +249,9 @@ def ict_witness_family(tensor: IctTensor) -> SetSystem:
         raise UnverifiedTensorError(
             f"tensor does not cover all injective paths; first missing {missing[0]}"
         )
-    members = []
-    for witness in tensor.witnesses:
-        if len(set(witness.path)) != tensor.depth:
-            continue
-        column_sums = [
-            sum(witness.sat[i][j] for i in range(tensor.depth))
-            for j in range(tensor.columns)
-        ]
-        if tensor.depth == 1:
-            member = tuple(1 if s == 1 else 0 for s in column_sums)
-        else:
-            member = tuple(
-                1 if 0 < s < tensor.depth else 0 for s in column_sums
-            )
-        members.append(member)
+    members = [
+        mask_from_indices(tensor.columns, witness.path)
+        for witness in tensor.witnesses
+        if len(set(witness.path)) == tensor.depth
+    ]
     return SetSystem.from_masks(tensor.columns, members)

@@ -319,6 +319,35 @@ def _automaton_family(ground_size: int, start, step) -> SetSystem:
     return SetSystem(ground_size, tuple(words))
 
 
+def _count_words(levels: int, start, step) -> list[int]:
+    """Number of words of each length 0..``levels`` an automaton accepts.
+
+    The step follows the contract of _automaton_family.  Each level keeps
+    a map from state to the number of words that reach it, and builds no
+    word.  Levels that are not an int or are below 0 raise ValueError; a
+    walk that visits more than 2^ENUMERATION_GROUND_CAP (level, state)
+    pairs, the most words the kernel returns, raises SizeGuardError.  A
+    level with no state counts as one pair, so the walk ends whatever the
+    automaton.
+    """
+    _check_size(levels, "ground size")
+    cap = budget = 1 << ENUMERATION_GROUND_CAP
+    reach = {start: 1}
+    counts = [1]
+    for _ in range(levels):
+        budget -= len(reach) or 1
+        if budget < 0:
+            raise SizeGuardError(f"word count on ground {levels} exceeds {cap} states")
+        after = {}
+        for state, count in reach.items():
+            for bit in (0, 1):
+                if (nxt := step(state, bit)) is not None:
+                    after[nxt] = after.get(nxt, 0) + count
+        reach = after
+        counts.append(sum(reach.values()))
+    return counts
+
+
 def _first_disagreement(start_a, step_a, start_b, step_b, levels=None) -> Mask | None:
     """Least shortest word one automaton accepts and the other rejects, or None.
 
@@ -386,8 +415,8 @@ class Classification(_Value):
 
 def phi_bound(d: int, n: int) -> int:
     """Largest trace count a dimension-d family can leave on n points."""
-    if d < 0 or n < 0:
-        raise ValueError("phi_bound needs nonnegative arguments")
+    _check_size(d, "dimension")
+    _check_size(n, "point count")
     if n < d:
         return 2**n
     return sum(math.comb(n, i) for i in range(d + 1))
@@ -662,11 +691,10 @@ def forbidden_labels(
     """The forbidden label of every ``size``-subset of the ground.
 
     Keys are index tuples in ``itertools.combinations`` order; the value is
-    None where the trace misses other than exactly one pattern.  A
-    negative size raises ValueError.
+    None where the trace misses other than exactly one pattern.  A size
+    that is not an int or is below 0 raises ValueError.
     """
-    if size < 0:
-        raise ValueError(f"subset size must be nonnegative, got {size}")
+    _check_size(size, "subset size")
     ints = system.member_ints
     return {
         combo: _label_on(ints, combo)

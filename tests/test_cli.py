@@ -8,9 +8,8 @@ import pytest
 
 from vclabels.cli import main
 from vclabels.harness import IctTensor, IctWitness, build_ict_tensor
-from vclabels.labelcalc import avoid_family
 from vclabels.orderformula import Top
-from vclabels.setsystem import SetSystem
+from vclabels.setsystem import SetSystem, _count_words
 
 
 def run_cli(capsys, *argv):
@@ -107,8 +106,8 @@ def test_verify_l2(capsys):
 
 
 def test_verify_l2_at_the_pair_cap(capsys, monkeypatch):
-    # A PASS builds no family, so the enumeration ground cap does not bound
-    # the pair count; only a failure enumerates the pair-xor family.
+    # No verdict builds a family, so the enumeration ground cap does not
+    # bound the pair count.
     code, out, _ = run_cli(capsys, "verify", "l2", "--label", "10101", "--pairs", "20")
     assert code == 0
     assert out == "PASS family=6196 expected=6196\n"
@@ -118,10 +117,14 @@ def test_verify_l2_at_the_pair_cap(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "l2", "--label", "10" * 64, "--pairs", "1000")
     assert code == 0
     assert out.startswith("PASS family=")
+    # A failure's size is a count of words, so it is not bounded either.
     monkeypatch.setattr("vclabels.harness.compile_label", lambda eta: Top())
-    code, _, err = run_cli(capsys, "verify", "l2", "--label", "10101", "--pairs", "21")
-    assert code == 2
-    assert err == "error: size guard: family on ground 21 exceeds cap 20\n"
+    code, out, _ = run_cli(capsys, "verify", "l2", "--label", "10101", "--pairs", "21")
+    assert code == 1
+    assert out == "FAIL family=1 expected=7547\n"
+    code, out, _ = run_cli(capsys, "verify", "l2", "--label", "10101", "--pairs", "1000")
+    assert code == 1
+    assert out == "FAIL family=1 expected=41583792251\n"
 
 
 def test_verify_l2_takes_labels_longer_than_five_bits(capsys):
@@ -140,6 +143,10 @@ def test_verify_sauer(capsys):
     code, out, _ = run_cli(capsys, "verify", "sauer", "--label", "101", "--ground", "8")
     assert code == 0
     assert out == "PASS cases=9\n"
+    # The sizes are word counts, so the enumeration ground cap does not apply.
+    for ground in (21, 1000):
+        code, out, _ = run_cli(capsys, "verify", "sauer", "--label", "101", "--ground", str(ground))
+        assert (code, out) == (0, f"PASS cases={ground + 1}\n")
 
 
 @pytest.mark.parametrize("ground", ["-1", "-5"])
@@ -170,9 +177,8 @@ def test_verify_report_file(capsys, tmp_path):
     )
 
 
-def _avoid_family_missing_first_member(m, eta):
-    family = avoid_family(m, eta)
-    return SetSystem(m, family.members[1:])
+def _count_words_missing_the_empty_word(levels, start, step):
+    return [0, *_count_words(levels, start, step)[1:]]
 
 
 def _ict_tensor_with_flipped_bit(depth, cols):
@@ -187,8 +193,8 @@ def _ict_tensor_with_flipped_bit(depth, cols):
     "target, fake, argv, expected",
     [
         (
-            "vclabels.cli.avoid_family",
-            _avoid_family_missing_first_member,
+            "vclabels.cli._count_words",
+            _count_words_missing_the_empty_word,
             ["sauer", "--label", "101", "--ground", "8"],
             "FAIL cases=9 first_failure=0\n",
         ),

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 import bruteforce as bf
-from vclabels import harness
+from vclabels import harness, setsystem
 from vclabels.harness import (
     EXHAUSTIVE_GROUND_CAP,
     IctTensor,
@@ -127,17 +127,26 @@ def test_verify_pair_xor_matches_build_and_compare(monkeypatch, compiler):
                 assert _outcome(verify_pair_xor, eta, m) == _outcome(oracle, eta, m)
 
 
-def test_verify_pair_xor_builds_a_family_only_on_failure(monkeypatch):
-    with mock.patch.object(
-        harness, "_automaton_family", side_effect=AssertionError("built a family")
-    ):
-        assert verify_pair_xor((1, 0, 1), 10) == PairXorReport(True, 56, 56)
+def test_verify_pair_xor_builds_no_family_on_pass_or_fail(monkeypatch):
+    monkeypatch.setattr(
+        harness, "_automaton_family", mock.Mock(side_effect=AssertionError("built a family"))
+    )
+    assert verify_pair_xor((1, 0, 1), 10) == PairXorReport(True, 56, 56)
     monkeypatch.setattr(harness, "compile_label", lambda eta: Top())
-    with mock.patch.object(
-        harness, "_automaton_family", wraps=harness._automaton_family
-    ) as spy:
-        assert verify_pair_xor((1, 0, 1), 4) == PairXorReport(False, 1, 11)
-    assert spy.call_count == 1
+    assert verify_pair_xor((1, 0, 1), 4) == PairXorReport(False, 1, 11)
+    assert verify_pair_xor((1, 0, 1), 1000) == PairXorReport(False, 1, phi_bound(2, 1000))
+
+
+@pytest.mark.parametrize("compiler", COMPILERS.values(), ids=COMPILERS)
+def test_pair_word_counts_match_the_pair_words(compiler):
+    for length in range(1, 7):
+        for eta in itertools.product((0, 1), repeat=length):
+            try:
+                step = harness._pair_step(compiler(eta), length - 1)
+            except ValueError:
+                continue  # a stand-in of higher arity than the label's
+            counts = setsystem._count_words(10, 0, step)
+            assert counts == [len(bf.automaton_words(m, 0, step)) for m in range(11)]
 
 
 # --- ramsey_homogenize -----------------------------------------------------
@@ -218,7 +227,7 @@ def test_build_ict_examples():
 
 def test_build_ict_refuses_negative_sizes():
     for depth, columns in ((-1, 2), (2, -1)):
-        with pytest.raises(ValueError, match="^depth and columns must be nonnegative$"):
+        with pytest.raises(ValueError, match="^(depth|column count) must be nonnegative$"):
             build_ict_tensor(depth, columns)
 
 

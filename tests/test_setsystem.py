@@ -579,7 +579,7 @@ def test_forbidden_label_matches_oracle(sys_, data):
 
 
 def test_forbidden_labels_rejects_a_negative_size():
-    with pytest.raises(ValueError, match="subset size must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="^subset size must be nonnegative$"):
         forbidden_labels(SetSystem.power_set(3), -1)
 
 
@@ -827,6 +827,10 @@ def _reachable(table):
     return seen
 
 
+def _word_counts(levels, start, step):
+    return [len(bf.automaton_words(m, start, step)) for m in range(levels + 1)]
+
+
 @given(move_tables(), st.integers(0, 10))
 def test_automaton_family_matches_recursive_walk(table, m):
     def step(state, bit):
@@ -834,6 +838,7 @@ def test_automaton_family_matches_recursive_walk(table, m):
 
     family = setsystem._automaton_family(m, 0, step)
     assert family.members == tuple(bf.automaton_words(m, 0, step))
+    assert setsystem._count_words(m, 0, step) == _word_counts(m, 0, step)
 
 
 @given(move_tables(), st.integers(0, 10))
@@ -847,6 +852,46 @@ def test_automaton_family_steps_each_state_at_most_twice(table, m):
     setsystem._automaton_family(m, 0, step)
     assert set(calls) <= _reachable(table)
     assert all(calls.count(state) <= 2 for state in set(calls))
+
+
+def test_count_words_matches_the_avoidance_families():
+    for length in range(1, 6):
+        for eta in itertools.product((0, 1), repeat=length):
+            step = labelcalc._avoid_step(eta)
+            counts = setsystem._count_words(12, 0, step)
+            assert counts == _word_counts(12, 0, step)
+            # the oracle of verify sauer: every avoidance family, ground by ground
+            assert counts[:9] == [len(bf.avoid_members(m, eta)) for m in range(9)]
+
+
+def test_count_words_of_a_member_counter():
+    for d in range(6):
+
+        def count(size, bit, d=d):
+            return size + bit if size + bit <= d else None
+
+        counts = setsystem._count_words(12, 0, count)
+        assert counts == _word_counts(12, 0, count)
+        assert counts == [phi_bound(d, m) for m in range(13)]
+
+
+def test_count_words_refuses_a_walk_over_its_budget(monkeypatch):
+    monkeypatch.setattr(setsystem, "ENUMERATION_GROUND_CAP", 4)
+    # The matcher of 10 holds one state at level 0 and two after it.
+    step = labelcalc._avoid_step((1, 0))
+    assert setsystem._count_words(8, 0, step) == list(range(1, 10))
+    with pytest.raises(SizeGuardError, match="^word count on ground 9 exceeds 16 states$"):
+        setsystem._count_words(9, 0, step)
+
+    # A level with no state costs one, so a dead automaton's walk ends too.
+    def dead(state, bit):
+        return None
+
+    assert setsystem._count_words(16, 0, dead) == [1] + [0] * 16
+    with pytest.raises(SizeGuardError, match="^word count on ground 17 exceeds 16 states$"):
+        setsystem._count_words(17, 0, dead)
+    with pytest.raises(ValueError, match="^ground size must be nonnegative$"):
+        setsystem._count_words(-1, 0, dead)
 
 
 def _accepts(table, word):
@@ -986,10 +1031,12 @@ def test_sized_families_refuse_grounds_above_the_enumeration_cap():
 SIZE_CHILD = """
 import resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-from vclabels.harness import verify_pair_xor, xor_pair_family
+from vclabels.harness import build_ict_tensor, verify_pair_xor, xor_pair_family
 from vclabels.labelcalc import avoid_family, extend_avoiding
 from vclabels.orderformula import ordered_trace_family, parse_formula
-from vclabels.setsystem import SetSystem, classify, mask_from_indices
+from vclabels.setsystem import (
+    SetSystem, classify, forbidden_labels, mask_from_indices, phi_bound
+)
 start = time.perf_counter()
 try:
     eval(sys.argv[1])
@@ -1015,6 +1062,10 @@ print(f"{time.perf_counter() - start:.3f}")
         ("SetSystem.from_masks(2.0, [(0, 1)])", "ground size", "2.0"),
         ("mask_from_indices(3.0, [1])", "ground size", "3.0"),
         ("extend_avoiding(3.0, (1, 1, 1), (0, 0, 0), (1, 0))", "ground size", "3.0"),
+        ("forbidden_labels(SetSystem.power_set(2), 1.5)", "subset size", "1.5"),
+        ("phi_bound(1.5, 3)", "dimension", "1.5"),
+        ("build_ict_tensor(1.5, 2)", "depth", "1.5"),
+        ("build_ict_tensor(2, 1.5)", "column count", "1.5"),
     ],
 )
 def test_a_size_that_is_not_an_int_raises_quickly(call, name, value):

@@ -154,6 +154,12 @@ def cases():
         for pairs in (22, 64, 1000):
             argv = ["verify", "l2", "--label", label, "--pairs", str(pairs), "--report", "report"]
             yield f"l2:{label}:p{pairs}", argv, None
+    # verify sauer above the enumeration cap, and one ground over the count's budget
+    sauer_grounds = [(label, ground) for label in labels(4) for ground in (22, 64, 1000)]
+    sauer_grounds += [(LONG_LABEL, ground) for ground in (20, 21, 1000)]
+    for label, ground in [*sauer_grounds, ("10", 1 << 20)]:
+        argv = ["verify", "sauer", "--label", label, "--ground", str(ground), "--report", "report"]
+        yield f"sauer:{label}:g{ground}", argv, None
     for name, text, commands in large_family_cases():
         for command in commands:
             yield f"{command}:{name}", [command, "--in", "family.txt"], text
