@@ -328,15 +328,16 @@ def _count_words(levels: int, start, step) -> list[int]:
     walk that visits more than 2^ENUMERATION_GROUND_CAP (level, state)
     pairs, the most words the kernel returns, raises SizeGuardError.  A
     level with no state counts as one pair, so the walk ends whatever the
-    automaton.
+    automaton, and it refuses as soon as the budget left cannot pay one
+    pair for each level left, before it walks them.
     """
     _check_size(levels, "ground size")
     cap = budget = 1 << ENUMERATION_GROUND_CAP
     reach = {start: 1}
     counts = [1]
-    for _ in range(levels):
+    for left in reversed(range(levels)):
         budget -= len(reach) or 1
-        if budget < 0:
+        if budget < left:
             raise SizeGuardError(f"word count on ground {levels} exceeds {cap} states")
         after = {}
         for state, count in reach.items():
@@ -518,7 +519,7 @@ def _columns(members) -> list[int]:
     return [int(bytes(column).translate(_BIT_CHARS), 2) for column in zip(*members)]
 
 
-def _shatters_some(columns, count: int, size: int) -> bool:
+def _shatters_some(columns, count: int, size: int, labels=None) -> bool:
     """True iff the ``count`` members shatter some ``size``-subset of the ground.
 
     A depth-first walk over subsets in increasing index order carries the
@@ -529,11 +530,17 @@ def _shatters_some(columns, count: int, size: int) -> bool:
     So only shattered sets are visited: in classify's call, where ``size``
     is d + 1, at most phi(d, m) = |F| of them below that size.  (In
     general a family shatters at least |F| sets, by Pajor's lemma.)
+
+    With a ``labels`` dict, each ``size``-subset the walk reaches that does
+    not split records, under its index tuple, the trace of its first
+    unsplit cell that no member shows.  That trace is the forbidden label
+    when the subset misses exactly one trace, as every (d+1)-subset of a
+    d-maximum family does; forbidden_labels passes a dict only then.
     """
     m = len(columns)
-    stack = [(((1 << count) - 1,), 0)]
+    stack = [(((1 << count) - 1,), 0, ())]
     while stack:
-        cells, start = stack.pop()
+        cells, start, subset = stack.pop()
         depth = len(cells).bit_length() - 1
         for j in range(start, m - size + depth + 1):
             column = columns[j]
@@ -541,13 +548,20 @@ def _shatters_some(columns, count: int, size: int) -> bool:
             for cell in cells:
                 inside = cell & column
                 if not inside or inside == cell:
+                    if labels is not None and depth + 1 == size:
+                        # Cells are kept inside-first: a cell's position,
+                        # read from its top bit, is its trace inverted.
+                        at = len(split) >> 1
+                        bits = (~at >> i & 1 for i in reversed(range(depth)))
+                        labels[subset + (j,)] = (*bits, int(not inside))
                     break
                 split.append(inside)
                 split.append(cell ^ inside)
             else:
                 if depth + 1 == size:
                     return True
-                stack.append((split, j + 1))
+                # Only a recording walk pays for the index tuples.
+                stack.append((split, j + 1, labels is not None and subset + (j,)))
     return False
 
 
@@ -693,13 +707,22 @@ def forbidden_labels(
     Keys are index tuples in ``itertools.combinations`` order; the value is
     None where the trace misses other than exactly one pattern.  A size
     that is not an int or is below 0 raises ValueError.
+
+    When the maximum test settles the family at dimension size - 1 (see
+    _maximum_dimension), the family shatters every smaller set and misses
+    one trace on each ``size``-subset, so the shatter search reaches every
+    such subset and reads its label off the one cell that does not split
+    (see _shatters_some), under the search budget.  Every other family and
+    size is scanned: the traces of all members on each subset.
     """
     _check_size(size, "subset size")
+    m = system.ground_size
+    labels = dict.fromkeys(itertools.combinations(range(m), size))
+    if size <= m and _maximum_dimension(system) == size - 1:
+        _shatters_some(_columns(system.members), len(system.members), size, labels)
+        return labels
     ints = system.member_ints
-    return {
-        combo: _label_on(ints, combo)
-        for combo in itertools.combinations(range(system.ground_size), size)
-    }
+    return {combo: _label_on(ints, combo) for combo in labels}
 
 
 def alternation_number(mask: Mask) -> int:

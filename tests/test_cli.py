@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -6,8 +7,10 @@ import time
 
 import pytest
 
+import bruteforce as bf
 from vclabels.cli import main
 from vclabels.harness import IctTensor, IctWitness, build_ict_tensor
+from vclabels.labelcalc import avoid_family
 from vclabels.orderformula import Top
 from vclabels.setsystem import SetSystem, _count_words
 
@@ -311,6 +314,36 @@ def test_homogenize_subcommand(capsys, mixed_file):
     code, out, _ = run_cli(capsys, "homogenize", "--in", mixed_file)
     assert code == 0
     assert out == "subset 1,2\nlabel 11\nsize 2\n"
+
+
+def test_labels_and_homogenize_of_a_settled_family_at_ground_20(tmp_path):
+    # The shatter search gives these labels; a scan of every 5-subset took
+    # about 9 s for each command.
+    eta = (1, 0, 1, 0, 1)
+    family = avoid_family(20, eta)
+    path = tmp_path / "avoid.txt"
+    path.write_text(family.to_text(), encoding="utf-8")
+    first, last = tuple(range(5)), tuple(range(15, 20))
+    assert bf.forbidden(family.members, first) == bf.forbidden(family.members, last) == eta
+    outputs = {}
+    for command in ("labels", "homogenize"):
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "vclabels", command, "--in", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        elapsed = time.perf_counter() - start
+        assert (done.returncode, done.stderr) == (0, "")
+        assert elapsed < 3.0, f"{command} took {elapsed:.2f}s"
+        outputs[command] = done.stdout.splitlines()
+    lines = outputs["labels"]
+    assert len(lines) == 2 + math.comb(20, 5)
+    assert lines[:2] == ["dimension 4", "subset 0,1,2,3,4 label 10101"]
+    assert lines[-2:] == ["subset 15,16,17,18,19 label 10101", "constant yes 10101"]
+    assert outputs["homogenize"] == [
+        f"subset {','.join(map(str, range(20)))}", "label 10101", "size 20"
+    ]
 
 
 def test_usage_errors_exit_2(capsys):

@@ -49,6 +49,28 @@ def small_systems(draw):
     return SetSystem.from_masks(m, masks)
 
 
+def _moved(sys_, order, flip):
+    """The family with point j read from point order[j], flipped when flip[j]."""
+    return SetSystem.from_masks(
+        sys_.ground_size,
+        (tuple(mask[i] ^ f for i, f in zip(order, flip)) for mask in sys_.members),
+    )
+
+
+@st.composite
+def maximum_systems(draw):
+    """Maximum families, from avoidance or size bounds, moved around the ground."""
+    m = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        eta = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=4)))
+        family = avoid_family(m, eta)
+    else:
+        family = SetSystem.size_at_most(m, draw(st.integers(0, m)))
+    order = draw(st.permutations(range(m)))
+    flip = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    return _moved(family, order, flip)
+
+
 # --- phi_bound ---------------------------------------------------------
 
 
@@ -583,7 +605,7 @@ def test_forbidden_labels_rejects_a_negative_size():
         forbidden_labels(SetSystem.power_set(3), -1)
 
 
-@given(small_systems(), st.data())
+@given(st.one_of(small_systems(), maximum_systems()), st.data())
 def test_forbidden_labels_match_oracle(sys_, data):
     m = sys_.ground_size
     k = data.draw(st.integers(0, m))
@@ -591,6 +613,137 @@ def test_forbidden_labels_match_oracle(sys_, data):
     assert list(got) == list(itertools.combinations(range(m), k))
     for combo, label in got.items():
         assert label == bf.forbidden(sys_.members, combo)
+
+
+def _moved_label(eta, combo, order, flip):
+    """The forbidden label on ``combo`` after _moved, of a family that misses
+    ``eta`` on every set of len(eta) points: the bits of ``eta`` go to the
+    combo's points in the order of the points they are read from, each
+    flipped where its point is."""
+    sources = [order[j] for j in combo]
+    ranks = sorted(sources)
+    return tuple(eta[ranks.index(i)] ^ flip[j] for i, j in zip(sources, combo))
+
+
+def _maximum_cases():
+    """(family, label it misses on every set of that many points, order, flip)."""
+    rng = random.Random(8123)
+    for length in range(1, 6):
+        for eta in itertools.product((0, 1), repeat=length):
+            for m in range(13):
+                family = avoid_family(m, eta)
+                yield family, eta, list(range(m)), [0] * m
+                order = list(range(m))
+                rng.shuffle(order)
+                flip = [rng.randrange(2) for _ in range(m)]
+                yield _moved(family, order, flip), eta, order, flip
+    for m in range(11):
+        for d in range(m + 1):
+            yield SetSystem.size_at_most(m, d), (1,) * (d + 1), list(range(m)), [0] * m
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The arguments of every _label_on call, as the test runs."""
+    calls = []
+    scan = setsystem._label_on
+
+    def counted_scan(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(setsystem, "_label_on", counted_scan)
+    return calls
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The ``labels`` argument of every _shatters_some call, as the test runs."""
+    calls = []
+    search = setsystem._shatters_some
+
+    def spy(columns, count, size, labels=None):
+        calls.append(labels)
+        return search(columns, count, size, labels)
+
+    monkeypatch.setattr(setsystem, "_shatters_some", spy)
+    return calls
+
+
+def test_forbidden_labels_read_off_the_search_match_oracle(scans):
+    walked = varied = 0
+    for sys_, eta, order, flip in _maximum_cases():
+        m, size = sys_.ground_size, len(eta)
+        if size > m:
+            continue
+        scans.clear()
+        got = forbidden_labels(sys_, size)
+        combos = list(itertools.combinations(range(m), size))
+        expected = {combo: _moved_label(eta, combo, order, flip) for combo in combos}
+        assert list(got.items()) == list(expected.items())
+        checked = combos if m <= 8 else [combos[0], combos[-1]]
+        for combo in checked:
+            assert got[combo] == bf.forbidden(sys_.members, combo)
+        if setsystem._maximum_dimension(sys_) == size - 1:
+            assert not scans, "a search-settled family was scanned"
+            walked += 1
+            varied += len(set(got.values())) > 1
+    # Every avoidance case (1,096) walks, and the 40 bounded-size families
+    # under the search budget; 483 of the 548 moved ones vary in label.
+    assert walked == 1136
+    assert varied > 400
+
+
+def test_forbidden_labels_scans_what_the_search_does_not_settle(recorded):
+    cases = [
+        (SetSystem(3, ()), range(5)),
+        (SetSystem(0, ()), [0, 1]),
+        (SetSystem(0, ((),)), [0, 1]),
+        (avoid_family(5, (1, 0, 1)), [0, 1, 2, 4, 5, 6]),
+        (SetSystem.power_set(4), range(6)),
+        (SetSystem.size_at_most(5, 2), [0, 6]),
+        # phi(1, 3) members that shatter {0, 1}: not maximum
+        (system(3, set(), {0}, {1}, {0, 1}), [2]),
+    ]
+    for sys_, sizes in cases:
+        m = sys_.ground_size
+        for size in sizes:
+            recorded.clear()
+            got = forbidden_labels(sys_, size)
+            assert all(labels is None for labels in recorded)
+            combos = list(itertools.combinations(range(m), size))
+            assert list(got) == combos
+            for combo in combos:
+                assert got[combo] == bf.forbidden(sys_.members, combo)
+    assert forbidden_labels(system(3, set(), {0}, {1}, {0, 1}), 2) == {
+        (0, 1): None, (0, 2): None, (1, 2): None
+    }
+
+
+def test_forbidden_labels_of_a_settled_family_scan_nothing(scans):
+    eta = (1, 0, 1, 0, 1)
+    got = forbidden_labels(avoid_family(20, eta), 5)
+    assert scans == []
+    assert len(got) == math.comb(20, 5)
+    assert set(got.values()) == {eta}
+
+    full = avoid_family(14, (1, 0, 1, 0))
+    less = SetSystem(14, full.members[:5] + full.members[6:])
+    got = forbidden_labels(less, 4)
+    assert len(scans) == math.comb(14, 4)
+    combos = list(got)
+    for combo in [combos[0], combos[-1], *random.Random(61).sample(combos, 10)]:
+        assert got[combo] == bf.forbidden(less.members, combo)
+
+
+def test_classify_and_vc_dim_record_no_labels(recorded):
+    full = avoid_family(12, (1, 0, 1))
+    families = [full, SetSystem(12, full.members[1:]), SetSystem.size_at_most(9, 2)]
+    for sys_ in families:
+        classify(sys_)
+        vc_dim(sys_)
+    assert recorded
+    assert all(labels is None for labels in recorded)
 
 
 # --- alternation_number -------------------------------------------------
@@ -892,6 +1045,31 @@ def test_count_words_refuses_a_walk_over_its_budget(monkeypatch):
         setsystem._count_words(17, 0, dead)
     with pytest.raises(ValueError, match="^ground size must be nonnegative$"):
         setsystem._count_words(-1, 0, dead)
+
+
+def test_count_words_refuses_before_it_walks(monkeypatch):
+    steps = []
+
+    def one_state(state, bit):
+        steps.append(state)
+        return state
+
+    monkeypatch.setattr(setsystem, "ENUMERATION_GROUND_CAP", 4)
+    # One state costs one pair per level: 16 levels fit the budget of 16.
+    assert setsystem._count_words(16, 0, one_state) == [1 << k for k in range(17)]
+    steps.clear()
+    with pytest.raises(SizeGuardError, match="^word count on ground 17 exceeds 16 states$"):
+        setsystem._count_words(17, 0, one_state)
+    assert steps == []
+    monkeypatch.undo()
+
+    levels = 1 << 20
+    start = time.perf_counter()
+    with pytest.raises(
+        SizeGuardError, match=f"^word count on ground {levels} exceeds {levels} states$"
+    ):
+        setsystem._count_words(levels, 0, labelcalc._avoid_step((1, 0)))
+    assert time.perf_counter() - start < 0.05
 
 
 def _accepts(table, word):

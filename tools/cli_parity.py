@@ -105,21 +105,27 @@ def avoiding_words(m: int, label: str) -> list[str]:
 def large_family_cases():
     """(case id, file text, commands) above ground 16 and on ground 0.
 
-    The avoidance families are maximum; each less one member is not, and
-    needs the fold that the classify cap bounds.
+    The avoidance families are maximum, also when permuted; each less one
+    member is not, and needs the fold that the classify cap bounds.
     """
     rng = random.Random(1501)
+    commands = ("classify", "labels", "homogenize")
     for m in (17, 20):
         for label in labels(4):
-            # labels and homogenize only up to d = 2, to keep the sweep short
-            commands = ("classify",) if len(label) > 3 else ("classify", "labels", "homogenize")
             words = avoiding_words(m, label)
             yield f"avoid-{label}-g{m}", family_text(m, words), commands
             words.pop(rng.randrange(len(words)))
             yield f"avoid-{label}-g{m}-less1", family_text(m, words), commands
-    commands = ("classify", "labels", "homogenize")
     yield "empty-g0", "ground 0\n", commands
     yield "power-g0-comments", "# one blank member\n\nground 0\n# c\n\n\n", commands
+    for m in (17, 20):
+        for label in (label for label in FAMILY_LABELS if len(label) <= 4):
+            order = list(range(m))
+            rng.shuffle(order)
+            words = ("".join(word[j] for j in order) for word in avoiding_words(m, label))
+            yield f"avoid-{label}-g{m}-permuted", family_text(m, words), commands
+    for label in ("10101", "11001"):
+        yield f"avoid-{label}-g20", family_text(20, avoiding_words(20, label)), commands
 
 
 def cases():
