@@ -535,7 +535,9 @@ def _shatters_some(columns, count: int, size: int, labels=None) -> bool:
     not split records, under its index tuple, the trace of its first
     unsplit cell that no member shows.  That trace is the forbidden label
     when the subset misses exactly one trace, as every (d+1)-subset of a
-    d-maximum family does; forbidden_labels passes a dict only then.
+    d-maximum family does.  So the dict is the answer only when the walk
+    returns False at size d + 1 on a family of phi(d, m) members (see
+    _maximum_dimension); forbidden_labels discards it otherwise.
     """
     m = len(columns)
     stack = [(((1 << count) - 1,), 0, ())]
@@ -578,13 +580,15 @@ def _sauer_floor(count: int, m: int) -> tuple[int, int]:
     return d, bound
 
 
-def _maximum_dimension(system: SetSystem) -> int | None:
+def _maximum_dimension(system: SetSystem, labels=None) -> int | None:
     """The dimension d when the family is maximum by the Sauer-size test.
 
     d is the family's Sauer floor (see _sauer_floor), so a family of
     exactly phi(d, m) members that shatters no (d+1)-subset has dimension
     d and is maximum (Welzl 1987; Floyd & Warmuth 1995); a maximum family
-    passes the test.
+    passes the test.  A ``labels`` dict goes to the search, which records
+    the label of every (d+1)-subset when the test passes (see
+    _shatters_some); classify and vc_dim pass none.
     A maximum family shatters every set of at most d points, so the search
     builds sum_t C(m, t) 2^t cells; it runs only while that is at most
     SEARCH_CELLS_PER_FOLD per fold of the fold path, or of the fold on
@@ -600,7 +604,7 @@ def _maximum_dimension(system: SetSystem) -> int | None:
     cells = sum(math.comb(m, t) << t for t in range(1, d + 1))
     if cells > SEARCH_CELLS_PER_FOLD << min(m, CLASSIFY_GROUND_CAP):
         return None
-    if _shatters_some(_columns(system.members), count, d + 1):
+    if _shatters_some(_columns(system.members), count, d + 1, labels):
         return None
     return d
 
@@ -708,19 +712,21 @@ def forbidden_labels(
     None where the trace misses other than exactly one pattern.  A size
     that is not an int or is below 0 raises ValueError.
 
-    When the maximum test settles the family at dimension size - 1 (see
-    _maximum_dimension), the family shatters every smaller set and misses
-    one trace on each ``size``-subset, so the shatter search reaches every
-    such subset and reads its label off the one cell that does not split
-    (see _shatters_some), under the search budget.  Every other family and
-    size is scanned: the traces of all members on each subset.
+    A family whose Sauer floor is size - 1 and that has phi(size - 1, m)
+    members is put to the maximum test (see _maximum_dimension) once, with
+    the dict: when it passes, the family shatters every smaller set and
+    misses one trace on each ``size``-subset, so its search reaches every
+    such subset and reads the label off the one cell that does not split
+    (see _shatters_some).  Every other family and size, and a family that
+    fails the test or is over its budget, is scanned afresh: the traces of
+    all members on each subset.
     """
     _check_size(size, "subset size")
-    m = system.ground_size
+    m, count = system.ground_size, len(system.members)
     labels = dict.fromkeys(itertools.combinations(range(m), size))
-    if size <= m and _maximum_dimension(system) == size - 1:
-        _shatters_some(_columns(system.members), len(system.members), size, labels)
-        return labels
+    if _sauer_floor(count, m) == (size - 1, count):
+        if _maximum_dimension(system, labels) is not None:
+            return labels
     ints = system.member_ints
     return {combo: _label_on(ints, combo) for combo in labels}
 

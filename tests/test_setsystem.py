@@ -8,10 +8,10 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import bruteforce as bf
-from vclabels import labelcalc, setsystem
+from vclabels import cli, labelcalc, setsystem
 from vclabels.labelcalc import avoid_family
 from vclabels.orderformula import Top, ordered_trace_family
 from vclabels.setsystem import (
@@ -69,6 +69,19 @@ def maximum_systems(draw):
     order = draw(st.permutations(range(m)))
     flip = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
     return _moved(family, order, flip)
+
+
+@st.composite
+def swapped_systems(draw):
+    """Sauer-sized families that fail the maximum test: a maximum family with
+    one member swapped for an absent set, kept when the swap breaks it."""
+    family = draw(maximum_systems().filter(lambda f: len(f.members) < 1 << f.ground_size))
+    members = list(family.members)
+    absent = sorted(set(itertools.product((0, 1), repeat=family.ground_size)) - set(members))
+    members[draw(st.integers(0, len(members) - 1))] = draw(st.sampled_from(absent))
+    swapped = SetSystem.from_masks(family.ground_size, members)
+    assume(setsystem._maximum_dimension(swapped) is None)
+    return swapped
 
 
 # --- phi_bound ---------------------------------------------------------
@@ -605,10 +618,12 @@ def test_forbidden_labels_rejects_a_negative_size():
         forbidden_labels(SetSystem.power_set(3), -1)
 
 
-@given(st.one_of(small_systems(), maximum_systems()), st.data())
+@given(st.one_of(small_systems(), maximum_systems(), swapped_systems()), st.data())
 def test_forbidden_labels_match_oracle(sys_, data):
     m = sys_.ground_size
-    k = data.draw(st.integers(0, m))
+    # Half the draws take the one size the maximum test is asked about.
+    d, _ = setsystem._sauer_floor(len(sys_.members), m)
+    k = data.draw(st.one_of(st.just(d + 1), st.integers(0, m)))
     got = forbidden_labels(sys_, k)
     assert list(got) == list(itertools.combinations(range(m), k))
     for combo, label in got.items():
@@ -694,7 +709,7 @@ def test_forbidden_labels_read_off_the_search_match_oracle(scans):
     assert varied > 400
 
 
-def test_forbidden_labels_scans_what_the_search_does_not_settle(recorded):
+def test_forbidden_labels_scans_what_the_search_does_not_settle(recorded, scans):
     cases = [
         (SetSystem(3, ()), range(5)),
         (SetSystem(0, ()), [0, 1]),
@@ -702,8 +717,6 @@ def test_forbidden_labels_scans_what_the_search_does_not_settle(recorded):
         (avoid_family(5, (1, 0, 1)), [0, 1, 2, 4, 5, 6]),
         (SetSystem.power_set(4), range(6)),
         (SetSystem.size_at_most(5, 2), [0, 6]),
-        # phi(1, 3) members that shatter {0, 1}: not maximum
-        (system(3, set(), {0}, {1}, {0, 1}), [2]),
     ]
     for sys_, sizes in cases:
         m = sys_.ground_size
@@ -715,9 +728,34 @@ def test_forbidden_labels_scans_what_the_search_does_not_settle(recorded):
             assert list(got) == combos
             for combo in combos:
                 assert got[combo] == bf.forbidden(sys_.members, combo)
-    assert forbidden_labels(system(3, set(), {0}, {1}, {0, 1}), 2) == {
-        (0, 1): None, (0, 2): None, (1, 2): None
-    }
+    # phi(1, 3) members that shatter {0, 1}: the search with the dict fails,
+    # and the scan answers every subset afresh.
+    sys_ = system(3, set(), {0}, {1}, {0, 1})
+    scans.clear()
+    got = forbidden_labels(sys_, 2)
+    combos = list(itertools.combinations(range(3), 2))
+    assert [indices for _, indices in scans] == combos
+    assert got == {combo: bf.forbidden(sys_.members, combo) for combo in combos}
+    assert got == {(0, 1): None, (0, 2): None, (1, 2): None}
+
+
+def test_forbidden_labels_ask_the_maximum_test_once(recorded, tmp_path, capsys):
+    forbidden_labels(avoid_family(20, (1, 0, 1, 0, 1)), 5)
+    assert len(recorded) == 1
+    family = avoid_family(14, (1, 0, 1, 0))
+    for size in (3, 5):
+        recorded.clear()
+        forbidden_labels(family, size)
+        assert recorded == []
+    # classify asks once more, and keeps the plain search.
+    path = tmp_path / "avoid.txt"
+    path.write_text(family.to_text(), encoding="utf-8")
+    for command in ("labels", "homogenize"):
+        recorded.clear()
+        assert cli.main([command, "--in", str(path)]) == 0
+        assert len(recorded) == 2
+        assert recorded[0] is None
+    capsys.readouterr()
 
 
 def test_forbidden_labels_of_a_settled_family_scan_nothing(scans):
@@ -1047,7 +1085,7 @@ def test_count_words_refuses_a_walk_over_its_budget(monkeypatch):
         setsystem._count_words(-1, 0, dead)
 
 
-def test_count_words_refuses_before_it_walks(monkeypatch):
+def test_count_words_refuses_before_it_walks(monkeypatch, fastest):
     steps = []
 
     def one_state(state, bit):
@@ -1064,12 +1102,14 @@ def test_count_words_refuses_before_it_walks(monkeypatch):
     monkeypatch.undo()
 
     levels = 1 << 20
-    start = time.perf_counter()
-    with pytest.raises(
-        SizeGuardError, match=f"^word count on ground {levels} exceeds {levels} states$"
-    ):
-        setsystem._count_words(levels, 0, labelcalc._avoid_step((1, 0)))
-    assert time.perf_counter() - start < 0.05
+
+    def refuse():
+        with pytest.raises(
+            SizeGuardError, match=f"^word count on ground {levels} exceeds {levels} states$"
+        ):
+            setsystem._count_words(levels, 0, labelcalc._avoid_step((1, 0)))
+
+    assert fastest(refuse) < 0.05
 
 
 def _accepts(table, word):
@@ -1191,15 +1231,17 @@ def test_generated_families_raise_the_kernel_ground_errors(build):
     assert len(build(20).members) > 0
 
 
-def test_sized_families_refuse_grounds_above_the_enumeration_cap():
+def test_sized_families_refuse_grounds_above_the_enumeration_cap(fastest):
     assert len(SetSystem.size_exactly(20, 1).members) == 20
-    start = time.perf_counter()
-    for build in (SetSystem.size_at_most, SetSystem.size_exactly):
-        with pytest.raises(SizeGuardError, match="ground 40 exceeds cap 20"):
-            build(40, 20)
-        with pytest.raises(ValueError, match="ground size must be nonnegative"):
-            build(-1, 0)
-    assert time.perf_counter() - start < 0.1
+
+    def refuse():
+        for build in (SetSystem.size_at_most, SetSystem.size_exactly):
+            with pytest.raises(SizeGuardError, match="ground 40 exceeds cap 20"):
+                build(40, 20)
+            with pytest.raises(ValueError, match="ground size must be nonnegative"):
+                build(-1, 0)
+
+    assert fastest(refuse) < 0.1
 
 
 # A size that is not an int would make the kernel walk forever (its last

@@ -128,6 +128,19 @@ def large_family_cases():
         yield f"avoid-{label}-g20", family_text(20, avoiding_words(20, label)), commands
 
 
+def swapped_cases():
+    """(case id, file text, commands) of permuted avoidance families with one
+    member swapped for an absent word: Sauer-sized, and not maximum."""
+    rng = random.Random(1801)
+    commands = ("classify", "labels", "homogenize")
+    for m in range(8, 15):
+        for label in FAMILY_LABELS:
+            words = permuted_avoidance(m, label, rng)
+            absent = sorted(set(map("".join, itertools.product("01", repeat=m))) - set(words))
+            words[rng.randrange(len(words))] = rng.choice(absent)
+            yield f"avoid-{label}-g{m}-swap1", family_text(m, words), commands
+
+
 def cases():
     """(case id, argv, input file text or None), in sweep order."""
     for label in [*labels(6), LONG_LABEL]:
@@ -166,7 +179,7 @@ def cases():
     for label, ground in [*sauer_grounds, ("10", 1 << 20)]:
         argv = ["verify", "sauer", "--label", label, "--ground", str(ground), "--report", "report"]
         yield f"sauer:{label}:g{ground}", argv, None
-    for name, text, commands in large_family_cases():
+    for name, text, commands in itertools.chain(large_family_cases(), swapped_cases()):
         for command in commands:
             yield f"{command}:{name}", [command, "--in", "family.txt"], text
 
