@@ -4,6 +4,12 @@ A label is a nonempty bit string eta.  A set ``c`` induces eta when the
 membership string of ``c`` contains eta as a (not necessarily contiguous)
 subsequence; the family avoiding eta on a ground of size m is maximum of
 dimension len(eta) - 1.
+
+Everything here reads eta's greedy matcher, whose state is the length of
+the prefix of eta matched so far: the avoidance family is the set of words
+on which it never completes, induction is one pass of it along a mask, and
+extension is the same pass with each point off the region taking the bit
+the matcher does not want next.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from .setsystem import (
     Label,
     Mask,
     SetSystem,
+    _all_bits,
     _automaton_family,
     _check_mask,
 )
@@ -23,16 +30,23 @@ class PreconditionViolatedError(ValueError):
 
 
 def as_label(value) -> Label:
-    """Validate and normalize a label to a tuple of bits."""
-    eta = tuple(value)
-    if not eta or any(b not in (0, 1) for b in eta):
+    """Validate a label and normalize it to a tuple of the ints 0 and 1.
+
+    The entries must be the ints 0 and 1 (a bool counts), as for masks;
+    anything else, a non-iterable value included, raises ValueError.
+    """
+    try:
+        eta = tuple(value)
+    except TypeError:
+        eta = ()
+    if not eta or not _all_bits(eta):
         raise ValueError(f"a label is a nonempty tuple of 0/1 bits, got {value!r}")
-    return eta
+    return tuple(bytes(eta))  # plain ints, bools included
 
 
 def parse_label(text: str) -> Label:
     """Parse a label literal: a string over {0,1}, leftmost character = bit 0."""
-    if not text or any(ch not in "01" for ch in text):
+    if not isinstance(text, str) or not text or any(ch not in "01" for ch in text):
         raise ValueError(f"a label literal is a nonempty string over 0/1, got {text!r}")
     return tuple(int(ch) for ch in text)
 
@@ -58,22 +72,31 @@ def induces_within(mask: Mask, region: Mask, eta: Label) -> bool:
     """
     _check_mask(region, len(region))
     _check_mask(mask, len(region))
-    return _witness_end(mask, region, as_label(eta)) is not None
+    return _fill(mask, region, as_label(eta)) is None
 
 
-def _witness_end(mask: Mask, region: Mask, eta: Label):
-    """Least position at which a witness of eta inside ``region`` can end.
+def _fill(mask: Mask, region: Mask, eta: Label):
+    """The word that agrees with ``mask`` on ``region`` and avoids eta, or None.
 
-    Greedy matching finds the positionwise-earliest witness, so the returned
-    end is minimal.  None when eta is not induced within the region.
+    One left-to-right pass of eta's greedy matcher, comparing bits by
+    _avoid_step's rule inline.  Inside the region a position keeps its
+    mask bit, and the matcher advances when that bit is the next bit of
+    eta; outside it a position takes the other bit, so the matcher never
+    advances there.  The matcher therefore completes, and the result is
+    None, exactly when the region's own bits induce eta; otherwise it
+    never completes on the word, so the word avoids eta.
     """
-    j = 0
-    for i, (b, inside) in enumerate(zip(mask, region)):
-        if inside and b == eta[j]:
-            j += 1
-            if j == len(eta):
-                return i
-    return None
+    word, matched, last = [], 0, len(eta) - 1
+    for b, inside in zip(mask, region):
+        want = eta[matched]
+        if inside and b == want:
+            if matched == last:
+                return None
+            matched += 1
+            word.append(want)
+        else:
+            word.append(1 - want)
+    return tuple(word)
 
 
 def avoid_family(ground_size: int, eta: Label) -> SetSystem:
@@ -133,38 +156,19 @@ def extend_avoiding(ground_size: int, region: Mask, partial: Mask, eta: Label) -
     """Extend an eta-avoiding partial assignment to the whole ground.
 
     ``partial`` must be a subset of ``region`` that does not induce eta
-    inside ``region``.  The result agrees with ``partial`` on ``region``
-    and does not induce eta anywhere on the ground.
-
-    The construction strips the pattern bit by bit: with eta = mu + (t,),
-    if mu is not induced, go on with mu; otherwise locate the least witness
-    end b of mu inside the region, build everything below b against mu,
-    pin the last bit of mu at b, and fill the constant 1 - t above b.
+    inside ``region``; otherwise PreconditionViolatedError is raised.  The
+    result agrees with ``partial`` on ``region`` and does not induce eta
+    anywhere on the ground: each point off the region takes the bit that
+    eta's greedy matcher does not want next (see _fill).
     """
     eta = as_label(eta)
     _check_mask(region, ground_size)
     _check_mask(partial, ground_size)
     if any(p and not r for p, r in zip(partial, region)):
         raise ValueError("partial assignment must be contained in the region")
-    if _witness_end(partial, region, eta) is not None:
+    word = _fill(partial, region, eta)
+    if word is None:
         raise PreconditionViolatedError(
             "partial assignment already induces the pattern inside the region"
         )
-    return _extend(ground_size, region, partial, eta)
-
-
-def _extend(m: int, region: Mask, partial: Mask, eta: Label) -> Mask:
-    levels = []
-    while len(eta) > 1:
-        eta, t = eta[:-1], eta[-1]
-        end = _witness_end(partial, region, eta)
-        if end is not None:
-            levels.append((end, eta[-1], t))
-            region = tuple(b if j < end else 0 for j, b in enumerate(region))
-            partial = tuple(b if j < end else 0 for j, b in enumerate(partial))
-    # Not inducing (0,) forces partial == region, so the full ground works;
-    # not inducing (1,) forces partial empty, so the empty set works.
-    result = [1 - eta[0]] * m
-    for end, s, t in reversed(levels):
-        result[end:] = [s] + [1 - t] * (m - end - 1)
-    return tuple(result)
+    return word

@@ -22,7 +22,7 @@ from .orderformula import (
     Or,
     Top,
 )
-from .setsystem import Label, Mask, SizeGuardError, _Value
+from .setsystem import Label, Mask, SizeGuardError, _Value, _check_size
 
 
 class MalformedExpressionError(ValueError):
@@ -242,8 +242,10 @@ def realize_expr(expr: IntervalExpr, assignment, ground_size: int) -> Mask:
     """Membership mask of the ground under a concrete symbol assignment.
 
     ``assignment`` gives one strictly increasing grid position per symbol;
-    ground element j sits at position 2*j.
+    ground element j sits at position 2*j.  The ground size must be a
+    nonnegative int (a bool counts); anything else raises ValueError.
     """
+    _check_size(ground_size, "ground size")
     positions = tuple(assignment)
     if len(positions) != expr.symbol_count:
         raise ValueError(

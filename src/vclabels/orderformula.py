@@ -357,7 +357,11 @@ def formula_arity(ast: FormulaAst) -> int:
     is one, as in parse_formula) raise SizeGuardError, since evaluating and
     formatting recurse once per level.  So do trees of more than
     FORMULA_SIZE_CAP nodes, counting a shared subtree once per path to it,
-    since every walk visits it that often.
+    since every walk visits it that often.  Every function that takes a
+    formula walks it here first, so this walk is the one node check: a
+    value that is not a formula node, and a Compare whose rel is not one of
+    the six relations or whose index is not an int >= 1 (a bool counts),
+    raise ValueError naming the node.  Parsed trees never do.
     """
     arity = size = depth = 0
     level = [ast]  # the nodes at this depth, one entry per path to each
@@ -371,12 +375,17 @@ def formula_arity(ast: FormulaAst) -> int:
         below = []
         for node in level:
             if isinstance(node, Compare):
-                arity = max(arity, node.index)
+                index = node.index
+                if node.rel not in _REL_FUNCS or not isinstance(index, int) or index < 1:
+                    raise ValueError(f"not a formula atom (rel, int index >= 1): {node!r}")
+                arity = max(arity, index)
             elif isinstance(node, Not):
                 below.append(node.child)
             elif isinstance(node, (And, Or)):
                 below.append(node.left)
                 below.append(node.right)
+            elif not isinstance(node, (Top, Bottom)):
+                raise ValueError(f"not a formula node: {node!r}")
         level = below
     return arity
 
@@ -411,10 +420,13 @@ def _cells(ast: FormulaAst, n: int | None) -> tuple[int, ...]:
     Parameters past the formula arity only repeat the top cell, which
     already holds any number of points, so every family and label built
     from the cells is the same for any declared arity ``n`` at or above
-    the formula arity; a lower ``n`` raises ValueError.  Formula arities
-    above LABEL_LENGTH_CAP raise SizeGuardError.
+    the formula arity; a lower ``n``, or one that is not an int (a bool
+    counts), raises ValueError.  Formula arities above LABEL_LENGTH_CAP
+    raise SizeGuardError.
     """
     arity = formula_arity(ast)
+    if n is not None and not isinstance(n, int):
+        raise ValueError(f"declared arity must be an int, got {n!r}")
     if n is not None and n < arity:
         raise ValueError(f"declared arity {n} is below the formula arity {arity}")
     if arity > LABEL_LENGTH_CAP:

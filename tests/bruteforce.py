@@ -2,7 +2,10 @@
 
 Everything here works on explicit index tuples and full enumerations, on
 purpose: no greedy matching, no bit tricks, no run counting.  Slow but
-obviously correct on small inputs.
+obviously correct on small inputs.  The one exception is
+``extend_by_stripping``, the bit-stripping extension construction the
+library used before its one-pass fill, kept as a second, independently
+derived answer to compare the fill with.
 """
 
 import itertools
@@ -31,6 +34,45 @@ def induces_within(mask, region, eta):
         all(mask[pos[i]] == eta[i] for i in range(k))
         for pos in itertools.combinations(positions, k)
     )
+
+
+def _witness_end(mask, region, eta):
+    """Least position at which a witness of eta inside ``region`` can end.
+
+    Greedy matching finds the positionwise-earliest witness, so the returned
+    end is minimal.  None when eta is not induced within the region.
+    """
+    j = 0
+    for i, (b, inside) in enumerate(zip(mask, region)):
+        if inside and b == eta[j]:
+            j += 1
+            if j == len(eta):
+                return i
+    return None
+
+
+def extend_by_stripping(m, region, partial, eta):
+    """Extend an eta-avoiding ``partial`` inside ``region`` to the whole ground.
+
+    The construction strips the pattern bit by bit: with eta = mu + (t,),
+    if mu is not induced, go on with mu; otherwise locate the least witness
+    end b of mu inside the region, build everything below b against mu,
+    pin the last bit of mu at b, and fill the constant 1 - t above b.
+    """
+    levels = []
+    while len(eta) > 1:
+        eta, t = eta[:-1], eta[-1]
+        end = _witness_end(partial, region, eta)
+        if end is not None:
+            levels.append((end, eta[-1], t))
+            region = tuple(b if j < end else 0 for j, b in enumerate(region))
+            partial = tuple(b if j < end else 0 for j, b in enumerate(partial))
+    # Not inducing (0,) forces partial == region, so the full ground works;
+    # not inducing (1,) forces partial empty, so the empty set works.
+    result = [1 - eta[0]] * m
+    for end, s, t in reversed(levels):
+        result[end:] = [s] + [1 - t] * (m - end - 1)
+    return tuple(result)
 
 
 def avoid_members(m, eta):

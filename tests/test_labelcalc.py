@@ -1,10 +1,12 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce as bf
+from vclabels.harness import verify_pair_xor
 from vclabels.labelcalc import (
     PreconditionViolatedError,
     as_label,
@@ -18,6 +20,7 @@ from vclabels.labelcalc import (
     parse_label,
     similar,
 )
+from vclabels.labelcompiler import compile_label
 from vclabels.orderformula import ordered_trace_family, parse_formula
 from vclabels.setsystem import (
     GroundMismatchError,
@@ -248,7 +251,8 @@ def test_extend_randomized_postconditions():
 
 
 def test_extend_long_label_without_recursion():
-    # One loop level per label bit; recursing once per bit ran out of stack.
+    # Labels far longer than the ground: the fill reads the ground once,
+    # and the stripping oracle must loop, not recurse, once per label bit.
     rng = random.Random(3)
     for _ in range(5):
         eta = tuple(rng.randint(0, 1) for _ in range(3000))
@@ -257,9 +261,66 @@ def test_extend_long_label_without_recursion():
         out = extend_avoiding(20, region, partial, eta)
         assert all(o == p for o, r, p in zip(out, region, partial) if r)
         assert not induces(out, eta)
+        assert out == bf.extend_by_stripping(20, region, partial, eta)
 
 
-@pytest.mark.parametrize("value", [(), (0, 2), (1, None), "01"])
+def test_extend_matches_the_stripping_construction_exhaustively():
+    # Every label of at most 4 bits, every region of a ground of at most 6
+    # points and every partial assignment inside it: 32,790 cases.
+    cases = 0
+    for m in range(7):
+        for k in range(1, 5):
+            for eta in itertools.product((0, 1), repeat=k):
+                for region in itertools.product((0, 1), repeat=m):
+                    inside = [(0, 1) if r else (0,) for r in region]
+                    for partial in itertools.product(*inside):
+                        cases += 1
+                        try:
+                            out = extend_avoiding(m, region, partial, eta)
+                        except PreconditionViolatedError:
+                            assert bf.induces_within(partial, region, eta)
+                            continue
+                        assert not bf.induces_within(partial, region, eta)
+                        assert out == bf.extend_by_stripping(m, region, partial, eta)
+    assert cases == 32790
+
+
+def test_labels_and_extensions_are_plain_ints():
+    # A bool label used to come back as itself: format_label gave
+    # 'TrueFalse' and extend_avoiding (True, 1, 1).
+    assert format_label((True, False)) == "10"
+    for got, want in [
+        (as_label([True, False]), (1, 0)),
+        (complement_label((True, False)), (0, 1)),
+        (extend_avoiding(3, (1, 0, 0), (1, 0, 0), (True, False)), (1, 1, 1)),
+        (extend_avoiding(3, (1, 1, 0), (True, False, 0), (0, 1)), (1, 0, 0)),
+    ]:
+        assert got == want
+        assert all(type(b) is int for b in got)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [(), (0, 2), (1, None), "01", 5, None, (1.0, 0), (0.0,), (True, 2), [1, -1]],
+)
 def test_as_label_names_what_is_not_a_label(value):
-    with pytest.raises(ValueError, match="^a label is a nonempty tuple of 0/1 bits, got "):
+    with pytest.raises(
+        ValueError, match=f"^a label is a nonempty tuple of 0/1 bits, got {re.escape(repr(value))}$"
+    ):
         as_label(value)
+
+
+def test_entry_points_refuse_a_non_iterable_label():
+    # Each used to raise a stray TypeError: 'int' object is not iterable.
+    with pytest.raises(ValueError, match="^a label literal is a nonempty string over 0/1, got 5$"):
+        parse_label(5)
+    for call, value in [
+        (lambda: avoid_family(4, 5), 5),
+        (lambda: compile_label(3), 3),
+        (lambda: verify_pair_xor(1, 3), 1),
+        (lambda: format_label((1.0, 0)), (1.0, 0)),
+        (lambda: complement_label((1.0, 0)), (1.0, 0)),
+        (lambda: induces((1, 0), 7), 7),
+    ]:
+        with pytest.raises(ValueError, match=f"^a label is .*, got {re.escape(repr(value))}$"):
+            call()

@@ -259,6 +259,13 @@ def test_realize_validates_assignment():
         realize_expr(parse_expr("(a,b)"), (5, 1), 3)
 
 
+def test_realize_checks_its_ground_size():
+    # A negative ground used to give the empty mask.
+    with pytest.raises(ValueError, match="^ground size must be nonnegative$"):
+        realize_expr(parse_expr("(-inf,a)"), (1,), -1)
+    assert realize_expr(parse_expr("(-inf,a)"), (1,), True) == (1,)
+
+
 def test_realized_families_match_avoidance():
     for eta_len in range(1, 4):
         for eta in itertools.product((0, 1), repeat=eta_len):

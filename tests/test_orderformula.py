@@ -226,6 +226,52 @@ def test_formula_arity():
     assert formula_arity(parse_formula("(x>y1 & x<y2) | x=y3")) == 3
 
 
+@pytest.mark.parametrize(
+    "ast, message",
+    [
+        (None, "not a formula node: None"),
+        ("x<y1", "not a formula node: 'x<y1'"),
+        (
+            And(Top(), Not(orderformula._Connective(Top(), Bottom()))),
+            r"not a formula node: _Connective\(left=Top\(\), right=Bottom\(\)\)",
+        ),
+        (
+            Compare("<", 0),
+            r"not a formula atom \(rel, int index >= 1\): Compare\(rel='<', index=0\)",
+        ),
+        (Compare("<", False), r"not a formula atom .*index=False\)$"),
+        (Compare("<<", 1), r"not a formula atom .*rel='<<'"),
+        (Compare("<", "1"), r"not a formula atom .*index='1'\)$"),
+        (Compare("<", 1.0), r"not a formula atom .*index=1\.0\)$"),
+        (Or(parse_formula("x<y1"), Not(Compare("=>", 2))), r"not a formula atom .*rel='=>'"),
+    ],
+    ids=["none", "text", "connective", "index0", "false", "rel", "str", "float", "nested"],
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        formula_arity,
+        format_formula,
+        lambda ast: eval_formula(ast, 1, (5, 6)),
+        lambda ast: cof(ast, 2),
+        lambda ast: ordered_trace_family(ast, 2, 3),
+        label_of_formula,
+    ],
+    ids=["arity", "format", "eval", "cof", "trace_family", "label"],
+)
+def test_formula_arity_refuses_what_is_not_a_formula(entry, ast, message):
+    # None and text used to read as x!=x, Compare("<", 0) compared x with
+    # the last parameter, and a bad rel or index raised a stray KeyError,
+    # IndexError or TypeError.
+    with pytest.raises(ValueError, match=f"^{message}"):
+        entry(ast)
+
+
+def test_a_bool_index_counts_as_an_int():
+    assert label_of_formula(Compare("<", True)) == label_of_formula(parse_formula("x<y1"))
+    assert eval_formula(Compare("<", True), 0, (1,))
+
+
 def _and_chain(levels):
     ast = Compare("<", 1)
     for _ in range(levels - 1):
@@ -504,6 +550,19 @@ def test_label_of_formula_validates_declared_arity():
     with pytest.raises(ValueError, match="declared arity 1 is below the formula arity"):
         label_of_formula(parse_formula("x<y2"), 1)
     assert label_of_formula(parse_formula("x<y2"), 10**9) == (0, 1)
+
+
+def test_declared_arity_must_be_an_int():
+    # 1.5 used to be read as an arity, and a tuple raised a stray TypeError.
+    f = parse_formula("x<y1")
+    for n in (1.5, (1,)):
+        with pytest.raises(ValueError, match="^declared arity must be an int, got "):
+            cof(f, n)
+        with pytest.raises(ValueError, match="^declared arity must be an int, got "):
+            label_of_formula(f, n)
+    with pytest.raises(ValueError, match="^declared arity -1 is below the formula arity 0$"):
+        label_of_formula(Top(), -1)
+    assert label_of_formula(f, True) == label_of_formula(f) == (0, 1)
 
 
 def test_label_of_formula_arity_cap():

@@ -1253,7 +1253,8 @@ import resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 from vclabels.harness import build_ict_tensor, verify_pair_xor, xor_pair_family
 from vclabels.labelcalc import avoid_family, extend_avoiding
-from vclabels.orderformula import ordered_trace_family, parse_formula
+from vclabels.labelcompiler import realize_expr, to_interval_expr
+from vclabels.orderformula import cof, label_of_formula, ordered_trace_family, parse_formula
 from vclabels.setsystem import (
     SetSystem, classify, forbidden_labels, mask_from_indices, phi_bound
 )
@@ -1286,6 +1287,10 @@ print(f"{time.perf_counter() - start:.3f}")
         ("phi_bound(1.5, 3)", "dimension", "1.5"),
         ("build_ict_tensor(1.5, 2)", "depth", "1.5"),
         ("build_ict_tensor(2, 1.5)", "column count", "1.5"),
+        ("realize_expr(to_interval_expr((1, 0)), (1,), 2.0)", "ground size", "2.0"),
+        ("cof(parse_formula('x<y1'), 1.5)", "declared arity", "1.5"),
+        ("label_of_formula(parse_formula('x<y1'), 2.5)", "declared arity", "2.5"),
+        ("cof(parse_formula('x<y1'), 'a')", "declared arity", "'a'"),
     ],
 )
 def test_a_size_that_is_not_an_int_raises_quickly(call, name, value):
