@@ -9,10 +9,9 @@ exactly the on-path instances can be made true).
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
 from .labelcalc import as_label
-from .labelcompiler import compile_label
-from .orderformula import FormulaAst, _cell_step, _cells
 from .setsystem import (
     Label,
     Mask,
@@ -28,6 +27,9 @@ from .setsystem import (
     mask_from_indices,
     phi_bound,
 )
+
+if TYPE_CHECKING:
+    from .orderformula import FormulaAst
 
 ICT_DEPTH_CAP = 3
 ICT_COLUMN_CAP = 4
@@ -64,6 +66,9 @@ def _pair_step(ast: FormulaAst, n: int):
     higher one (see _cell_step), and a pair is rejected when neither t
     reaches a state.
     """
+    # Imported here: homogenize and the ICT checks never compile a formula.
+    from .orderformula import _cell_step, _cells
+
     cell = _cell_step(_cells(ast, n))
 
     def step(least: int, bit: int):
@@ -98,6 +103,8 @@ def verify_pair_xor(eta: Label, m_pairs: int) -> PairXorReport:
     failing family's size is a count of the pair automaton's words (see
     _count_words); no family is built.
     """
+    from .labelcompiler import compile_label
+
     eta = as_label(eta)
     _check_size(m_pairs, "pair count")
     d = len(eta) - 1

@@ -20,8 +20,9 @@ Label = tuple[int, ...]
 # Whole-family enumerations (power sets, avoidance scans) are 2^m.
 ENUMERATION_GROUND_CAP = 20
 # Classification of a family that the maximum test does not settle folds a
-# 2^m-bit indicator once per subset of the ground: 2^m folds of 2^m-bit
-# ints, whatever the family's size.  The cap bounds that fold path only.
+# 2^m-bit indicator once per subset of the ground, shrinking it as points
+# drop: 2^m folds moving about 2.4 * 3^m bits, whatever the family's size.
+# The cap bounds that fold path only.
 CLASSIFY_GROUND_CAP = 16
 # The maximum test runs while its shatter search would build at most this
 # many member cells per fold that the fold path makes (see classify).  Above
@@ -489,26 +490,65 @@ def _low_halves(m: int) -> list[int]:
     return out
 
 
-def _trace_counts(indicator: int, m: int, low) -> list[int]:
-    """Number of distinct traces on every subset a of the ground, indexed by a.
+def _trace_counts(indicator: int, m: int, low) -> tuple[list[int], dict[int, int]]:
+    """Distinct trace counts on every subset b of the ground, and the one-short folds.
 
-    Dropping coordinate j folds the indicator onto the positions whose bit
-    j is clear: position v keeps a bit when v or v + 2^j did.  A
-    depth-first walk from the full ground drops coordinates in increasing
-    order, reaching every subset once with one fold each.
+    The counts are indexed by b.  Dropping point i folds the indicator onto
+    the positions whose bit i is clear: position v keeps a bit when v or
+    v + 2^i did.  A depth-first walk from the full ground drops the points
+    i >= 3 in decreasing order, so every point below the last one dropped
+    is still at its own bit position, and the fold then cuts out the
+    positions whose bit i is set: the odd 2^(i-3)-byte chunks of the int's
+    bytes (a memoryview cast sliced [::2] for chunks of up to 8 bytes, a
+    join of slices above).  Each node of that walk then folds out every
+    subset of the points 0, 1 and 2, masking with low[j] and leaving those
+    positions in place as holes.  So the int of node b spells traces on b
+    and the points 0, 1, 2 (at most 2^(|b| + 3) bits), and the folds move
+    about 2.4 * 3^m bits in all, not 4^m.
+
+    A node whose count is 2^|b| - 1 misses one trace; its folded int goes
+    to the second result, keyed by b, for _missing_trace to decode.
     """
-    full = (1 << m) - 1
     counts = [0] * (1 << m)
-    counts[full] = indicator.bit_count()
-    stack = [(indicator, full, j) for j in range(m)]
+    shorts = {}
+    holes = [(1 << j, low[j]) for j in range(min(m, 3))]
+    stack = [(indicator, (1 << m) - 1, m)]
     while stack:
-        ind, a, j = stack.pop()
-        nxt = (ind | ind >> (1 << j)) & low[j]
-        b = a & ~(1 << j)
-        counts[b] = nxt.bit_count()
-        for i in range(j + 1, m):
-            stack.append((nxt, b, i))
-    return counts
+        ind, a, top = stack.pop()
+        cube = [(ind, a)]
+        for bit, half in holes:
+            cube += [((x | x >> bit) & half, b ^ bit) for x, b in cube]
+        for x, b in cube:
+            count = counts[b] = x.bit_count()
+            if count == (1 << b.bit_count()) - 1:
+                shorts[b] = x
+        for i in range(3, top):
+            nxt = ind | ind >> (1 << i)
+            data = memoryview(nxt.to_bytes(1 << (a.bit_count() - 3), "little"))
+            if i < 7:
+                data = data.cast("BHIQ"[i - 3])[::2]
+            else:
+                n = 1 << (i - 3)  # bytes per chunk
+                data = b"".join(data[k : k + n] for k in range(0, len(data), 2 * n))
+            stack.append((int.from_bytes(data, "little"), a ^ (1 << i), i))
+    return counts, shorts
+
+
+def _missing_trace(b: int, folded: int, m: int, low) -> list[tuple[int, int]]:
+    """The trace a one-short node b of _trace_counts misses, as (point, bit) pairs.
+
+    The pairs cover the points of b in increasing order.  The node's
+    positions spell traces on b and on its holes, the points 0, 1, 2 not
+    in b, in increasing point order; the one clear position whose hole
+    bits are clear is the missing trace.
+    """
+    frame = [j for j in range(m) if j < 3 or b >> j & 1]
+    valid = (1 << (1 << len(frame))) - 1
+    for j in frame[:3]:
+        if not b >> j & 1:
+            valid &= low[j]
+    at = (valid ^ folded).bit_length() - 1
+    return [(j, at >> r & 1) for r, j in enumerate(frame) if b >> j & 1]
 
 
 def _columns(members) -> list[int]:
@@ -544,6 +584,16 @@ def _shatters_some(columns, count: int, size: int, labels=None) -> bool:
     while stack:
         cells, start, subset = stack.pop()
         depth = len(cells).bit_length() - 1
+        if labels is None and depth + 1 == size:
+            # The last point need only split every cell; no cell is kept.
+            for column in columns[start:]:
+                for cell in cells:
+                    inside = cell & column
+                    if not inside or inside == cell:
+                        break
+                else:
+                    return True
+            continue
         for j in range(start, m - size + depth + 1):
             column = columns[j]
             split = []
@@ -620,11 +670,13 @@ def classify(system: SetSystem) -> Classification:
 
     A family the test does not settle is held as one 2^m-bit indicator,
     and the trace count of every subset of the ground comes from folding
-    it (see _trace_counts).  An absent set can join without raising the
-    dimension unless, on some (d+1)-subset one trace short of shattered,
-    it shows the missing trace; those absent sets form one cylinder per
-    such subset, and the family is maximal when the cylinders cover every
-    absent set.  This fold path costs 2^m folds of 2^m-bit ints,
+    it, the indicator shrinking as points drop (see _trace_counts).  An
+    absent set can join without raising the dimension unless, on some
+    (d+1)-subset one trace short of shattered, it shows the missing trace;
+    those absent sets form one cylinder per such subset, and the family is
+    maximal when the cylinders cover every absent set.  Each missing trace
+    is read off that subset's own fold (see _missing_trace), not off the
+    members.  This fold path moves about 2.4 * 3^m bits in 2^m folds,
     independent of the family's size; CLASSIFY_GROUND_CAP bounds it, and
     nothing else.
     """
@@ -642,7 +694,7 @@ def classify(system: SetSystem) -> Classification:
     ints = system.member_ints
     indicator = _indicator(ints, m)
     low = _low_halves(m)
-    counts = _trace_counts(indicator, m, low)
+    counts, shorts = _trace_counts(indicator, m, low)
 
     best_by_size = [0] * (m + 1)
     for a, count in enumerate(counts):
@@ -661,11 +713,10 @@ def classify(system: SetSystem) -> Classification:
         everything = (1 << (1 << m)) - 1
         high = [everything ^ half for half in low]
         blocked = 0
-        full = (1 << (d + 1)) - 1
-        for combo in itertools.combinations(range(m), d + 1):
-            if counts[sum(1 << j for j in combo)] == full:
+        for b, folded in shorts.items():
+            if b.bit_count() == d + 1:
                 cylinder = everything
-                for j, bit in zip(combo, _label_on(ints, combo)):
+                for j, bit in _missing_trace(b, folded, m, low):
                     cylinder &= high[j] if bit else low[j]
                 blocked |= cylinder
         is_maximal = everything & ~indicator & ~blocked == 0

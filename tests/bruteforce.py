@@ -2,10 +2,12 @@
 
 Everything here works on explicit index tuples and full enumerations, on
 purpose: no greedy matching, no bit tricks, no run counting.  Slow but
-obviously correct on small inputs.  The one exception is
-``extend_by_stripping``, the bit-stripping extension construction the
-library used before its one-pass fill, kept as a second, independently
-derived answer to compare the fill with.
+obviously correct on small inputs.  There are two exceptions, each a
+construction the library used before a faster one replaced it, kept as a
+second, independently derived answer to compare the new one with:
+``extend_by_stripping``, the bit-stripping extension construction before
+the one-pass fill, and ``fold_trace_counts``, the trace counts by folding
+the whole 2^m-bit indicator before the compacting fold.
 """
 
 import itertools
@@ -129,6 +131,28 @@ def forbidden(members, region_indices):
         if pattern not in traces
     ]
     return missing[0] if len(missing) == 1 else None
+
+
+def fold_trace_counts(indicator: int, m: int, low) -> list[int]:
+    """Number of distinct traces on every subset a of the ground, indexed by a.
+
+    Dropping coordinate j folds the indicator onto the positions whose bit
+    j is clear: position v keeps a bit when v or v + 2^j did.  A
+    depth-first walk from the full ground drops coordinates in increasing
+    order, reaching every subset once with one fold each.
+    """
+    full = (1 << m) - 1
+    counts = [0] * (1 << m)
+    counts[full] = indicator.bit_count()
+    stack = [(indicator, full, j) for j in range(m)]
+    while stack:
+        ind, a, j = stack.pop()
+        nxt = (ind | ind >> (1 << j)) & low[j]
+        b = a & ~(1 << j)
+        counts[b] = nxt.bit_count()
+        for i in range(j + 1, m):
+            stack.append((nxt, b, i))
+    return counts
 
 
 def symbol_index(name):

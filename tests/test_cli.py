@@ -121,7 +121,7 @@ def test_verify_l2_at_the_pair_cap(capsys, monkeypatch):
     assert code == 0
     assert out.startswith("PASS family=")
     # A failure's size is a count of words, so it is not bounded either.
-    monkeypatch.setattr("vclabels.harness.compile_label", lambda eta: Top())
+    monkeypatch.setattr("vclabels.labelcompiler.compile_label", lambda eta: Top())
     code, out, _ = run_cli(capsys, "verify", "l2", "--label", "10101", "--pairs", "21")
     assert code == 1
     assert out == "FAIL family=1 expected=7547\n"
@@ -202,7 +202,7 @@ def _ict_tensor_with_flipped_bit(depth, cols):
             "FAIL cases=9 first_failure=0\n",
         ),
         (
-            "vclabels.harness.compile_label",
+            "vclabels.labelcompiler.compile_label",
             lambda eta: Top(),
             ["l2", "--label", "101", "--pairs", "4"],
             "FAIL family=1 expected=11\n",

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 import bruteforce as bf
-from vclabels import harness, setsystem
+from vclabels import harness, labelcompiler, setsystem
 from vclabels.harness import (
     EXHAUSTIVE_GROUND_CAP,
     IctTensor,
@@ -114,7 +114,7 @@ def _outcome(check, *args):
 
 @pytest.mark.parametrize("compiler", COMPILERS.values(), ids=COMPILERS)
 def test_verify_pair_xor_matches_build_and_compare(monkeypatch, compiler):
-    monkeypatch.setattr(harness, "compile_label", compiler)
+    monkeypatch.setattr(labelcompiler, "compile_label", compiler)
 
     def oracle(eta, m):
         d = len(eta) - 1
@@ -132,7 +132,7 @@ def test_verify_pair_xor_builds_no_family_on_pass_or_fail(monkeypatch):
         harness, "_automaton_family", mock.Mock(side_effect=AssertionError("built a family"))
     )
     assert verify_pair_xor((1, 0, 1), 10) == PairXorReport(True, 56, 56)
-    monkeypatch.setattr(harness, "compile_label", lambda eta: Top())
+    monkeypatch.setattr(labelcompiler, "compile_label", lambda eta: Top())
     assert verify_pair_xor((1, 0, 1), 4) == PairXorReport(False, 1, 11)
     assert verify_pair_xor((1, 0, 1), 1000) == PairXorReport(False, 1, phi_bound(2, 1000))
 

@@ -562,6 +562,57 @@ def test_classify_at_the_ground_cap_within_budget():
         )
 
 
+def _fold_cases():
+    """Random families with m <= 10, and avoidance families at grounds 12-16
+    with one member removed or swapped for an absent set."""
+    rng = random.Random(2003)
+    for m in range(11):
+        for _ in range(4 if m < 10 else 2):
+            size = rng.randint(1, 2**m)
+            yield _values_family(m, rng.sample(range(2**m), size))
+    labels = [(1, 0, 1, 0), (1, 1, 0), (0, 1), (1, 0, 1, 1)]
+    for m, eta in zip(range(12, 17), itertools.cycle(labels)):
+        full = avoid_family(m, eta)
+        yield SetSystem(m, full.members[:-1])
+        yield _swapped(full, rng)
+
+
+def test_compacting_fold_matches_the_full_fold():
+    checked = 0
+    for sys_ in _fold_cases():
+        m = sys_.ground_size
+        indicator = setsystem._indicator(sys_.member_ints, m)
+        low = setsystem._low_halves(m)
+        counts, shorts = setsystem._trace_counts(indicator, m, low)
+        assert counts == bf.fold_trace_counts(indicator, m, low)
+        one_short = {b for b in range(1 << m) if counts[b] == (1 << b.bit_count()) - 1}
+        assert set(shorts) == one_short
+        # Every one-short node at m <= 12, a sample of them above.
+        rng = random.Random(m)
+        picked = sorted(shorts) if m <= 12 else rng.sample(sorted(shorts), 40)
+        for b in picked:
+            indices = [j for j in range(m) if b >> j & 1]
+            pairs = setsystem._missing_trace(b, shorts[b], m, low)
+            assert [j for j, _ in pairs] == indices
+            assert tuple(bit for _, bit in pairs) == bf.forbidden(sys_.members, indices)
+            checked += 1
+    assert checked > 1000
+
+
+def test_one_removed_family_at_the_ground_cap(fastest):
+    # Less one member, a maximum family of dimension 3 keeps its dimension
+    # and phi(3, k) traces on some k-subset for every k < m, has one trace
+    # fewer on the whole ground, and the removed member can join again.
+    for m in (8, 10, 12, 16):
+        sys_ = SetSystem(m, avoid_family(m, (1, 0, 1, 0)).members[1:])
+        profile = tuple((k, bf.phi(3, k) - (k == m)) for k in range(m + 1))
+        expected = Classification(3, False, False, profile)
+        assert classify(sys_) == expected
+        if m <= 10:
+            assert reference_classify(sys_) == expected
+    assert fastest(lambda: classify(sys_)) < 0.4
+
+
 def test_sauer_randomized_profiles():
     rng = random.Random(424)
     for _ in range(150):
