@@ -584,12 +584,18 @@ def _shatters_some(columns, count: int, size: int, labels=None) -> bool:
     while stack:
         cells, start, subset = stack.pop()
         depth = len(cells).bit_length() - 1
-        if labels is None and depth + 1 == size:
+        if depth + 1 == size:
             # The last point need only split every cell; no cell is kept.
-            for column in columns[start:]:
+            for j, column in enumerate(columns[start:], start):
                 for cell in cells:
                     inside = cell & column
                     if not inside or inside == cell:
+                        if labels is not None:
+                            # Cells are kept inside-first: a cell's position,
+                            # read from its top bit, is its trace inverted.
+                            at = cells.index(cell)
+                            bits = (~at >> i & 1 for i in reversed(range(depth)))
+                            labels[subset + (j,)] = (*bits, int(not inside))
                         break
                 else:
                     return True
@@ -600,18 +606,10 @@ def _shatters_some(columns, count: int, size: int, labels=None) -> bool:
             for cell in cells:
                 inside = cell & column
                 if not inside or inside == cell:
-                    if labels is not None and depth + 1 == size:
-                        # Cells are kept inside-first: a cell's position,
-                        # read from its top bit, is its trace inverted.
-                        at = len(split) >> 1
-                        bits = (~at >> i & 1 for i in reversed(range(depth)))
-                        labels[subset + (j,)] = (*bits, int(not inside))
                     break
                 split.append(inside)
                 split.append(cell ^ inside)
             else:
-                if depth + 1 == size:
-                    return True
                 # Only a recording walk pays for the index tuples.
                 stack.append((split, j + 1, labels is not None and subset + (j,)))
     return False
