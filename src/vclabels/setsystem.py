@@ -22,7 +22,8 @@ ENUMERATION_GROUND_CAP = 20
 # Classification of a family that the maximum test does not settle folds a
 # 2^m-bit indicator once per subset of the ground, shrinking it as points
 # drop: 2^m folds moving about 2.4 * 3^m bits, whatever the family's size.
-# The cap bounds that fold path only.
+# forbidden_labels takes the same path for a family its search does not
+# settle.  The cap bounds that fold path only.
 CLASSIFY_GROUND_CAP = 16
 # The maximum test runs while its shatter search would build at most this
 # many member cells per fold that the fold path makes (see classify).  Above
@@ -551,6 +552,23 @@ def _missing_trace(b: int, folded: int, m: int, low) -> list[tuple[int, int]]:
     return [(j, at >> r & 1) for r, j in enumerate(frame) if b >> j & 1]
 
 
+def _fold(system: SetSystem) -> tuple[int, list[int], list[int], dict[int, int]]:
+    """The fold path's set-up, for classify and forbidden_labels alike.
+
+    Returns the family's 2^m-bit indicator, the low halves of its ground
+    and the two results of _trace_counts.  A ground above
+    CLASSIFY_GROUND_CAP raises SizeGuardError before any fold.
+    """
+    m = system.ground_size
+    if m > CLASSIFY_GROUND_CAP:
+        raise SizeGuardError(
+            f"classification on ground {m} exceeds cap {CLASSIFY_GROUND_CAP}"
+        )
+    indicator = _indicator(system.member_ints, m)
+    low = _low_halves(m)
+    return indicator, low, *_trace_counts(indicator, m, low)
+
+
 def _columns(members) -> list[int]:
     """Member bit columns: bit i of column j is bit j of member i.
 
@@ -577,7 +595,8 @@ def _shatters_some(columns, count: int, size: int, labels=None) -> bool:
     when the subset misses exactly one trace, as every (d+1)-subset of a
     d-maximum family does.  So the dict is the answer only when the walk
     returns False at size d + 1 on a family of phi(d, m) members (see
-    _maximum_dimension); forbidden_labels discards it otherwise.
+    _maximum_dimension); forbidden_labels discards it otherwise, and reads
+    every label off the fold into a fresh dict.
     """
     m = len(columns)
     stack = [(((1 << count) - 1,), 0, ())]
@@ -685,14 +704,7 @@ def classify(system: SetSystem) -> Classification:
     if d is not None:
         profile = tuple((k, phi_bound(d, k)) for k in range(m + 1))
         return Classification(d, True, True, profile)
-    if m > CLASSIFY_GROUND_CAP:
-        raise SizeGuardError(
-            f"classification on ground {m} exceeds cap {CLASSIFY_GROUND_CAP}"
-        )
-    ints = system.member_ints
-    indicator = _indicator(ints, m)
-    low = _low_halves(m)
-    counts, shorts = _trace_counts(indicator, m, low)
+    indicator, low, counts, shorts = _fold(system)
 
     best_by_size = [0] * (m + 1)
     for a, count in enumerate(counts):
@@ -704,7 +716,7 @@ def classify(system: SetSystem) -> Classification:
     # Maximum exactly when |F| = phi(d, m): such a family shatters every set
     # of at most d points (Pajor's lemma) and each restriction is maximum
     # (Welzl 1987), so every k-subset carries phi(d, k) traces.
-    is_maximum = len(ints) == phi_bound(d, m)
+    is_maximum = len(system.members) == phi_bound(d, m)
     if is_maximum:
         is_maximal = True
     else:
@@ -722,18 +734,6 @@ def classify(system: SetSystem) -> Classification:
     return Classification(d, is_maximum, is_maximal, profile)
 
 
-def _label_on(ints, indices) -> Label | None:
-    """The one trace missing on the given ground points, or None."""
-    a = sum(1 << j for j in indices)
-    present = {v & a for v in ints}
-    if len(present) != (1 << len(indices)) - 1:
-        return None
-    missing = a  # the submasks of a, from the largest down, until one is absent
-    while missing in present:
-        missing = (missing - 1) & a
-    return tuple((missing >> j) & 1 for j in indices)
-
-
 def forbidden_label(system: SetSystem, region: Mask) -> Label:
     """The unique missing trace pattern on ``region``, as a bit string.
 
@@ -741,15 +741,17 @@ def forbidden_label(system: SetSystem, region: Mask) -> Label:
     exactly when the trace on the region misses a single pattern.
     """
     _check_mask(region, system.ground_size)
-    indices = mask_indices(region)
-    label = _label_on(system.member_ints, indices)
-    if label is None:
-        a = _mask_int(region)
+    a = _mask_int(region)
+    present = {v & a for v in system.member_ints}
+    expected = (1 << a.bit_count()) - 1
+    if len(present) != expected:
         raise NotLocallyMaximumError(
-            f"trace on the region has {len({v & a for v in system.member_ints})} "
-            f"patterns, expected {(1 << len(indices)) - 1}"
+            f"trace on the region has {len(present)} patterns, expected {expected}"
         )
-    return label
+    missing = a  # the submasks of a, from the largest down, until one is absent
+    while missing in present:
+        missing = (missing - 1) & a
+    return tuple(missing >> j & 1 for j in mask_indices(region))
 
 
 def forbidden_labels(
@@ -767,8 +769,11 @@ def forbidden_labels(
     misses one trace on each ``size``-subset, so its search reaches every
     such subset and reads the label off the one cell that does not split
     (see _shatters_some).  Every other family and size, and a family that
-    fails the test or is over its budget, is scanned afresh: the traces of
-    all members on each subset.
+    fails the test or is over its budget, takes classify's fold path once
+    (see _fold): a subset's label is decoded from its folded int when the
+    fold kept it as one trace short (see _missing_trace), and is None
+    otherwise.  So above CLASSIFY_GROUND_CAP only the search answers, and a
+    family it does not settle raises SizeGuardError.
     """
     _check_size(size, "subset size")
     m, count = system.ground_size, len(system.members)
@@ -776,8 +781,13 @@ def forbidden_labels(
     if _sauer_floor(count, m) == (size - 1, count):
         if _maximum_dimension(system, labels) is not None:
             return labels
-    ints = system.member_ints
-    return {combo: _label_on(ints, combo) for combo in labels}
+    _, low, _, shorts = _fold(system)
+    labels = dict.fromkeys(labels)  # afresh: a failed search writes some labels
+    for combo in labels:
+        b = sum(1 << j for j in combo)
+        if b in shorts:
+            labels[combo] = tuple(bit for _, bit in _missing_trace(b, shorts[b], m, low))
+    return labels
 
 
 def alternation_number(mask: Mask) -> int:

@@ -666,12 +666,18 @@ def test_forbidden_labels_rejects_a_negative_size():
         forbidden_labels(SetSystem.power_set(3), -1)
 
 
-@given(st.one_of(small_systems(), maximum_systems(), swapped_systems()), st.data())
+_empty_systems = st.integers(0, 6).map(lambda m: SetSystem(m, ()))
+
+
+@given(
+    st.one_of(small_systems(), maximum_systems(), swapped_systems(), _empty_systems),
+    st.data(),
+)
 def test_forbidden_labels_match_oracle(sys_, data):
     m = sys_.ground_size
     # Half the draws take the one size the maximum test is asked about.
     d, _ = setsystem._sauer_floor(len(sys_.members), m)
-    k = data.draw(st.one_of(st.just(d + 1), st.integers(0, m)))
+    k = data.draw(st.one_of(st.just(d + 1), st.integers(0, m + 1)))
     got = forbidden_labels(sys_, k)
     assert list(got) == list(itertools.combinations(range(m), k))
     for combo, label in got.items():
@@ -706,16 +712,16 @@ def _maximum_cases():
 
 
 @pytest.fixture
-def scans(monkeypatch):
-    """The arguments of every _label_on call, as the test runs."""
+def folds(monkeypatch):
+    """The arguments of every _trace_counts call, as the test runs."""
     calls = []
-    scan = setsystem._label_on
+    fold = setsystem._trace_counts
 
-    def counted_scan(*args):
+    def counted_fold(*args):
         calls.append(args)
-        return scan(*args)
+        return fold(*args)
 
-    monkeypatch.setattr(setsystem, "_label_on", counted_scan)
+    monkeypatch.setattr(setsystem, "_trace_counts", counted_fold)
     return calls
 
 
@@ -733,13 +739,13 @@ def recorded(monkeypatch):
     return calls
 
 
-def test_forbidden_labels_read_off_the_search_match_oracle(scans):
+def test_forbidden_labels_read_off_the_search_match_oracle(folds):
     walked = varied = 0
     for sys_, eta, order, flip in _maximum_cases():
         m, size = sys_.ground_size, len(eta)
         if size > m:
             continue
-        scans.clear()
+        folds.clear()
         got = forbidden_labels(sys_, size)
         combos = list(itertools.combinations(range(m), size))
         expected = {combo: _moved_label(eta, combo, order, flip) for combo in combos}
@@ -748,7 +754,7 @@ def test_forbidden_labels_read_off_the_search_match_oracle(scans):
         for combo in checked:
             assert got[combo] == bf.forbidden(sys_.members, combo)
         if setsystem._maximum_dimension(sys_) == size - 1:
-            assert not scans, "a search-settled family was scanned"
+            assert not folds, "a search-settled family was folded"
             walked += 1
             varied += len(set(got.values())) > 1
     # Every avoidance case (1,096) walks, and the 40 bounded-size families
@@ -757,7 +763,7 @@ def test_forbidden_labels_read_off_the_search_match_oracle(scans):
     assert varied > 400
 
 
-def test_forbidden_labels_scans_what_the_search_does_not_settle(recorded, scans):
+def test_forbidden_labels_scans_what_the_search_does_not_settle(recorded, folds, fastest):
     cases = [
         (SetSystem(3, ()), range(5)),
         (SetSystem(0, ()), [0, 1]),
@@ -770,21 +776,38 @@ def test_forbidden_labels_scans_what_the_search_does_not_settle(recorded, scans)
         m = sys_.ground_size
         for size in sizes:
             recorded.clear()
+            folds.clear()
             got = forbidden_labels(sys_, size)
             assert all(labels is None for labels in recorded)
+            # The power set at size m + 1 is settled before any search.
+            settled = setsystem._maximum_dimension(sys_) == size - 1
+            assert len(folds) == (not settled)
             combos = list(itertools.combinations(range(m), size))
             assert list(got) == combos
             for combo in combos:
                 assert got[combo] == bf.forbidden(sys_.members, combo)
-    # phi(1, 3) members that shatter {0, 1}: the search with the dict fails,
-    # and the scan answers every subset afresh.
+    # phi(1, 3) members that shatter {0, 1}: the search with the dict fails
+    # after writing a label, and the fold answers every subset afresh.
     sys_ = system(3, set(), {0}, {1}, {0, 1})
-    scans.clear()
+    recorded.clear()
+    folds.clear()
     got = forbidden_labels(sys_, 2)
+    assert len(folds) == 1
+    assert got is not recorded[0] and recorded[0][(1, 2)] is not None
     combos = list(itertools.combinations(range(3), 2))
-    assert [indices for _, indices in scans] == combos
     assert got == {combo: bf.forbidden(sys_.members, combo) for combo in combos}
     assert got == {(0, 1): None, (0, 2): None, (1, 2): None}
+    # Above the classify cap a family the search does not settle is refused
+    # before any fold, and at the cap the fold answers a maximum family over
+    # the search budget at once.
+    full = avoid_family(17, (1, 0, 1, 0))
+    folds.clear()
+    with pytest.raises(SizeGuardError, match="^classification on ground 17 exceeds cap 16$"):
+        forbidden_labels(SetSystem(17, full.members[1:]), 4)
+    assert folds == []
+    bounded = SetSystem.size_at_most(14, 7)
+    assert set(forbidden_labels(bounded, 8).values()) == {(1,) * 8}
+    assert fastest(lambda: forbidden_labels(bounded, 8)) < 0.5
 
 
 def test_forbidden_labels_ask_the_maximum_test_once(recorded, tmp_path, capsys):
@@ -806,17 +829,17 @@ def test_forbidden_labels_ask_the_maximum_test_once(recorded, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_forbidden_labels_of_a_settled_family_scan_nothing(scans):
+def test_forbidden_labels_of_a_settled_family_scan_nothing(folds):
     eta = (1, 0, 1, 0, 1)
     got = forbidden_labels(avoid_family(20, eta), 5)
-    assert scans == []
+    assert folds == []
     assert len(got) == math.comb(20, 5)
     assert set(got.values()) == {eta}
 
     full = avoid_family(14, (1, 0, 1, 0))
     less = SetSystem(14, full.members[:5] + full.members[6:])
     got = forbidden_labels(less, 4)
-    assert len(scans) == math.comb(14, 4)
+    assert len(folds) == 1
     combos = list(got)
     for combo in [combos[0], combos[-1], *random.Random(61).sample(combos, 10)]:
         assert got[combo] == bf.forbidden(less.members, combo)

@@ -141,6 +141,15 @@ def swapped_cases():
             yield f"avoid-{label}-g{m}-swap1", family_text(m, words), commands
 
 
+def sized_cases():
+    """(case id, file text, commands) of the families of at most m // 2 of m
+    points, m = 10..14: maximum, and over the shatter search's budget."""
+    commands = ("classify", "labels", "homogenize")
+    for m in range(10, 15):
+        words = (format(v, f"0{m}b") for v in range(2**m) if v.bit_count() <= m // 2)
+        yield f"size-at-most-g{m}-d{m // 2}", family_text(m, words), commands
+
+
 def cases():
     """(case id, argv, input file text or None), in sweep order."""
     for label in [*labels(6), LONG_LABEL]:
@@ -179,7 +188,9 @@ def cases():
     for label, ground in [*sauer_grounds, ("10", 1 << 20)]:
         argv = ["verify", "sauer", "--label", label, "--ground", str(ground), "--report", "report"]
         yield f"sauer:{label}:g{ground}", argv, None
-    for name, text, commands in itertools.chain(large_family_cases(), swapped_cases()):
+    for name, text, commands in itertools.chain(
+        large_family_cases(), swapped_cases(), sized_cases()
+    ):
         for command in commands:
             yield f"{command}:{name}", [command, "--in", "family.txt"], text
 
