@@ -263,17 +263,10 @@ def main(argv=None) -> int:
         # The reader closed stdout; let the flush at shutdown go to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return 2
-    except SizeGuardError as exc:
-        print(f"error: size guard: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: file: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError) as exc:
+        kinds = (UsageError, "usage: "), (SizeGuardError, "size guard: "), (OSError, "file: ")
+        prefix = next((text for kind, text in kinds if isinstance(exc, kind)), "")
+        print(f"error: {prefix}{exc}", file=sys.stderr)
         return 2
 
 

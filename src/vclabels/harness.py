@@ -16,8 +16,8 @@ from .setsystem import (
     Label,
     Mask,
     SetSystem,
-    SizeGuardError,
     _automaton_family,
+    _check_cap,
     _check_size,
     _count_words,
     _first_disagreement,
@@ -200,10 +200,8 @@ def build_ict_tensor(depth: int, columns: int) -> IctTensor:
     """
     _check_size(depth, "depth")
     _check_size(columns, "column count")
-    if depth > ICT_DEPTH_CAP:
-        raise SizeGuardError(f"depth {depth} exceeds cap {ICT_DEPTH_CAP}")
-    if columns > ICT_COLUMN_CAP:
-        raise SizeGuardError(f"column count {columns} exceeds cap {ICT_COLUMN_CAP}")
+    _check_cap(depth, ICT_DEPTH_CAP, "depth {}")
+    _check_cap(columns, ICT_COLUMN_CAP, "column count {}")
     witnesses = tuple(
         IctWitness(path, _on_path(path, columns))
         for path in itertools.product(range(columns), repeat=depth)

@@ -22,7 +22,7 @@ from .orderformula import (
     Or,
     Top,
 )
-from .setsystem import Label, Mask, SizeGuardError, _Value, _check_size
+from .setsystem import Label, Mask, _Value, _check_cap, _check_size
 
 
 class MalformedExpressionError(ValueError):
@@ -126,10 +126,7 @@ def compile_label(eta: Label) -> FormulaAst:
     LABEL_LENGTH_CAP raise SizeGuardError.
     """
     eta = as_label(eta)
-    if len(eta) > LABEL_LENGTH_CAP:
-        raise SizeGuardError(
-            f"label of {len(eta)} bits exceeds cap {LABEL_LENGTH_CAP}"
-        )
+    _check_cap(len(eta), LABEL_LENGTH_CAP, "label of {} bits")
     ast: FormulaAst = Top() if eta[0] == 0 else Bottom()
     for k, (before, bit) in enumerate(zip(eta, eta[1:]), start=1):
         if before == 0:

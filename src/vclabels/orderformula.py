@@ -19,6 +19,7 @@ from .setsystem import (
     SetSystem,
     SizeGuardError,
     _automaton_family,
+    _check_cap,
     _first_disagreement,
     _Value,
 )
@@ -238,7 +239,7 @@ class _Parser:
         return token
 
     def parse(self) -> FormulaAst:
-        node, _ = self._disjunction()
+        node, _ = self._chain("or")
         kind, _, position = self.peek()
         if kind != "end":
             raise FormulaSyntaxError("unexpected trailing input", position)
@@ -252,21 +253,14 @@ class _Parser:
             )
         return depth
 
-    def _disjunction(self):
-        node, depth = self._conjunction()
-        while self.peek()[0] == "or":
+    def _chain(self, kind: str):
+        # "or" joins "and" chains and binds looser; "and" joins literals.
+        # The operand call is inline, so a nesting level costs 3 frames.
+        node, depth = self._chain("and") if kind == "or" else self._literal()
+        while self.peek()[0] == kind:
             position = self.take()[2]
-            right, right_depth = self._conjunction()
-            node = Or(node, right)
-            depth = self._level(max(depth, right_depth) + 1, position)
-        return node, depth
-
-    def _conjunction(self):
-        node, depth = self._literal()
-        while self.peek()[0] == "and":
-            position = self.take()[2]
-            right, right_depth = self._literal()
-            node = And(node, right)
+            right, right_depth = self._chain("and") if kind == "or" else self._literal()
+            node = Or(node, right) if kind == "or" else And(node, right)
             depth = self._level(max(depth, right_depth) + 1, position)
         return node, depth
 
@@ -280,7 +274,7 @@ class _Parser:
             child, depth = self._literal()
             node = Not(child)
         else:
-            node, depth = self._disjunction()
+            node, depth = self._chain("or")
             kind, _, closing = self.take()
             if kind != "rparen":
                 raise FormulaSyntaxError("expected ')'", closing)
@@ -429,8 +423,7 @@ def _cells(ast: FormulaAst, n: int | None) -> tuple[int, ...]:
         raise ValueError(f"declared arity must be an int, got {n!r}")
     if n is not None and n < arity:
         raise ValueError(f"declared arity {n} is below the formula arity {arity}")
-    if arity > LABEL_LENGTH_CAP:
-        raise SizeGuardError(f"formula arity {arity} exceeds cap {LABEL_LENGTH_CAP}")
+    _check_cap(arity, LABEL_LENGTH_CAP, "formula arity {}")
     params = range(1, 2 * arity, 2)
     return tuple(1 if _eval(ast, c, params) else 0 for c in range(2 * arity + 1))
 

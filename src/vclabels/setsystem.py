@@ -72,6 +72,16 @@ def _check_size(value, name: str) -> None:
         raise ValueError(f"{name} must be nonnegative")
 
 
+def _check_cap(value: int, cap: int, what: str) -> None:
+    """Raise SizeGuardError when ``value`` exceeds ``cap``.
+
+    ``what`` is a template with one field for the value, such as
+    ``"depth {}"``; it is formatted only for the message.
+    """
+    if value > cap:
+        raise SizeGuardError(f"{what.format(value)} exceeds cap {cap}")
+
+
 def _check_mask(mask: Mask, ground_size: int) -> None:
     _check_size(ground_size, "ground size")
     if len(mask) != ground_size:
@@ -293,10 +303,7 @@ def _automaton_family(ground_size: int, start, step) -> SetSystem:
     SizeGuardError, before any step.
     """
     _check_size(ground_size, "ground size")
-    if ground_size > ENUMERATION_GROUND_CAP:
-        raise SizeGuardError(
-            f"family on ground {ground_size} exceeds cap {ENUMERATION_GROUND_CAP}"
-        )
+    _check_cap(ground_size, ENUMERATION_GROUND_CAP, "family on ground {}")
     if not ground_size:
         return SetSystem(0, ((),))
     words: list[Mask] = []
@@ -560,10 +567,7 @@ def _fold(system: SetSystem) -> tuple[int, list[int], list[int], dict[int, int]]
     CLASSIFY_GROUND_CAP raises SizeGuardError before any fold.
     """
     m = system.ground_size
-    if m > CLASSIFY_GROUND_CAP:
-        raise SizeGuardError(
-            f"classification on ground {m} exceeds cap {CLASSIFY_GROUND_CAP}"
-        )
+    _check_cap(m, CLASSIFY_GROUND_CAP, "classification on ground {}")
     indicator = _indicator(system.member_ints, m)
     low = _low_halves(m)
     return indicator, low, *_trace_counts(indicator, m, low)
@@ -763,21 +767,25 @@ def forbidden_labels(
     None where the trace misses other than exactly one pattern.  A size
     that is not an int or is below 0 raises ValueError.
 
-    A family whose Sauer floor is size - 1 and that has phi(size - 1, m)
-    members is put to the maximum test (see _maximum_dimension) once, with
-    the dict: when it passes, the family shatters every smaller set and
-    misses one trace on each ``size``-subset, so its search reaches every
-    such subset and reads the label off the one cell that does not split
-    (see _shatters_some).  Every other family and size, and a family that
-    fails the test or is over its budget, takes classify's fold path once
-    (see _fold): a subset's label is decoded from its folded int when the
-    fold kept it as one trace short (see _missing_trace), and is None
-    otherwise.  So above CLASSIFY_GROUND_CAP only the search answers, and a
-    family it does not settle raises SizeGuardError.
+    A size above m has no subsets and returns the empty dict at once.
+    Otherwise a family whose Sauer floor is size - 1 and that has
+    phi(size - 1, m) members is put to the maximum test (see
+    _maximum_dimension) once, with the dict: when it passes, the family
+    shatters every smaller set and misses one trace on each
+    ``size``-subset, so its search reaches every such subset and reads
+    the label off the one cell that does not split (see _shatters_some).
+    Every other family and size, and a family that fails the test or is
+    over its budget, takes classify's fold path once (see _fold): a
+    subset's label is decoded from its folded int when the fold kept it
+    as one trace short (see _missing_trace), and is None otherwise.  So
+    above CLASSIFY_GROUND_CAP only the search answers, and a family it
+    does not settle raises SizeGuardError.
     """
     _check_size(size, "subset size")
     m, count = system.ground_size, len(system.members)
     labels = dict.fromkeys(itertools.combinations(range(m), size))
+    if not labels:
+        return labels
     if _sauer_floor(count, m) == (size - 1, count):
         if _maximum_dimension(system, labels) is not None:
             return labels

@@ -166,10 +166,25 @@ def test_parse_nesting_cap_is_exact():
     same_parity = "!" * ((FORMULA_DEPTH_CAP - 1) % 2) + "x<y1"
     assert label_of_formula(ast) == label_of_formula(parse_formula(same_parity))
     chain = " | ".join(["x=y1"] * FORMULA_DEPTH_CAP)
-    assert formula_arity(parse_formula(chain)) == 1
-    for deeper in ("!" + at_cap, f"({chain})", chain + " | x=y1"):
-        with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+    conjunction = " & ".join(["x=y1"] * FORMULA_DEPTH_CAP)
+    shorter = " & ".join(["x=y1"] * (FORMULA_DEPTH_CAP - 1))
+    for text in (chain, conjunction, "x=y1 | " + shorter):
+        assert formula_arity(parse_formula(text)) == 1
+    # The error is at the '!', '(' or connective that opens level 201.
+    over = conjunction + " & x=y1"
+    for deeper, position in [
+        ("!" + at_cap, 0),
+        (f"({chain})", 0),
+        (chain + " | x=y1", len(chain) + 1),
+        (over, len(conjunction) + 1),
+        # an '|' of '&' chains: over the cap inside the '&' level, or at the '|'
+        ("x=y1 | " + over, len(conjunction) + 8),
+        ("x=y1 | " + conjunction, 5),
+        (conjunction + " | x=y1", len(conjunction) + 1),
+    ]:
+        with pytest.raises(FormulaSyntaxError, match="nests deeper") as info:
             parse_formula(deeper)
+        assert info.value.position == position
 
 
 # --- formatting -----------------------------------------------------------

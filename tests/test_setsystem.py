@@ -771,6 +771,8 @@ def test_forbidden_labels_scans_what_the_search_does_not_settle(recorded, folds,
         (avoid_family(5, (1, 0, 1)), [0, 1, 2, 4, 5, 6]),
         (SetSystem.power_set(4), range(6)),
         (SetSystem.size_at_most(5, 2), [0, 6]),
+        # above the classify cap, a size with no subsets is answered unfolded
+        (SetSystem.from_index_sets(17, [[0], [1]]), [18]),
     ]
     for sys_, sizes in cases:
         m = sys_.ground_size
@@ -779,9 +781,9 @@ def test_forbidden_labels_scans_what_the_search_does_not_settle(recorded, folds,
             folds.clear()
             got = forbidden_labels(sys_, size)
             assert all(labels is None for labels in recorded)
-            # The power set at size m + 1 is settled before any search.
+            # A size above m has no subsets, so neither searches nor folds.
             settled = setsystem._maximum_dimension(sys_) == size - 1
-            assert len(folds) == (not settled)
+            assert len(folds) == (not settled and size <= m)
             combos = list(itertools.combinations(range(m), size))
             assert list(got) == combos
             for combo in combos:
@@ -1324,7 +1326,7 @@ import resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 from vclabels.harness import build_ict_tensor, verify_pair_xor, xor_pair_family
 from vclabels.labelcalc import avoid_family, extend_avoiding
-from vclabels.labelcompiler import realize_expr, to_interval_expr
+from vclabels.labelcompiler import compile_label, realize_expr, to_interval_expr
 from vclabels.orderformula import cof, label_of_formula, ordered_trace_family, parse_formula
 from vclabels.setsystem import (
     SetSystem, classify, forbidden_labels, mask_from_indices, phi_bound
@@ -1333,7 +1335,7 @@ start = time.perf_counter()
 try:
     eval(sys.argv[1])
 except ValueError as exc:
-    print(f"ValueError: {exc}")
+    print(f"{type(exc).__name__}: {exc}")
 else:
     print("returned")
 print(f"{time.perf_counter() - start:.3f}")
@@ -1362,6 +1364,18 @@ print(f"{time.perf_counter() - start:.3f}")
         ("cof(parse_formula('x<y1'), 1.5)", "declared arity", "1.5"),
         ("label_of_formula(parse_formula('x<y1'), 2.5)", "declared arity", "2.5"),
         ("cof(parse_formula('x<y1'), 'a')", "declared arity", "'a'"),
+        # One over each cap that _check_cap guards: the whole message, no value.
+        pytest.param("avoid_family(21, (1, 0))", "family on ground 21 exceeds cap 20", None,
+                     id="family-cap"),
+        pytest.param("classify(SetSystem.from_index_sets(17, [[0], [1]]))",
+                     "classification on ground 17 exceeds cap 16", None, id="classify-cap"),
+        pytest.param("label_of_formula(parse_formula('x<y129'))",
+                     "formula arity 129 exceeds cap 128", None, id="arity-cap"),
+        pytest.param("compile_label((1,) * 129)", "label of 129 bits exceeds cap 128", None,
+                     id="label-cap"),
+        pytest.param("build_ict_tensor(4, 2)", "depth 4 exceeds cap 3", None, id="depth-cap"),
+        pytest.param("build_ict_tensor(2, 5)", "column count 5 exceeds cap 4", None,
+                     id="column-cap"),
     ],
 )
 def test_a_size_that_is_not_an_int_raises_quickly(call, name, value):
@@ -1370,5 +1384,8 @@ def test_a_size_that_is_not_an_int_raises_quickly(call, name, value):
     )
     assert done.returncode == 0, done.stderr
     outcome, elapsed = done.stdout.splitlines()
-    assert outcome == f"ValueError: {name} must be an int, got {value}"
+    if value is None:
+        assert outcome == f"SizeGuardError: {name}"
+    else:
+        assert outcome == f"ValueError: {name} must be an int, got {value}"
     assert float(elapsed) < 1.0

@@ -150,6 +150,21 @@ def sized_cases():
         yield f"size-at-most-g{m}-d{m // 2}", family_text(m, words), commands
 
 
+def formula_error_cases():
+    """(name, formula text) at and over the parser's nesting cap of 200
+    levels, over the arity cap, and malformed."""
+    for count in (199, 200, 201):
+        yield f"and{count}", " & ".join(["x<y1"] * (count + 1))
+        yield f"or{count}", " | ".join(["x<y1"] * (count + 1))
+        yield f"not{count}", "!" * count + "x<y1"
+        yield f"paren{count}", "(" * count + "x<y1" + ")" * count
+    yield "arity129", "x<y129"
+    yield "double-relation", "x<<y1"
+    yield "trailing-and", "x<y1 &"
+    yield "unclosed", "(x<y1"
+    yield "unopened", "x<y1)"
+
+
 def cases():
     """(case id, argv, input file text or None), in sweep order."""
     for label in [*labels(6), LONG_LABEL]:
@@ -193,6 +208,11 @@ def cases():
     ):
         for command in commands:
             yield f"{command}:{name}", [command, "--in", "family.txt"], text
+    # error paths: one bit over the label cap, the formula caps and syntax, no file
+    yield "compile:129-bits", ["compile", "--label", LONG_LABEL + "1"], None
+    for name, text in formula_error_cases():
+        yield f"label:{name}", ["label", "--formula", text], None
+    yield "classify:missing-file", ["classify", "--in", "missing.txt"], None
 
 
 def digest(data: bytes | None) -> str:
