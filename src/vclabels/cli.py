@@ -10,24 +10,12 @@ import argparse
 import os
 import sys
 
-from .labelcalc import _avoid_step, avoid_family, format_label, parse_label
-from .setsystem import (
-    Classification,
-    SetSystem,
-    SizeGuardError,
-    _count_words,
-    classify,
-    forbidden_labels,
-    mask_indices,
-    phi_bound,
-)
-
 
 def _deferred(module: str, name: str):
     """A stand-in for ``module.name`` that imports the module when first called.
 
-    ``classify``, ``labels``, ``avoid`` and ``verify sauer`` then compile
-    none of the modules they do not run.  The stand-in carries the
+    Each subcommand then compiles only the modules it runs, and ``--help``
+    and usage errors compile none but this one.  The stand-in carries the
     function's names, so wrappers that read them see the real function.
     """
     qualified = f"{__package__}.{module}"
@@ -41,6 +29,16 @@ def _deferred(module: str, name: str):
     return stand_in
 
 
+_automaton_blocks = _deferred("setsystem", "_automaton_blocks")
+_count_words = _deferred("setsystem", "_count_words")
+_member_lines = _deferred("setsystem", "_member_lines")
+classify = _deferred("setsystem", "classify")
+forbidden_labels = _deferred("setsystem", "forbidden_labels")
+mask_indices = _deferred("setsystem", "mask_indices")
+phi_bound = _deferred("setsystem", "phi_bound")
+_avoid_step = _deferred("labelcalc", "_avoid_step")
+format_label = _deferred("labelcalc", "format_label")
+parse_label = _deferred("labelcalc", "parse_label")
 format_formula = _deferred("orderformula", "format_formula")
 label_of_formula = _deferred("orderformula", "label_of_formula")
 parse_formula = _deferred("orderformula", "parse_formula")
@@ -60,7 +58,9 @@ class UsageError(ValueError):
     pass
 
 
-def _load_system(path: str) -> SetSystem:
+def _load_system(path: str):
+    from .setsystem import SetSystem
+
     with open(path, "r", encoding="utf-8") as handle:
         return SetSystem.from_text(handle.read())
 
@@ -75,7 +75,7 @@ def _indices_text(mask) -> str:
 
 def _cmd_classify(args) -> int:
     system = _load_system(args.path)
-    result: Classification = classify(system)
+    result = classify(system)
     print(f"ground {system.ground_size}")
     print(f"members {len(system.members)}")
     print(f"vc_dimension {result.vc_dimension}")
@@ -143,9 +143,11 @@ def _cmd_homogenize(args) -> int:
 
 
 def _cmd_avoid(args) -> int:
-    eta = parse_label(args.label)
-    system = avoid_family(args.ground, eta)
-    sys.stdout.write(system.to_text())
+    # Written a block at a time: no family, line list or whole text is held.
+    blocks = _automaton_blocks(args.ground, 0, _avoid_step(parse_label(args.label)))
+    sys.stdout.write(f"ground {args.ground}\n")
+    for block in blocks:
+        sys.stdout.write(_member_lines(block))
     return 0
 
 
@@ -163,6 +165,8 @@ def _cmd_verify(args) -> int:
         inputs = {"label": args.label, "pairs": args.pairs}
         counts = {"family": report.family_size, "expected": report.expected_size}
     elif args.claim == "t2":
+        from .setsystem import SetSystem
+
         tensor = build_ict_tensor(args.depth, args.cols)
         verified = verify_ict(tensor)
         expected = SetSystem.size_exactly(args.cols, args.depth)
@@ -264,7 +268,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except (ValueError, RuntimeError, OSError) as exc:
-        kinds = (UsageError, "usage: "), (SizeGuardError, "size guard: "), (OSError, "file: ")
+        # Only a loaded setsystem can have raised its SizeGuardError.
+        guard = getattr(sys.modules.get(f"{__package__}.setsystem"), "SizeGuardError", ())
+        kinds = (UsageError, "usage: "), (guard, "size guard: "), (OSError, "file: ")
         prefix = next((text for kind, text in kinds if isinstance(exc, kind)), "")
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return 2

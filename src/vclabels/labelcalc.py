@@ -14,14 +14,19 @@ the matcher does not want next.
 
 from __future__ import annotations
 
+import itertools
+import operator
+
 from .setsystem import (
     GroundMismatchError,
     Label,
     Mask,
     SetSystem,
     _all_bits,
+    _automaton_blocks,
     _automaton_family,
     _check_mask,
+    phi_bound,
 )
 
 
@@ -129,8 +134,24 @@ def is_characterized_by(system: SetSystem, eta: Label) -> bool:
     coincide: the restriction of an avoidance family to any subset is the
     avoidance family of the smaller ground, so checking the full ground
     settles every finite restriction.
+
+    The avoidance family of a k-bit label on m points has phi(k - 1, m)
+    members (it is maximum of dimension k - 1), so a family of another
+    size is not it, and nothing is built.  A family of that size is
+    compared word by word with the kernel's blocks as they come, and the
+    comparison stops at the first difference.  The ground is guarded as in
+    avoid_family, before the count.  An object that is not a SetSystem is
+    compared with the built family by its own ``==``.
     """
-    return system == avoid_family(system.ground_size, as_label(eta))
+    m = system.ground_size
+    eta = as_label(eta)
+    if system.__class__ is not SetSystem:
+        return system == avoid_family(m, eta)
+    blocks = _automaton_blocks(m, 0, _avoid_step(eta))
+    if len(system.members) != phi_bound(len(eta) - 1, m):
+        return False
+    words = itertools.chain.from_iterable(blocks)
+    return all(itertools.starmap(operator.eq, itertools.zip_longest(system.members, words)))
 
 
 def complement_label(eta: Label) -> Label:

@@ -19,6 +19,10 @@ Label = tuple[int, ...]
 
 # Whole-family enumerations (power sets, avoidance scans) are 2^m.
 ENUMERATION_GROUND_CAP = 20
+# The automaton kernel hands out its words in blocks of about this many, so
+# a caller that writes them out holds one block at a time; the
+# constructor's fast check reads members in chunks of the same size.
+BLOCK_WORDS = 1024
 # Classification of a family that the maximum test does not settle folds a
 # 2^m-bit indicator once per subset of the ground, shrinking it as points
 # drop: 2^m folds moving about 2.4 * 3^m bits, whatever the family's size.
@@ -62,6 +66,31 @@ def _all_bits(entries) -> bool:
         return not bytes(entries).translate(None, b"\x00\x01")
     except (TypeError, ValueError):
         return False
+
+
+def _sorted_bit_tuples(members, ground_size: int) -> bool:
+    """True iff ``members`` are strictly increasing tuples of ``ground_size`` bits.
+
+    A bit is an int 0 or 1, a bool included.  Each check is a C-level pass
+    over a chunk of BLOCK_WORDS + 1 members, so the check holds one
+    chunk's bytes at a time; neighbouring chunks share a member, so every
+    two neighbours are compared.  ``bytes`` of a tuple fails on an entry
+    that is not an int in range(256), one join of a chunk's rows shows any
+    entry above 1, and on rows of one length the bytes order is the
+    tuples' lexicographic order.
+    """
+    if not (set(map(type, members)) <= {tuple} and set(map(len, members)) <= {ground_size}):
+        return False
+    for start in range(0, len(members) or 1, BLOCK_WORDS):
+        try:
+            rows = list(map(bytes, members[start : start + BLOCK_WORDS + 1]))
+        except (TypeError, ValueError):
+            return False
+        if b"".join(rows).translate(None, b"\x00\x01") or not all(
+            map(operator.lt, rows, itertools.islice(rows, 1, None))
+        ):
+            return False
+    return True
 
 
 def _check_size(value, name: str) -> None:
@@ -109,6 +138,15 @@ def mask_from_indices(ground_size: int, indices: Iterable[int]) -> Mask:
 def mask_indices(mask: Mask) -> tuple[int, ...]:
     """Element indices present in the mask, in increasing order."""
     return tuple(j for j, b in enumerate(mask) if b)
+
+
+def _member_lines(masks) -> str:
+    """The member lines of the set-system file format, one per mask.
+
+    Each line is the mask's bits as 0/1 characters and ends in a newline;
+    the empty mask is an empty line.
+    """
+    return b"\n".join([*map(bytes, masks), b""]).translate(_BIT_CHARS).decode()
 
 
 def _mask_int(mask: Mask) -> int:
@@ -191,14 +229,9 @@ class SetSystem(_Value):
     def __init__(self, ground_size: int, members: Iterable[Mask]):
         _check_size(ground_size, "ground size")
         members = tuple(members)
-        # One C-level pass per check; only a family that fails one is
-        # checked again mask by mask, for the first error in member order.
-        if not (
-            set(map(type, members)) <= {tuple}
-            and set(map(len, members)) <= {ground_size}
-            and _all_bits(itertools.chain.from_iterable(members))
-            and all(map(operator.lt, members, itertools.islice(members, 1, None)))
-        ):
+        # Only a family that fails the fast check is checked again mask by
+        # mask, for the first error in member order.
+        if not _sorted_bit_tuples(members, ground_size):
             for mask in members:
                 _check_mask(mask, ground_size)
             if list(members) != sorted(set(members)):
@@ -250,10 +283,10 @@ class SetSystem(_Value):
         return tuple(_mask_int(mask) for mask in self.members)
 
     def to_text(self) -> str:
-        """Serialize in the set-system file format."""
-        lines = [f"ground {self.ground_size}"]
-        lines.extend(bytes(mask).translate(_BIT_CHARS).decode() for mask in self.members)
-        return "\n".join(lines) + "\n"
+        """Serialize in the set-system file format, a block of lines at a time."""
+        members = self.members
+        blocks = (members[i : i + BLOCK_WORDS] for i in range(0, len(members), BLOCK_WORDS))
+        return f"ground {self.ground_size}\n" + "".join(map(_member_lines, blocks))
 
     @classmethod
     def from_text(cls, text: str) -> SetSystem:
@@ -289,8 +322,8 @@ class SetSystem(_Value):
         return cls.from_masks(ground_size, masks)
 
 
-def _automaton_family(ground_size: int, start, step) -> SetSystem:
-    """The family of length-``ground_size`` words a deterministic automaton accepts.
+def _automaton_blocks(ground_size: int, start, step):
+    """The length-``ground_size`` words a deterministic automaton accepts, in blocks.
 
     ``step(state, bit)`` gives the next state, or None to reject.  It must
     be a pure function of a hashable state and a bit: the walk calls it
@@ -298,40 +331,61 @@ def _automaton_family(ground_size: int, start, step) -> SetSystem:
     table.  The depth-first walk pops bit 0 before bit 1, so every
     accepted word comes out once and in lexicographic order; its stack
     holds at most one entry per level, and words end at the last level
-    without being pushed.  A ground that is not an int or is below 0
+    without being pushed.  The words come in lists, each but the last of
+    BLOCK_WORDS or BLOCK_WORDS + 1 words, and the walk goes on only when
+    the next list is asked for.  A ground that is not an int or is below 0
     raises ValueError, and one above ENUMERATION_GROUND_CAP raises
-    SizeGuardError, before any step.
+    SizeGuardError, on the call and before any step.
     """
     _check_size(ground_size, "ground size")
     _check_cap(ground_size, ENUMERATION_GROUND_CAP, "family on ground {}")
+    return _walk(ground_size, start, step)
+
+
+def _walk(ground_size: int, start, step):
+    """The generator of _automaton_blocks, which checks its arguments."""
     if not ground_size:
-        return SetSystem(0, ((),))
+        yield [()]
+        return
     words: list[Mask] = []
     moves = {}
     stack = [((), start)]
     last = ground_size - 1
     while stack:
         word, state = stack.pop()
-        if state not in moves:
-            moves[state] = step(state, 0), step(state, 1)
-        zero, one = moves[state]
+        try:
+            zero, one = moves[state]
+        except KeyError:
+            zero, one = moves[state] = step(state, 0), step(state, 1)
         if len(word) == last:
             if zero is not None:
                 words.append(word + (0,))
             if one is not None:
                 words.append(word + (1,))
+            if len(words) >= BLOCK_WORDS:
+                yield words
+                words = []
         else:
             if one is not None:
                 stack.append((word + (1,), one))
             if zero is not None:
                 stack.append((word + (0,), zero))
-    return SetSystem(ground_size, tuple(words))
+    if words:
+        yield words
+
+
+def _automaton_family(ground_size: int, start, step) -> SetSystem:
+    """The family of the words an automaton accepts (see _automaton_blocks)."""
+    words: list[Mask] = []
+    for block in _automaton_blocks(ground_size, start, step):
+        words += block
+    return SetSystem(ground_size, words)
 
 
 def _count_words(levels: int, start, step) -> list[int]:
     """Number of words of each length 0..``levels`` an automaton accepts.
 
-    The step follows the contract of _automaton_family.  Each level keeps
+    The step follows the contract of _automaton_blocks.  Each level keeps
     a map from state to the number of words that reach it, and builds no
     word.  Levels that are not an int or are below 0 raise ValueError; a
     walk that visits more than 2^ENUMERATION_GROUND_CAP (level, state)
@@ -361,7 +415,7 @@ def _count_words(levels: int, start, step) -> list[int]:
 def _first_disagreement(start_a, step_a, start_b, step_b, levels=None) -> Mask | None:
     """Least shortest word one automaton accepts and the other rejects, or None.
 
-    The steps follow the contract of _automaton_family.  A breadth-first
+    The steps follow the contract of _automaton_blocks.  A breadth-first
     walk over the reachable state pairs reads bit 0 before bit 1, so it
     meets the words of each length in lexicographic order; a pair already
     reached by an earlier word is not walked again, since every word on

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -8,6 +9,7 @@ import time
 import pytest
 
 import bruteforce as bf
+from vclabels import setsystem
 from vclabels.cli import main
 from vclabels.harness import IctTensor, IctWitness, build_ict_tensor
 from vclabels.labelcalc import avoid_family
@@ -71,6 +73,100 @@ def test_avoid_on_ground_zero_round_trips_through_classify(capsys, tmp_path):
     assert run_cli(capsys, "labels", "--in", str(path)) == (
         0, "dimension 0\nconstant vacuous\n", ""
     )
+
+
+def _family_text(m, words):
+    return f"ground {m}\n" + "".join("".join(map(str, word)) + "\n" for word in words)
+
+
+def test_avoid_prints_the_family_text(capsys):
+    for length in range(1, 6):
+        for eta in itertools.product((0, 1), repeat=length):
+            label = "".join(map(str, eta))
+            for m in range(13):
+                text = avoid_family(m, eta).to_text()
+                if m <= 8:
+                    assert text == _family_text(m, sorted(bf.avoid_members(m, eta)))
+                argv = ["avoid", "--label", label, "--ground", str(m)]
+                assert run_cli(capsys, *argv) == (0, text, "")
+
+
+@pytest.mark.parametrize(
+    "label, ground", [("1010", 20), ("10101", 16), ("110100", 18), ("1" * 13, 12)]
+)
+def test_avoid_writes_the_header_and_then_one_string_per_block(monkeypatch, label, ground):
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["avoid", "--label", label, "--ground", str(ground)]) == 0
+    family = avoid_family(ground, tuple(map(int, label)))
+    assert "".join(writes) == family.to_text()
+    assert SetSystem.from_text("".join(writes)) == family
+    assert writes[0] == f"ground {ground}\n"
+    lines = [text.count("\n") for text in writes[1:]]
+    full = setsystem.BLOCK_WORDS
+    assert len(lines) >= 2
+    assert all(count in (full, full + 1) for count in lines[:-1])
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--ground", "21"], "error: size guard: family on ground 21 exceeds cap 20\n"),
+        (["--ground", "-1"], "error: ground size must be nonnegative\n"),
+        (
+            ["--ground", "4", "--label", "1a"],
+            "error: a label literal is a nonempty string over 0/1, got '1a'\n",
+        ),
+    ],
+    ids=["ground-21", "ground-minus-1", "bad-label"],
+)
+def test_avoid_prints_nothing_on_an_error(capsys, argv, err):
+    # The checks run before the header is written.
+    assert run_cli(capsys, "avoid", "--label", "101", *argv) == (2, "", err)
+
+
+def test_avoid_exits_quietly_when_the_reader_closes_after_the_first_block():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vclabels", "avoid", "--label", "1" * 21, "--ground", "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = _family_text(20, itertools.islice(itertools.product((0, 1), repeat=20), 1024))
+    try:
+        assert proc.stdout.read(len(first)) == first.encode()
+    finally:
+        proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (2, b"")
+
+
+# Runs the command in its arguments and prints its exit status and peak
+# RSS.  A child forked from the test process would count that process's
+# memory in its peak.
+PEAK_RSS = """
+import resource, subprocess, sys
+status = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode
+print(status, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_avoid_of_a_million_lines_holds_no_family():
+    # Building the family, its lines and the whole text peaks near 360 MB.
+    argv = ["-m", "vclabels", "avoid", "--label", "1" * 21, "--ground", "20"]
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, sys.executable, *argv],
+        capture_output=True, text=True, check=True,
+    )
+    status, peak_kb = map(int, done.stdout.split())
+    assert status == 0
+    assert peak_kb < 48 * 1024
 
 
 def test_labels_names_subsets_that_are_not_locally_maximum(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce as bf
+from vclabels import labelcalc
 from vclabels.harness import verify_pair_xor
 from vclabels.labelcalc import (
     PreconditionViolatedError,
@@ -124,9 +125,10 @@ def test_avoid_family_size_guard():
 
 
 def test_counting_law_small():
-    for eta_len in range(1, 5):
+    # is_characterized_by answers False from this count alone.
+    for eta_len in range(1, 7):
         for eta in itertools.product((0, 1), repeat=eta_len):
-            for m in range(7):
+            for m in range(13):
                 assert len(avoid_family(m, eta).members) == phi_bound(eta_len - 1, m)
 
 
@@ -171,6 +173,90 @@ def test_is_characterized_by_examples():
     assert is_characterized_by(SetSystem.size_at_most(5, 2), (1, 1, 1))
     mixed = SetSystem.from_index_sets(3, [set(), {0}, {0, 1}, {2}])
     assert not is_characterized_by(mixed, (1, 1))
+
+
+def _built_and_compared(system, eta):
+    """is_characterized_by by its definition: build the family, compare."""
+    return system == avoid_family(system.ground_size, as_label(eta))
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and text are compared
+        return type(exc), str(exc)
+
+
+def test_is_characterized_by_matches_building_the_family():
+    short = list(itertools.chain.from_iterable(
+        itertools.product((0, 1), repeat=n) for n in range(1, 5)
+    ))
+    rng = random.Random(23)
+    for m in range(8):
+        for family_label in short:
+            members = list(avoid_family(m, family_label).members)
+            absent = sorted(set(itertools.product((0, 1), repeat=m)) - set(members))
+            variants = [members, members[1:]]
+            if absent:  # same size, one member swapped for an absent set
+                swapped = members[:]
+                swapped[rng.randrange(len(swapped))] = rng.choice(absent)
+                variants.append(swapped)
+            for masks in variants:
+                family = SetSystem.from_masks(m, masks)
+                for eta in short:
+                    expected = _built_and_compared(family, eta)
+                    assert is_characterized_by(family, eta) is expected
+
+
+class _Grounded:
+    ground_size = 3
+
+
+class _EqualToAll:
+    ground_size = 3
+
+    def __eq__(self, other):
+        return True
+
+
+@pytest.mark.parametrize(
+    "system, eta",
+    [
+        ([], (1, 0)),
+        ([], "x"),
+        (_Grounded(), (1, 0)),
+        (_EqualToAll(), (1, 0)),
+        (_EqualToAll(), (2,)),
+        (SetSystem(21, ()), (1, 0)),
+        (SetSystem(21, ()), ()),
+        (SetSystem(2, ()), (1, 2)),
+        (SetSystem(2, ()), 5),
+        (SetSystem(2, ((0, 0),)), [1, 1]),
+        (SetSystem(0, ((),)), (True,)),
+    ],
+)
+def test_is_characterized_by_keeps_its_answers_and_errors(system, eta):
+    # Ground and label errors come in the same order; above the ground cap
+    # the size guard answers before the count.
+    assert _outcome(is_characterized_by, system, eta) == _outcome(
+        _built_and_compared, system, eta
+    )
+
+
+def test_is_characterized_by_builds_no_family(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a family")
+
+    family = avoid_family(12, (1, 0, 1, 0))
+    one_less = SetSystem(12, family.members[1:])
+    monkeypatch.setattr(labelcalc, "avoid_family", refuse)
+    monkeypatch.setattr(labelcalc, "_automaton_family", refuse)
+    monkeypatch.setattr(SetSystem, "__init__", refuse)
+    assert is_characterized_by(family, (1, 0, 1, 0))
+    assert not is_characterized_by(family, (0, 1, 0, 1))
+    # A family of another size is answered before any step.
+    monkeypatch.setattr(labelcalc, "_avoid_step", lambda eta: refuse)
+    assert not is_characterized_by(one_less, (1, 0, 1, 0))
 
 
 def test_complement_label_examples():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import subprocess
 import sys
@@ -1071,6 +1072,96 @@ def test_constructor_rejects_malformed_members(members):
     assert _outcome(SetSystem, 2, members) == expected
 
 
+def _entry_checks(ground_size, members):
+    """The constructor's checks with one pass over all entries and tuple order.
+
+    The reference for the checks on each member's bytes.
+    """
+    members = tuple(members)
+    if not (
+        set(map(type, members)) <= {tuple}
+        and set(map(len, members)) <= {ground_size}
+        and setsystem._all_bits(itertools.chain.from_iterable(members))
+        and all(map(operator.lt, members, itertools.islice(members, 1, None)))
+    ):
+        for mask in members:
+            setsystem._check_mask(mask, ground_size)
+        if list(members) != sorted(set(members)):
+            raise ValueError(
+                "members must be deduplicated and lexicographically sorted; "
+                "use SetSystem.from_masks"
+            )
+
+
+class _Bit:
+    """An entry that is not an int but has an index."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+class _SubInt(int):
+    pass
+
+
+_B = setsystem.BLOCK_WORDS
+_P = list(SetSystem.power_set(11).members)  # 2,048 members: two chunks that share one
+
+
+_ENTRY_CASES = {
+    "bools": (2, [(False, True), (True, False)]),
+    "bool-beside-int": (2, [(0, 1), (True, 0)]),
+    "two": (2, [(0, 2)]),
+    "minus-one": (2, [(0, -1)]),
+    "256": (2, [(0, 256)]),
+    "float-zero": (2, [(0, 0.0)]),
+    "float-one": (2, [(1.0, 0)]),
+    "float-in-second-member": (2, [(0, 0), (0, 1.0)]),
+    "index-class": (2, [(_Bit(0), _Bit(1))]),
+    "index-class-two": (2, [(_Bit(2), _Bit(1))]),
+    "int-subclass": (2, [(_SubInt(0), _SubInt(1)), (_SubInt(1), _SubInt(0))]),
+    "list-mask": (2, [[0, 1]]),
+    "list-second-mask": (2, [(0, 0), [0, 1]]),
+    "short-mask": (2, [(0, 1), (1,)]),
+    "long-mask": (2, [(0, 1, 0)]),
+    "duplicates": (2, [(0, 1), (0, 1)]),
+    "unsorted": (2, [(1, 0), (0, 1)]),
+    "ground-0-duplicates": (0, [(), ()]),
+    "ground-0": (0, [()]),
+    "empty": (3, []),
+    # Families of more than one chunk of the check, and edits at its seams.
+    "chunks": (11, _P),
+    "one-chunk-and-one": (11, _P[: _B + 1]),
+    "one-chunk-and-two": (11, _P[: _B + 2]),
+    "last-duplicated": (11, _P[:-1] + [_P[-2]]),
+    "swap-before-seam": (11, _P[: _B - 1] + [_P[_B], _P[_B - 1]] + _P[_B + 1 :]),
+    "swap-after-seam": (11, _P[:_B] + [_P[_B + 1], _P[_B]] + _P[_B + 2 :]),
+    "duplicate-at-seam": (11, _P[:_B] + [_P[_B - 1]] + _P[_B + 1 :]),
+    "two-in-last": (11, _P[:-1] + [(1,) * 10 + (2,)]),
+    "short-last": (11, _P[:-1] + [(1,) * 10]),
+    "float-in-second-chunk": (11, _P[: _B + 1] + [(1,) * 10 + (0.0,)] + _P[_B + 2 :]),
+}
+
+
+@pytest.mark.parametrize("m, members", _ENTRY_CASES.values(), ids=_ENTRY_CASES)
+def test_constructor_checks_match_the_entry_checks(m, members):
+    expected = _outcome(_entry_checks, m, members)
+    assert _outcome(SetSystem, m, members) == expected
+    assert _outcome(SetSystem, m, iter(members)) == expected
+
+
+def test_index_entries_are_ordered_by_their_bits():
+    # Entries that have an index but no order compare as their bits, where
+    # comparing the tuples raised TypeError.
+    members = [(0, 0), (_Bit(1), _Bit(1))]
+    with pytest.raises(TypeError, match="'<' not supported"):
+        _entry_checks(2, members)
+    assert SetSystem(2, members).members == tuple(members)
+
+
 # --- automaton kernel ----------------------------------------------------
 
 
@@ -1103,6 +1194,34 @@ def test_automaton_family_matches_recursive_walk(table, m):
     family = setsystem._automaton_family(m, 0, step)
     assert family.members == tuple(bf.automaton_words(m, 0, step))
     assert setsystem._count_words(m, 0, step) == _word_counts(m, 0, step)
+
+
+@pytest.mark.parametrize(
+    "m, eta", [(0, (1,)), (1, (0,)), (9, (1, 0)), (12, (1,) * 13), (16, (1, 0, 1, 0, 1, 0))]
+)
+def test_kernel_blocks_hold_the_words_in_order(m, eta):
+    step = labelcalc._avoid_step(eta)
+    blocks = list(setsystem._automaton_blocks(m, 0, step))
+    assert [word for block in blocks for word in block] == bf.automaton_words(m, 0, step)
+    full = setsystem.BLOCK_WORDS
+    assert all(len(block) in (full, full + 1) for block in blocks[:-1])
+    assert 0 < len(blocks[-1]) <= full + 1
+
+
+def test_kernel_blocks_walk_only_as_far_as_asked():
+    calls = []
+
+    def prefix(state, bit):  # each node its own state
+        calls.append(state)
+        return 2 * state + bit
+
+    blocks = setsystem._automaton_blocks(12, 1, prefix)
+    assert not calls
+    assert len(next(blocks)) == setsystem.BLOCK_WORDS
+    assert len(calls) < 2**12 - 1  # about a quarter of the walk's steps
+    assert sum(map(len, blocks)) == 3 * setsystem.BLOCK_WORDS
+    assert len(calls) == 2 * (2**12 - 1)
+    assert list(setsystem._automaton_blocks(3, 0, lambda state, bit: None)) == []
 
 
 @given(move_tables(), st.integers(0, 10))
@@ -1281,6 +1400,10 @@ def test_the_kernel_guards_the_ground_before_any_step():
         setsystem._automaton_family(-1, 0, refuse)
     with pytest.raises(SizeGuardError, match="^family on ground 21 exceeds cap 20$"):
         setsystem._automaton_family(21, 0, refuse)
+    # The blocks' guard runs on the call, before any block is asked for.
+    for ground, error in ((-1, ValueError), (21, SizeGuardError), (1.5, ValueError)):
+        with pytest.raises(error):
+            setsystem._automaton_blocks(ground, 0, refuse)
     # No 22-subset of 21 points exists, yet the ground guard answers first.
     with pytest.raises(SizeGuardError, match="^family on ground 21 exceeds cap 20$"):
         SetSystem.size_exactly(21, 22)

@@ -44,13 +44,13 @@ EXPORTS = {
 PUBLIC = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
 
 
-def _loaded(argv, cwd):
+def _loaded(argv, cwd, status=0):
     """The ``vclabels`` modules a fresh interpreter imports to run ``argv``."""
     done = subprocess.run(
         [sys.executable, "-X", "importtime", *argv],
         capture_output=True, text=True, cwd=cwd,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == status, done.stderr
     imported = (
         line.rsplit("|", 1)[1].strip()
         for line in done.stderr.splitlines()
@@ -59,7 +59,9 @@ def _loaded(argv, cwd):
     return {name for name in imported if name.split(".")[0] == "vclabels"}
 
 
-CLI = {"vclabels", "vclabels.cli", "vclabels.setsystem", "vclabels.labelcalc"}
+CLI_ONLY = {"vclabels", "vclabels.cli"}  # --help and usage errors
+FAMILIES = CLI_ONLY | {"vclabels.setsystem"}  # classify prints no label
+CLI = FAMILIES | {"vclabels.labelcalc"}
 FORMULA = CLI | {"vclabels.orderformula"}
 COMPILER = FORMULA | {"vclabels.labelcompiler"}
 EVERYTHING = COMPILER | {"vclabels.harness"}
@@ -74,8 +76,8 @@ def _cli(*argv):
     "argv, expected",
     [
         pytest.param(["-c", "import vclabels"], {"vclabels"}, id="import"),
-        pytest.param(_cli("--help"), CLI, id="help"),
-        pytest.param(_cli("classify", "--in", "family.txt"), CLI, id="classify"),
+        pytest.param(_cli("--help"), CLI_ONLY, id="help"),
+        pytest.param(_cli("classify", "--in", "family.txt"), FAMILIES, id="classify"),
         pytest.param(_cli("labels", "--in", "family.txt"), CLI, id="labels"),
         pytest.param(_cli("avoid", "--label", "101", "--ground", "4"), CLI, id="avoid"),
         pytest.param(
@@ -97,6 +99,15 @@ def test_a_process_loads_only_the_modules_it_runs(tmp_path, argv, expected):
     # so an eager import adds its compile time to every process.
     (tmp_path / "family.txt").write_text(avoid_family(4, (1, 0, 1)).to_text())
     assert _loaded(argv, tmp_path) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [_cli("verify", "sauer"), _cli("avoid", "--ground", "4"), _cli("nosuch")],
+    ids=["missing-label", "missing-option", "no-such-command"],
+)
+def test_a_usage_error_loads_only_the_cli(tmp_path, argv):
+    assert _loaded(argv, tmp_path, status=2) == CLI_ONLY
 
 
 def test_public_names_are_unchanged():
@@ -140,8 +151,9 @@ def test_cli_stand_ins_name_real_functions():
             assert real.__name__ == value.__name__ == name
             if real is not value:
                 stand_ins.add((module, name))
-    assert len(stand_ins) == 13
+    assert len(stand_ins) == 23
     assert {module for module, _ in stand_ins} == {
-        "vclabels.orderformula", "vclabels.labelcompiler", "vclabels.harness"
+        "vclabels.setsystem", "vclabels.labelcalc", "vclabels.orderformula",
+        "vclabels.labelcompiler", "vclabels.harness",
     }
     assert vclabels.cli.format_expr(vclabels.cli.to_interval_expr((1, 0, 1))) == "(a,b)"

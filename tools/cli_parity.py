@@ -150,6 +150,19 @@ def sized_cases():
         yield f"size-at-most-g{m}-d{m // 2}", family_text(m, words), commands
 
 
+def stream_labels():
+    """Labels of 5 to 8 bits whose avoidance families at grounds 16 to 20
+    fill several of the kernel's blocks: for each length both alternations,
+    both constants and two more from a fixed seed."""
+    rng = random.Random(2301)
+    for length in range(5, 9):
+        fixed = [("10" * length)[:length], ("01" * length)[:length], "1" * length, "0" * length]
+        others = [label for label in map("".join, itertools.product("01", repeat=length))
+                  if label not in fixed]
+        yield from fixed
+        yield from rng.sample(others, 2)
+
+
 def formula_error_cases():
     """(name, formula text) at and over the parser's nesting cap of 200
     levels, over the arity cap, and malformed."""
@@ -203,6 +216,11 @@ def cases():
     for label, ground in [*sauer_grounds, ("10", 1 << 20)]:
         argv = ["verify", "sauer", "--label", label, "--ground", str(ground), "--report", "report"]
         yield f"sauer:{label}:g{ground}", argv, None
+    # avoid over many blocks, up to the 2^20 lines of a 21-bit label
+    for label in stream_labels():
+        for ground in (16, 18, 20):
+            yield f"avoid:{label}:g{ground}", ["avoid", "--label", label, "--ground", str(ground)], None
+    yield "avoid:1x21:g20", ["avoid", "--label", "1" * 21, "--ground", "20"], None
     for name, text, commands in itertools.chain(
         large_family_cases(), swapped_cases(), sized_cases()
     ):
