@@ -25,10 +25,14 @@ ENUMERATION_GROUND_CAP = 20
 BLOCK_WORDS = 1024
 # Classification of a family that the maximum test does not settle folds a
 # 2^m-bit indicator once per subset of the ground, shrinking it as points
-# drop: 2^m folds moving about 2.4 * 3^m bits, whatever the family's size.
-# forbidden_labels takes the same path for a family its search does not
-# settle.  The cap bounds that fold path only.
+# drop: 2^m folds moving 2^12 * 3^(m-6) bits (about 5.6 * 3^m), whatever
+# the family's size.  forbidden_labels takes the same path for a family its
+# search does not settle.  The cap bounds that fold path only.
 CLASSIFY_GROUND_CAP = 16
+# The fold path folds the points below this in place, by masks, and cuts
+# bytes out of its ints only for the points above: at grounds up to 16 a
+# cut costs more interpreter steps than the bits a mask moves in vain.
+FOLD_IN_PLACE = 6
 # The maximum test runs while its shatter search would build at most this
 # many member cells per fold that the fold path makes (see classify).  Above
 # CLASSIFY_GROUND_CAP there is no fold, and the budget of that ground holds.
@@ -486,6 +490,16 @@ def phi_bound(d: int, n: int) -> int:
     return sum(math.comb(n, i) for i in range(d + 1))
 
 
+def _sauer_profile(d: int, m: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (k, phi(d, k)) for k = 0..m, from one running value.
+
+    By Pascal's rule phi(d, k + 1) = 2 phi(d, k) - C(k, d), and C(k, d) is
+    0 for k < d, where phi(d, k) = 2^k.
+    """
+    phis = itertools.accumulate(range(m), lambda phi, k: 2 * phi - math.comb(k, d), initial=1)
+    return tuple(enumerate(phis))
+
+
 def trace(system: SetSystem, region: Mask) -> SetSystem:
     """Restrict the family to the elements of ``region``, reindexed in order."""
     _check_mask(region, system.ground_size)
@@ -558,22 +572,23 @@ def _trace_counts(indicator: int, m: int, low) -> tuple[list[int], dict[int, int
     The counts are indexed by b.  Dropping point i folds the indicator onto
     the positions whose bit i is clear: position v keeps a bit when v or
     v + 2^i did.  A depth-first walk from the full ground drops the points
-    i >= 3 in decreasing order, so every point below the last one dropped
-    is still at its own bit position, and the fold then cuts out the
-    positions whose bit i is set: the odd 2^(i-3)-byte chunks of the int's
-    bytes (a memoryview cast sliced [::2] for chunks of up to 8 bytes, a
-    join of slices above).  Each node of that walk then folds out every
-    subset of the points 0, 1 and 2, masking with low[j] and leaving those
-    positions in place as holes.  So the int of node b spells traces on b
-    and the points 0, 1, 2 (at most 2^(|b| + 3) bits), and the folds move
-    about 2.4 * 3^m bits in all, not 4^m.
+    i >= FOLD_IN_PLACE in decreasing order, so every point below the last
+    one dropped is still at its own bit position, and the fold then cuts
+    out the positions whose bit i is set: the odd 2^(i-3)-byte chunks of
+    the int's bytes (a memoryview cast to 8-byte items sliced [::2] at
+    i = 6, a join of slices above).  Each node of that walk then folds out
+    every subset of the points below FOLD_IN_PLACE, masking with low[j]
+    and leaving those positions in place as holes; at m <= FOLD_IN_PLACE
+    the walk is that one cube, with no cut.  So the int of node b spells
+    traces on b and the points 0..5 (at most 2^(|b| + 6) bits), and the
+    folds move sum_b 2^|b u {0..5}| = 2^12 * 3^(m-6) bits in all, not 4^m.
 
     A node whose count is 2^|b| - 1 misses one trace; its folded int goes
     to the second result, keyed by b, for _missing_trace to decode.
     """
     counts = [0] * (1 << m)
     shorts = {}
-    holes = [(1 << j, low[j]) for j in range(min(m, 3))]
+    holes = [(1 << j, low[j]) for j in range(min(m, FOLD_IN_PLACE))]
     stack = [(indicator, (1 << m) - 1, m)]
     while stack:
         ind, a, top = stack.pop()
@@ -584,13 +599,13 @@ def _trace_counts(indicator: int, m: int, low) -> tuple[list[int], dict[int, int
             count = counts[b] = x.bit_count()
             if count == (1 << b.bit_count()) - 1:
                 shorts[b] = x
-        for i in range(3, top):
+        for i in range(FOLD_IN_PLACE, top):
             nxt = ind | ind >> (1 << i)
             data = memoryview(nxt.to_bytes(1 << (a.bit_count() - 3), "little"))
-            if i < 7:
-                data = data.cast("BHIQ"[i - 3])[::2]
+            n = 1 << (i - 3)  # bytes per chunk
+            if n == 8:
+                data = data.cast("Q")[::2]
             else:
-                n = 1 << (i - 3)  # bytes per chunk
                 data = b"".join(data[k : k + n] for k in range(0, len(data), 2 * n))
             stack.append((int.from_bytes(data, "little"), a ^ (1 << i), i))
     return counts, shorts
@@ -600,13 +615,13 @@ def _missing_trace(b: int, folded: int, m: int, low) -> list[tuple[int, int]]:
     """The trace a one-short node b of _trace_counts misses, as (point, bit) pairs.
 
     The pairs cover the points of b in increasing order.  The node's
-    positions spell traces on b and on its holes, the points 0, 1, 2 not
-    in b, in increasing point order; the one clear position whose hole
-    bits are clear is the missing trace.
+    positions spell traces on b and on its holes, the points below
+    FOLD_IN_PLACE not in b, in increasing point order; the one clear
+    position whose hole bits are clear is the missing trace.
     """
-    frame = [j for j in range(m) if j < 3 or b >> j & 1]
+    frame = [j for j in range(m) if j < FOLD_IN_PLACE or b >> j & 1]
     valid = (1 << (1 << len(frame))) - 1
-    for j in frame[:3]:
+    for j in frame[:FOLD_IN_PLACE]:
         if not b >> j & 1:
             valid &= low[j]
     at = (valid ^ folded).bit_length() - 1
@@ -751,7 +766,7 @@ def classify(system: SetSystem) -> Classification:
     those absent sets form one cylinder per such subset, and the family is
     maximal when the cylinders cover every absent set.  Each missing trace
     is read off that subset's own fold (see _missing_trace), not off the
-    members.  This fold path moves about 2.4 * 3^m bits in 2^m folds,
+    members.  This fold path moves 2^12 * 3^(m-6) bits in 2^m folds,
     independent of the family's size; CLASSIFY_GROUND_CAP bounds it, and
     nothing else.
     """
@@ -760,8 +775,7 @@ def classify(system: SetSystem) -> Classification:
     m = system.ground_size
     d = _maximum_dimension(system)
     if d is not None:
-        profile = tuple((k, phi_bound(d, k)) for k in range(m + 1))
-        return Classification(d, True, True, profile)
+        return Classification(d, True, True, _sauer_profile(d, m))
     indicator, low, counts, shorts = _fold(system)
 
     best_by_size = [0] * (m + 1)

@@ -100,6 +100,13 @@ def test_phi_bound_matches_oracle():
             assert phi_bound(d, n) == bf.phi(d, n)
 
 
+def test_sauer_profile_is_phi_bound_at_every_size():
+    for m in range(21):
+        for d in range(m + 1):
+            expected = tuple((k, phi_bound(d, k)) for k in range(m + 1))
+            assert setsystem._sauer_profile(d, m) == expected
+
+
 def test_phi_bound_rejects_negative():
     with pytest.raises(ValueError):
         phi_bound(-1, 3)
@@ -576,7 +583,10 @@ def test_classify_at_the_ground_cap_within_budget(fastest):
 
 def _fold_cases():
     """Random families with m <= 10, and avoidance families at grounds 12-16
-    with one member removed or swapped for an absent set."""
+    with one member removed or swapped for an absent set; then, where the
+    fold cuts no byte (m <= 6) or makes its first cuts (m 7-8: the 8-byte
+    cast, then one join), sparse random families and avoidance families
+    with one member removed or swapped."""
     rng = random.Random(2003)
     for m in range(11):
         for _ in range(4 if m < 10 else 2):
@@ -587,6 +597,13 @@ def _fold_cases():
         full = avoid_family(m, eta)
         yield SetSystem(m, full.members[:-1])
         yield _swapped(full, rng)
+    for m in range(9):
+        yield _values_family(m, rng.sample(range(2**m), rng.randint(1, min(2**m, 3 * m + 1))))
+        for eta in labels:
+            full = avoid_family(m, eta)
+            yield SetSystem(m, full.members[:-1])
+            if len(full.members) < 2**m:
+                yield _swapped(full, rng)
 
 
 def test_compacting_fold_matches_the_full_fold():

@@ -150,6 +150,23 @@ def sized_cases():
         yield f"size-at-most-g{m}-d{m // 2}", family_text(m, words), commands
 
 
+def fold_end_cases():
+    """(case id, file text, commands) of permuted ``1010`` and ``0110``
+    avoidance families with one member removed or swapped for an absent
+    word, at the fold's small grounds 5-7 and at grounds 15 and 16."""
+    rng = random.Random(2401)
+    commands = ("classify", "labels", "homogenize")
+    for m in (5, 6, 7, 15, 16):
+        for label in ("1010", "0110"):
+            words = permuted_avoidance(m, label, rng)
+            less = list(words)
+            less.pop(rng.randrange(len(less)))
+            yield f"avoid-{label}-g{m}-less1", family_text(m, less), commands
+            absent = sorted(set(map("".join, itertools.product("01", repeat=m))) - set(words))
+            words[rng.randrange(len(words))] = rng.choice(absent)
+            yield f"avoid-{label}-g{m}-swap1", family_text(m, words), commands
+
+
 def stream_labels():
     """Labels of 5 to 8 bits whose avoidance families at grounds 16 to 20
     fill several of the kernel's blocks: for each length both alternations,
@@ -222,7 +239,7 @@ def cases():
             yield f"avoid:{label}:g{ground}", ["avoid", "--label", label, "--ground", str(ground)], None
     yield "avoid:1x21:g20", ["avoid", "--label", "1" * 21, "--ground", "20"], None
     for name, text, commands in itertools.chain(
-        large_family_cases(), swapped_cases(), sized_cases()
+        large_family_cases(), swapped_cases(), sized_cases(), fold_end_cases()
     ):
         for command in commands:
             yield f"{command}:{name}", [command, "--in", "family.txt"], text
