@@ -566,28 +566,32 @@ def _low_halves(m: int) -> list[int]:
     return out
 
 
-def _trace_counts(indicator: int, m: int, low) -> tuple[list[int], dict[int, int]]:
-    """Distinct trace counts on every subset b of the ground, and the one-short folds.
+def _trace_counts(indicator: int, m: int, low) -> tuple[list[int], list[dict[int, int]]]:
+    """The largest trace count of each subset size, and the one-short folds by size.
 
-    The counts are indexed by b.  Dropping point i folds the indicator onto
-    the positions whose bit i is clear: position v keeps a bit when v or
-    v + 2^i did.  A depth-first walk from the full ground drops the points
-    i >= FOLD_IN_PLACE in decreasing order, so every point below the last
-    one dropped is still at its own bit position, and the fold then cuts
-    out the positions whose bit i is set: the odd 2^(i-3)-byte chunks of
-    the int's bytes (a memoryview cast to 8-byte items sliced [::2] at
-    i = 6, a join of slices above).  Each node of that walk then folds out
-    every subset of the points below FOLD_IN_PLACE, masking with low[j]
-    and leaving those positions in place as holes; at m <= FOLD_IN_PLACE
-    the walk is that one cube, with no cut.  So the int of node b spells
-    traces on b and the points 0..5 (at most 2^(|b| + 6) bits), and the
-    folds move sum_b 2^|b u {0..5}| = 2^12 * 3^(m-6) bits in all, not 4^m.
+    A walk visits every subset b of the ground once and counts the
+    distinct traces on b as the bits of a folded int.  Dropping point i
+    folds the indicator onto the positions whose bit i is clear: position
+    v keeps a bit when v or v + 2^i did.  The walk goes depth-first from
+    the full ground and drops the points i >= FOLD_IN_PLACE in decreasing
+    order, so every point below the last one dropped is still at its own
+    bit position, and the fold then cuts out the positions whose bit i is
+    set: the odd 2^(i-3)-byte chunks of the int's bytes (a memoryview cast
+    to 8-byte items sliced [::2] at i = 6, a join of slices above).  Each
+    node of that walk then folds out every subset of the points below
+    FOLD_IN_PLACE, masking with low[j] and leaving those positions in
+    place as holes; at m <= FOLD_IN_PLACE the walk is that one cube, with
+    no cut.  So the int of node b spells traces on b and the points 0..5
+    (at most 2^(|b| + 6) bits), and the folds move
+    sum_b 2^|b u {0..5}| = 2^12 * 3^(m-6) bits in all, not 4^m.
 
-    A node whose count is 2^|b| - 1 misses one trace; its folded int goes
-    to the second result, keyed by b, for _missing_trace to decode.
+    Returns (best, shorts), each with one entry per size k = 0..m, and
+    nothing per subset: best[k] is the largest count of any k-subset, and
+    shorts[k] maps each k-subset b whose count is 2^k - 1, one trace short,
+    to its folded int, for _missing_trace to decode.
     """
-    counts = [0] * (1 << m)
-    shorts = {}
+    best = [0] * (m + 1)
+    shorts = [{} for _ in range(m + 1)]
     holes = [(1 << j, low[j]) for j in range(min(m, FOLD_IN_PLACE))]
     stack = [(indicator, (1 << m) - 1, m)]
     while stack:
@@ -596,9 +600,11 @@ def _trace_counts(indicator: int, m: int, low) -> tuple[list[int], dict[int, int
         for bit, half in holes:
             cube += [((x | x >> bit) & half, b ^ bit) for x, b in cube]
         for x, b in cube:
-            count = counts[b] = x.bit_count()
-            if count == (1 << b.bit_count()) - 1:
-                shorts[b] = x
+            count, k = x.bit_count(), b.bit_count()
+            if count > best[k]:
+                best[k] = count
+            if count == (1 << k) - 1:
+                shorts[k][b] = x
         for i in range(FOLD_IN_PLACE, top):
             nxt = ind | ind >> (1 << i)
             data = memoryview(nxt.to_bytes(1 << (a.bit_count() - 3), "little"))
@@ -608,7 +614,7 @@ def _trace_counts(indicator: int, m: int, low) -> tuple[list[int], dict[int, int
             else:
                 data = b"".join(data[k : k + n] for k in range(0, len(data), 2 * n))
             stack.append((int.from_bytes(data, "little"), a ^ (1 << i), i))
-    return counts, shorts
+    return best, shorts
 
 
 def _missing_trace(b: int, folded: int, m: int, low) -> list[tuple[int, int]]:
@@ -628,11 +634,12 @@ def _missing_trace(b: int, folded: int, m: int, low) -> list[tuple[int, int]]:
     return [(j, at >> r & 1) for r, j in enumerate(frame) if b >> j & 1]
 
 
-def _fold(system: SetSystem) -> tuple[int, list[int], list[int], dict[int, int]]:
-    """The fold path's set-up, for classify and forbidden_labels alike.
+def _fold(system: SetSystem) -> tuple[int, list[int], list[int], list[dict[int, int]]]:
+    """The fold path, for classify and forbidden_labels alike.
 
     Returns the family's 2^m-bit indicator, the low halves of its ground
-    and the two results of _trace_counts.  A ground above
+    and the two results of _trace_counts: the largest trace count of each
+    subset size and the one-short folds by size.  A ground above
     CLASSIFY_GROUND_CAP raises SizeGuardError before any fold.
     """
     m = system.ground_size
@@ -759,16 +766,17 @@ def classify(system: SetSystem) -> Classification:
     maximal.
 
     A family the test does not settle is held as one 2^m-bit indicator,
-    and the trace count of every subset of the ground comes from folding
-    it, the indicator shrinking as points drop (see _trace_counts).  An
-    absent set can join without raising the dimension unless, on some
-    (d+1)-subset one trace short of shattered, it shows the missing trace;
-    those absent sets form one cylinder per such subset, and the family is
-    maximal when the cylinders cover every absent set.  Each missing trace
-    is read off that subset's own fold (see _missing_trace), not off the
-    members.  This fold path moves 2^12 * 3^(m-6) bits in 2^m folds,
-    independent of the family's size; CLASSIFY_GROUND_CAP bounds it, and
-    nothing else.
+    folded once onto every subset of the ground, the indicator shrinking as
+    points drop (see _trace_counts).  The fold answers by size: the largest
+    trace count of each size k is the profile's entry, and d is the largest
+    k at which it is 2^k.  An absent set can join without raising the
+    dimension unless, on some (d+1)-subset one trace short of shattered, it
+    shows the missing trace; those absent sets form one cylinder per such
+    subset, which the fold keeps for size d + 1, and the family is maximal
+    when the cylinders cover every absent set.  Each missing trace is read
+    off that subset's own fold (see _missing_trace), not off the members.
+    This fold path moves 2^12 * 3^(m-6) bits in 2^m folds, independent of
+    the family's size; CLASSIFY_GROUND_CAP bounds it, and nothing else.
     """
     if not system.members:
         raise EmptyFamilyError("cannot classify an empty family")
@@ -776,14 +784,8 @@ def classify(system: SetSystem) -> Classification:
     d = _maximum_dimension(system)
     if d is not None:
         return Classification(d, True, True, _sauer_profile(d, m))
-    indicator, low, counts, shorts = _fold(system)
-
-    best_by_size = [0] * (m + 1)
-    for a, count in enumerate(counts):
-        k = a.bit_count()
-        if count > best_by_size[k]:
-            best_by_size[k] = count
-    d = max(k for k in range(m + 1) if best_by_size[k] == 1 << k)
+    indicator, low, best, shorts = _fold(system)
+    d = max(k for k in range(m + 1) if best[k] == 1 << k)
 
     # Maximum exactly when |F| = phi(d, m): such a family shatters every set
     # of at most d points (Pajor's lemma) and each restriction is maximum
@@ -795,15 +797,13 @@ def classify(system: SetSystem) -> Classification:
         everything = (1 << (1 << m)) - 1
         high = [everything ^ half for half in low]
         blocked = 0
-        for b, folded in shorts.items():
-            if b.bit_count() == d + 1:
-                cylinder = everything
-                for j, bit in _missing_trace(b, folded, m, low):
-                    cylinder &= high[j] if bit else low[j]
-                blocked |= cylinder
+        for b, folded in shorts[d + 1].items():
+            cylinder = everything
+            for j, bit in _missing_trace(b, folded, m, low):
+                cylinder &= high[j] if bit else low[j]
+            blocked |= cylinder
         is_maximal = everything & ~indicator & ~blocked == 0
-    profile = tuple((k, best_by_size[k]) for k in range(m + 1))
-    return Classification(d, is_maximum, is_maximal, profile)
+    return Classification(d, is_maximum, is_maximal, tuple(enumerate(best)))
 
 
 def forbidden_label(system: SetSystem, region: Mask) -> Label:
@@ -843,9 +843,10 @@ def forbidden_labels(
     ``size``-subset, so its search reaches every such subset and reads
     the label off the one cell that does not split (see _shatters_some).
     Every other family and size, and a family that fails the test or is
-    over its budget, takes classify's fold path once (see _fold): a
-    subset's label is decoded from its folded int when the fold kept it
-    as one trace short (see _missing_trace), and is None otherwise.  So
+    over its budget, takes classify's fold path once (see _fold): the
+    fold keeps the ``size``-subsets one trace short with their folded
+    ints, each such subset's label is decoded from its int (see
+    _missing_trace), and every other label is None.  So
     above CLASSIFY_GROUND_CAP only the search answers, and a family it
     does not settle raises SizeGuardError.
     """
@@ -859,10 +860,9 @@ def forbidden_labels(
             return labels
     _, low, _, shorts = _fold(system)
     labels = dict.fromkeys(labels)  # afresh: a failed search writes some labels
-    for combo in labels:
-        b = sum(1 << j for j in combo)
-        if b in shorts:
-            labels[combo] = tuple(bit for _, bit in _missing_trace(b, shorts[b], m, low))
+    for b, folded in shorts[size].items():
+        pairs = _missing_trace(b, folded, m, low)
+        labels[tuple(j for j, _ in pairs)] = tuple(bit for _, bit in pairs)
     return labels
 
 

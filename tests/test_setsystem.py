@@ -612,16 +612,26 @@ def test_compacting_fold_matches_the_full_fold():
         m = sys_.ground_size
         indicator = setsystem._indicator(sys_.member_ints, m)
         low = setsystem._low_halves(m)
-        counts, shorts = setsystem._trace_counts(indicator, m, low)
-        assert counts == bf.fold_trace_counts(indicator, m, low)
-        one_short = {b for b in range(1 << m) if counts[b] == (1 << b.bit_count()) - 1}
-        assert set(shorts) == one_short
+        best, shorts = setsystem._trace_counts(indicator, m, low)
+        counts = bf.fold_trace_counts(indicator, m, low)
+        maxima = [0] * (m + 1)
+        one_short = [set() for _ in range(m + 1)]
+        for b, count in enumerate(counts):
+            k = b.bit_count()
+            maxima[k] = max(maxima[k], count)
+            if count == (1 << k) - 1:
+                one_short[k].add(b)
+        assert best == maxima
+        assert [set(folds) for folds in shorts] == one_short
+        if sys_.members and setsystem._maximum_dimension(sys_) is None:
+            assert classify(sys_).sauer_profile == tuple(enumerate(maxima))
         # Every one-short node at m <= 12, a sample of them above.
+        folded = {b: x for folds in shorts for b, x in folds.items()}
         rng = random.Random(m)
-        picked = sorted(shorts) if m <= 12 else rng.sample(sorted(shorts), 40)
+        picked = sorted(folded) if m <= 12 else rng.sample(sorted(folded), 40)
         for b in picked:
             indices = [j for j in range(m) if b >> j & 1]
-            pairs = setsystem._missing_trace(b, shorts[b], m, low)
+            pairs = setsystem._missing_trace(b, folded[b], m, low)
             assert [j for j, _ in pairs] == indices
             assert tuple(bit for _, bit in pairs) == bf.forbidden(sys_.members, indices)
             checked += 1
