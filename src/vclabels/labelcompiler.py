@@ -201,8 +201,13 @@ def parse_expr(text: str) -> IntervalExpr:
 
     Point pieces may list several symbols, e.g. ``{c,d}``.  Symbols must be
     strictly increasing left to right; any increasing letters are accepted
-    and numbered in reading order, which is then their rank.
+    and numbered in reading order, which is then their rank.  Text that is
+    not a str raises MalformedExpressionError.
     """
+    if not isinstance(text, str):
+        raise MalformedExpressionError(
+            f"expression text must be a str, got {type(text).__name__}"
+        )
     stripped = text.strip()
     if stripped == "{}":
         return IntervalExpr((), 0)

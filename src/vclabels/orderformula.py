@@ -305,8 +305,10 @@ def parse_formula(text: str) -> FormulaAst:
     Text nesting deeper than FORMULA_DEPTH_CAP levels (each ``!``, group
     and binary connective on a path is one) raises FormulaSyntaxError, and
     so does text of more than FORMULA_SIZE_CAP symbols, which bounds the
-    nodes of the tree.
+    nodes of the tree, and text that is not a str.
     """
+    if not isinstance(text, str):
+        raise FormulaSyntaxError(f"formula text must be a str, got {type(text).__name__}", 0)
     tokens = _tokenize(text)
     if len(tokens) > FORMULA_SIZE_CAP + 1:  # the last token marks the end
         raise FormulaSyntaxError(

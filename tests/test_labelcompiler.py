@@ -183,6 +183,13 @@ def test_parse_expr_rejects_malformed(text):
         parse_expr(text)
 
 
+@pytest.mark.parametrize("text", [None, b"(a,b)", 5])
+def test_parse_expr_refuses_what_is_not_a_str(text):
+    # Each used to raise a stray AttributeError or TypeError.
+    with pytest.raises(MalformedExpressionError, match="^expression text must be a str, got "):
+        parse_expr(text)
+
+
 def test_interval_expr_validation():
     with pytest.raises(MalformedExpressionError):
         IntervalExpr((Point(1),), 1)  # symbols must start at a

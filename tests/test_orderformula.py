@@ -143,6 +143,14 @@ def test_syntax_error_carries_position():
     assert info.value.position == 2
 
 
+@pytest.mark.parametrize("text", [None, b"x<y1", 5])
+def test_parse_formula_refuses_what_is_not_a_str(text):
+    # Each used to raise a stray TypeError from the token regex.
+    with pytest.raises(FormulaSyntaxError, match="^formula text must be a str, got ") as info:
+        parse_formula(text)
+    assert info.value.position == 0
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import bruteforce as bf
-from vclabels import cli, labelcalc, setsystem
+from vclabels import _classifier, cli, labelcalc, setsystem
 from vclabels.labelcalc import avoid_family
 from vclabels.orderformula import Top, ordered_trace_family
 from vclabels.setsystem import (
@@ -81,7 +81,7 @@ def swapped_systems(draw):
     absent = sorted(set(itertools.product((0, 1), repeat=family.ground_size)) - set(members))
     members[draw(st.integers(0, len(members) - 1))] = draw(st.sampled_from(absent))
     swapped = SetSystem.from_masks(family.ground_size, members)
-    assume(setsystem._maximum_dimension(swapped) is None)
+    assume(_classifier._maximum_dimension(swapped) is None)
     return swapped
 
 
@@ -104,7 +104,7 @@ def test_sauer_profile_is_phi_bound_at_every_size():
     for m in range(21):
         for d in range(m + 1):
             expected = tuple((k, phi_bound(d, k)) for k in range(m + 1))
-            assert setsystem._sauer_profile(d, m) == expected
+            assert _classifier._sauer_profile(d, m) == expected
 
 
 def test_phi_bound_rejects_negative():
@@ -200,12 +200,12 @@ def test_vc_dim_work_cap_raises_quickly_above_the_classify_cap():
 
 
 def test_vc_dim_work_cap_hands_small_grounds_to_classify():
-    with mock.patch.object(setsystem, "classify", wraps=classify) as spy:
+    with mock.patch.object(_classifier, "classify", wraps=_classifier.classify) as spy:
         # 2^14 members are phi(14, 14): the Sauer floor settles the power set
         assert vc_dim(SetSystem.power_set(14)) == 14
         assert spy.call_count == 0
         # floor 5; C(16, 6) * phi(5, 16) pairs at size 6 is over the cap
-        assert math.comb(16, 6) * phi_bound(5, 16) > setsystem.VC_DIM_WORK_CAP
+        assert math.comb(16, 6) * phi_bound(5, 16) > _classifier.VC_DIM_WORK_CAP
         assert vc_dim(avoid_family(16, (1, 0, 1, 0, 1, 0))) == 5
         assert spy.call_count == 1
 
@@ -216,8 +216,8 @@ def test_vc_dim_hands_off_above_the_sauer_floor_without_columns():
         16, (tuple(rng.getrandbits(1) for _ in range(16)) for _ in range(20000))
     )
     with (
-        mock.patch.object(setsystem, "classify", wraps=classify) as handed,
-        mock.patch.object(setsystem, "_columns", wraps=setsystem._columns) as built,
+        mock.patch.object(_classifier, "classify", wraps=_classifier.classify) as handed,
+        mock.patch.object(_classifier, "_columns", wraps=_classifier._columns) as built,
     ):
         d = vc_dim(sys_)
     assert handed.call_count == 1 and built.call_count == 0
@@ -226,7 +226,7 @@ def test_vc_dim_hands_off_above_the_sauer_floor_without_columns():
 
 @given(small_systems(), st.integers(0, 40))
 def test_vc_dim_under_a_tiny_work_cap(sys_, cap):
-    with mock.patch.object(setsystem, "VC_DIM_WORK_CAP", cap):
+    with mock.patch.object(_classifier, "VC_DIM_WORK_CAP", cap):
         assert vc_dim(sys_) == bf.vc_dim(set(sys_.members), sys_.ground_size)
         wide = SetSystem.from_index_sets(17, [{0}, {1, 2}, set(), {3}])
         if 17 * 4 > cap:
@@ -465,7 +465,7 @@ def test_maximum_families_skip_the_fold(monkeypatch):
     def no_fold(*args):
         raise AssertionError("a maximum family reached the fold path")
 
-    monkeypatch.setattr(setsystem, "_trace_counts", no_fold)
+    monkeypatch.setattr(_classifier, "_trace_counts", no_fold)
     cases = []
     for length in range(1, 5):
         for eta in itertools.product((0, 1), repeat=length):
@@ -489,13 +489,13 @@ def test_maximum_families_skip_the_fold(monkeypatch):
 
 def test_maximum_families_the_search_declines_take_the_fold(monkeypatch):
     calls = []
-    fold = setsystem._trace_counts
+    fold = _classifier._trace_counts
 
     def counted_fold(*args):
         calls.append(args)
         return fold(*args)
 
-    monkeypatch.setattr(setsystem, "_trace_counts", counted_fold)
+    monkeypatch.setattr(_classifier, "_trace_counts", counted_fold)
     rng = random.Random(7121)
     cases = [(SetSystem.size_at_most(m, 5), 5) for m in (10, 12)]
     for eta in itertools.product((0, 1), repeat=6):
@@ -519,13 +519,13 @@ def _swapped(sys_, rng):
 
 def test_non_maximum_families_near_the_sauer_size_take_the_fold(monkeypatch):
     calls = []
-    fold = setsystem._trace_counts
+    fold = _classifier._trace_counts
 
     def counted_fold(*args):
         calls.append(args)
         return fold(*args)
 
-    monkeypatch.setattr(setsystem, "_trace_counts", counted_fold)
+    monkeypatch.setattr(_classifier, "_trace_counts", counted_fold)
     rng = random.Random(5303)
     cases = []
     for m in range(8, 15):
@@ -610,9 +610,9 @@ def test_compacting_fold_matches_the_full_fold():
     checked = 0
     for sys_ in _fold_cases():
         m = sys_.ground_size
-        indicator = setsystem._indicator(sys_.member_ints, m)
-        low = setsystem._low_halves(m)
-        best, shorts = setsystem._trace_counts(indicator, m, low)
+        indicator = _classifier._indicator(sys_.member_ints, m)
+        low = _classifier._low_halves(m)
+        best, shorts = _classifier._trace_counts(indicator, m, low)
         counts = bf.fold_trace_counts(indicator, m, low)
         maxima = [0] * (m + 1)
         one_short = [set() for _ in range(m + 1)]
@@ -623,7 +623,7 @@ def test_compacting_fold_matches_the_full_fold():
                 one_short[k].add(b)
         assert best == maxima
         assert [set(folds) for folds in shorts] == one_short
-        if sys_.members and setsystem._maximum_dimension(sys_) is None:
+        if sys_.members and _classifier._maximum_dimension(sys_) is None:
             assert classify(sys_).sauer_profile == tuple(enumerate(maxima))
         # Every one-short node at m <= 12, a sample of them above.
         folded = {b: x for folds in shorts for b, x in folds.items()}
@@ -631,7 +631,7 @@ def test_compacting_fold_matches_the_full_fold():
         picked = sorted(folded) if m <= 12 else rng.sample(sorted(folded), 40)
         for b in picked:
             indices = [j for j in range(m) if b >> j & 1]
-            pairs = setsystem._missing_trace(b, folded[b], m, low)
+            pairs = _classifier._missing_trace(b, folded[b], m, low)
             assert [j for j, _ in pairs] == indices
             assert tuple(bit for _, bit in pairs) == bf.forbidden(sys_.members, indices)
             checked += 1
@@ -704,7 +704,7 @@ _empty_systems = st.integers(0, 6).map(lambda m: SetSystem(m, ()))
 def test_forbidden_labels_match_oracle(sys_, data):
     m = sys_.ground_size
     # Half the draws take the one size the maximum test is asked about.
-    d, _ = setsystem._sauer_floor(len(sys_.members), m)
+    d, _ = _classifier._sauer_floor(len(sys_.members), m)
     k = data.draw(st.one_of(st.just(d + 1), st.integers(0, m + 1)))
     got = forbidden_labels(sys_, k)
     assert list(got) == list(itertools.combinations(range(m), k))
@@ -743,13 +743,13 @@ def _maximum_cases():
 def folds(monkeypatch):
     """The arguments of every _trace_counts call, as the test runs."""
     calls = []
-    fold = setsystem._trace_counts
+    fold = _classifier._trace_counts
 
     def counted_fold(*args):
         calls.append(args)
         return fold(*args)
 
-    monkeypatch.setattr(setsystem, "_trace_counts", counted_fold)
+    monkeypatch.setattr(_classifier, "_trace_counts", counted_fold)
     return calls
 
 
@@ -757,13 +757,13 @@ def folds(monkeypatch):
 def recorded(monkeypatch):
     """The ``labels`` argument of every _shatters_some call, as the test runs."""
     calls = []
-    search = setsystem._shatters_some
+    search = _classifier._shatters_some
 
     def spy(columns, count, size, labels=None):
         calls.append(labels)
         return search(columns, count, size, labels)
 
-    monkeypatch.setattr(setsystem, "_shatters_some", spy)
+    monkeypatch.setattr(_classifier, "_shatters_some", spy)
     return calls
 
 
@@ -781,7 +781,7 @@ def test_forbidden_labels_read_off_the_search_match_oracle(folds):
         checked = combos if m <= 8 else [combos[0], combos[-1]]
         for combo in checked:
             assert got[combo] == bf.forbidden(sys_.members, combo)
-        if setsystem._maximum_dimension(sys_) == size - 1:
+        if _classifier._maximum_dimension(sys_) == size - 1:
             assert not folds, "a search-settled family was folded"
             walked += 1
             varied += len(set(got.values())) > 1
@@ -810,7 +810,7 @@ def test_forbidden_labels_scans_what_the_search_does_not_settle(recorded, folds,
             got = forbidden_labels(sys_, size)
             assert all(labels is None for labels in recorded)
             # A size above m has no subsets, so neither searches nor folds.
-            settled = setsystem._maximum_dimension(sys_) == size - 1
+            settled = _classifier._maximum_dimension(sys_) == size - 1
             assert len(folds) == (not settled and size <= m)
             combos = list(itertools.combinations(range(m), size))
             assert list(got) == combos
@@ -940,6 +940,14 @@ def test_from_text_errors():
         SetSystem.from_text("ground \u00b2\n")
     with pytest.raises(ValueError, match="line 2: expected 'ground <m>'"):
         SetSystem.from_text("#\nground " + "1" * 5000 + "\n")
+
+
+@pytest.mark.parametrize("text", [b"ground 1\n1\n", None, ["ground 1", "1"]])
+def test_from_text_refuses_what_is_not_a_str(text):
+    # bytes used to raise a stray TypeError from str.startswith, and the
+    # others an AttributeError from splitlines.
+    with pytest.raises(ValueError, match="^set-system text must be a str, got "):
+        SetSystem.from_text(text)
 
 
 def test_from_masks_normalizes_and_validates():

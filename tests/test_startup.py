@@ -66,6 +66,7 @@ FORMULA = CLI | {"vclabels.orderformula"}
 COMPILER = FORMULA | {"vclabels.labelcompiler"}
 EVERYTHING = COMPILER | {"vclabels.harness"}
 HARNESS = CLI | {"vclabels.harness"}  # homogenize and t2 compile no formula
+ENGINE = "vclabels._classifier"  # the fold and the shatter search
 
 
 def _cli(*argv):
@@ -77,8 +78,8 @@ def _cli(*argv):
     [
         pytest.param(["-c", "import vclabels"], {"vclabels"}, id="import"),
         pytest.param(_cli("--help"), CLI_ONLY, id="help"),
-        pytest.param(_cli("classify", "--in", "family.txt"), FAMILIES, id="classify"),
-        pytest.param(_cli("labels", "--in", "family.txt"), CLI, id="labels"),
+        pytest.param(_cli("classify", "--in", "family.txt"), FAMILIES | {ENGINE}, id="classify"),
+        pytest.param(_cli("labels", "--in", "family.txt"), CLI | {ENGINE}, id="labels"),
         pytest.param(_cli("avoid", "--label", "101", "--ground", "4"), CLI, id="avoid"),
         pytest.param(
             _cli("verify", "sauer", "--label", "101", "--ground", "4"), CLI, id="sauer"
@@ -87,7 +88,9 @@ def _cli(*argv):
         pytest.param(_cli("compile", "--label", "101"), COMPILER, id="compile"),
         pytest.param(_cli("translate", "--label", "101"), COMPILER, id="translate-label"),
         pytest.param(_cli("translate", "--expr", "(a,b)"), COMPILER, id="translate-expr"),
-        pytest.param(_cli("homogenize", "--in", "family.txt"), HARNESS, id="homogenize"),
+        pytest.param(
+            _cli("homogenize", "--in", "family.txt"), HARNESS | {ENGINE}, id="homogenize"
+        ),
         pytest.param(
             _cli("verify", "l2", "--label", "101", "--pairs", "3"), EVERYTHING, id="l2"
         ),
@@ -99,6 +102,30 @@ def test_a_process_loads_only_the_modules_it_runs(tmp_path, argv, expected):
     # so an eager import adds its compile time to every process.
     (tmp_path / "family.txt").write_text(avoid_family(4, (1, 0, 1)).to_text())
     assert _loaded(argv, tmp_path) == expected
+
+
+@pytest.mark.parametrize(
+    "code, loads_engine",
+    [
+        ("import vclabels.setsystem", False),
+        ("from vclabels import avoid_family as f; f(6, (1, 0, 1))", False),
+        (
+            "from vclabels import label_of_formula as f, parse_formula as p; "
+            "f(p('x>y1 & x<y2'))",
+            False,
+        ),
+        ("from vclabels import verify_pair_xor as f; assert f((1, 0, 1), 4).passed", False),
+        ("from vclabels import SetSystem as S, vc_dim as f; f(S.power_set(2))", True),
+        ("from vclabels import SetSystem as S, classify as f; f(S.power_set(2))", True),
+        ("from vclabels import SetSystem as S, forbidden_labels as f; f(S.power_set(2), 1)", True),
+    ],
+    ids=[
+        "import", "avoid_family", "label_of_formula", "verify_pair_xor",
+        "vc_dim", "classify", "forbidden_labels",
+    ],
+)
+def test_only_classification_loads_the_engine(tmp_path, code, loads_engine):
+    assert (ENGINE in _loaded(["-c", code], tmp_path)) == loads_engine
 
 
 @pytest.mark.parametrize(
