@@ -1,18 +1,21 @@
 """Finite-scale verification constructions.
 
-Pair-xor families over a ground of point pairs, homogeneous-label subsets
-of maximum families, and ICT witness tensors (independent contradictory
-types: an array of row formulas such that for every row-to-column path
-exactly the on-path instances can be made true).
+Pair-xor families over a ground of point pairs, exact largest
+homogeneous-label subsets of maximum families (ties to the least mask,
+the search bounded by a step budget), and ICT witness tensors
+(independent contradictory types: an array of row formulas such that for
+every row-to-column path exactly the on-path instances can be made true).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING
 
 from .labelcalc import as_label
 from .setsystem import (
+    ENUMERATION_GROUND_CAP,
     Label,
     Mask,
     SetSystem,
@@ -33,8 +36,6 @@ if TYPE_CHECKING:
 
 ICT_DEPTH_CAP = 3
 ICT_COLUMN_CAP = 4
-# Beyond this, homogenization falls back to a greedy left-to-right filter.
-EXHAUSTIVE_GROUND_CAP = 12
 
 
 class NotMaximumError(ValueError):
@@ -125,9 +126,19 @@ def ramsey_homogenize(system: SetSystem) -> tuple[Mask, Label]:
     For a d-maximum family, every (d+1)-subset of the ground carries one
     forbidden label; this returns a largest subset all of whose
     (d+1)-subsets carry the same label (always at least d+1 elements).
-    Ties at equal size break to the lexicographically least membership
-    mask.  Exhaustive up to EXHAUSTIVE_GROUND_CAP; greedy left-to-right
-    beyond that.
+    The answer is exact, and ties at equal size break to the
+    lexicographically least membership mask.
+
+    A depth-first search over the labels of forbidden_labels visits the
+    points in order and leaves a point out before it takes it in.  A
+    point joins only if every (d+1)-subset of it and d chosen points
+    carries one label, the chosen points' label once they number more
+    than d, and a branch whose chosen points and points left cannot beat
+    the best size found is cut.  The leaves come in the lexicographic
+    order of their masks, so the first largest set found is the least
+    one.  Each branching node costs one step and one per label lookup it
+    may make; past 2^ENUMERATION_GROUND_CAP steps the search raises
+    SizeGuardError.
     """
     result = classify(system)
     if not result.is_maximum:
@@ -139,26 +150,25 @@ def ramsey_homogenize(system: SetSystem) -> tuple[Mask, Label]:
             "the family shatters its whole ground; no forbidden labels exist"
         )
     label_of = forbidden_labels(system, d + 1)
-
-    def common_label(indices):
-        """The label every (d+1)-subset of the indices carries, or None."""
-        labels = {label_of[sub] for sub in itertools.combinations(indices, d + 1)}
-        return labels.pop() if len(labels) == 1 else None
-
-    if m <= EXHAUSTIVE_GROUND_CAP:
-        for size in range(m, d, -1):
-            candidates = [
-                (mask_from_indices(m, combo), label)
-                for combo in itertools.combinations(range(m), size)
-                if (label := common_label(combo)) is not None
-            ]
-            if candidates:
-                return min(candidates)
-    chosen: list[int] = []
-    for x in range(m):
-        if len(chosen) < d + 1 or common_label(chosen + [x]) is not None:
-            chosen.append(x)
-    return mask_from_indices(m, chosen), label_of[tuple(chosen[: d + 1])]
+    best, size, steps = None, d, 0
+    # Each entry: the next point, the chosen points, and their label once
+    # they number more than d.
+    stack = [(0, (), None)]
+    while stack:
+        x, chosen, label = stack.pop()
+        if len(chosen) + m - x <= size:
+            continue
+        if x == m:
+            best, size = (mask_from_indices(m, chosen), label), len(chosen)
+            continue
+        steps += 1 + math.comb(len(chosen), d)
+        _check_cap(steps, 1 << ENUMERATION_GROUND_CAP, "homogenize search of {} steps")
+        labels = (label_of[(*sub, x)] for sub in itertools.combinations(chosen, d))
+        joined = label or next(labels, None)
+        if all(other == joined for other in labels):
+            stack.append((x + 1, chosen + (x,), joined))
+        stack.append((x + 1, chosen, label))
+    return best
 
 
 class IctWitness(_Value):

@@ -26,6 +26,7 @@ from .setsystem import (
     _automaton_blocks,
     _automaton_family,
     _check_mask,
+    _check_type,
     phi_bound,
 )
 
@@ -140,9 +141,11 @@ def is_characterized_by(system: SetSystem, eta: Label) -> bool:
     size is not it, and nothing is built.  A family of that size is
     compared word by word with the kernel's blocks as they come, and the
     comparison stops at the first difference.  The ground is guarded as in
-    avoid_family, before the count.  An object that is not a SetSystem is
-    compared with the built family by its own ``==``.
+    avoid_family, before the count.  An object that is not a SetSystem
+    raises ValueError, and a subclass's instance is compared with the
+    built family by its own ``==``.
     """
+    _check_type(system, SetSystem, "family must be a SetSystem")
     m = system.ground_size
     eta = as_label(eta)
     if system.__class__ is not SetSystem:

@@ -12,7 +12,7 @@ import itertools
 import math
 import operator
 from functools import cache, cached_property
-from typing import Iterable
+from collections.abc import Iterable
 
 Mask = tuple[int, ...]
 Label = tuple[int, ...]
@@ -84,6 +84,15 @@ def _check_size(value, name: str) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
     if value < 0:
         raise ValueError(f"{name} must be nonnegative")
+
+
+def _check_type(value, kind, what: str) -> None:
+    """Raise ValueError naming the type of ``value`` unless it is a ``kind``.
+
+    ``what`` says what was expected, such as ``"members must be an iterable"``.
+    """
+    if not isinstance(value, kind):
+        raise ValueError(f"{what}, got {type(value).__name__}")
 
 
 def _check_cap(value: int, cap: int, what: str) -> None:
@@ -213,6 +222,7 @@ class SetSystem(_Value):
 
     def __init__(self, ground_size: int, members: Iterable[Mask]):
         _check_size(ground_size, "ground size")
+        _check_type(members, Iterable, "members must be an iterable")
         members = tuple(members)
         # Only a family that fails the fast check is checked again mask by
         # mask, for the first error in member order.
@@ -229,6 +239,7 @@ class SetSystem(_Value):
 
     @classmethod
     def from_masks(cls, ground_size: int, masks: Iterable[Mask]) -> SetSystem:
+        _check_type(masks, Iterable, "masks must be an iterable")
         masks = [tuple(mask) for mask in masks]
         try:
             return cls(ground_size, sorted(set(masks)))
@@ -283,8 +294,7 @@ class SetSystem(_Value):
         blank line is the empty member.  Duplicate members are dropped.
         Text that is not a str raises ValueError.
         """
-        if not isinstance(text, str):
-            raise ValueError(f"set-system text must be a str, got {type(text).__name__}")
+        _check_type(text, str, "set-system text must be a str")
         ground_size = None
         masks = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -507,8 +517,10 @@ def vc_dim(system: SetSystem) -> int:
 
     A shatter search from Sauer's bound answers while its work stays under
     a cap; above the cap the family is classified, under classify's own
-    ground cap (see _classifier.vc_dim).
+    ground cap (see _classifier.vc_dim).  An object that is not a
+    SetSystem raises ValueError.
     """
+    _check_type(system, SetSystem, "family must be a SetSystem")
     return _engine().vc_dim(system)
 
 
@@ -519,8 +531,10 @@ def classify(system: SetSystem) -> Classification:
     of traces the family leaves on any k-subset.  A maximum family that
     the shatter search settles is classified at any ground; every other
     family is folded, which above ground 16 raises SizeGuardError (see
-    _classifier.classify).  An empty family raises EmptyFamilyError.
+    _classifier.classify).  An empty family raises EmptyFamilyError, and
+    an object that is not a SetSystem ValueError.
     """
+    _check_type(system, SetSystem, "family must be a SetSystem")
     return _engine().classify(system)
 
 
@@ -552,7 +566,9 @@ def forbidden_labels(system: SetSystem, size: int) -> dict[tuple[int, ...], Labe
     that is not an int or is below 0 raises ValueError, and a size above m
     gives the empty dict.  Above ground 16 a family that the shatter search
     does not settle raises SizeGuardError (see _classifier.forbidden_labels).
+    An object that is not a SetSystem raises ValueError.
     """
+    _check_type(system, SetSystem, "family must be a SetSystem")
     return _engine().forbidden_labels(system, size)
 
 

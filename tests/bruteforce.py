@@ -320,32 +320,21 @@ def _homogeneous_label(labels, indices, size):
     return found.pop() if len(found) == 1 else None
 
 
-def homogenize(members, m, d, exhaustive):
+def homogenize(members, m, d):
     """Largest subset of more than d points whose (d+1)-subsets all carry one
-    forbidden label, as (mask, label).
-
-    Exhaustive: every mask of the ground in lexicographic order, keeping
-    the first of the largest size.  Greedy: each point from left to right
-    joins while the chosen points stay homogeneous.
+    forbidden label, as (mask, label): every mask of the ground in
+    lexicographic order, keeping the first of the largest size.
     """
     labels = {
         combo: forbidden(members, combo)
         for combo in itertools.combinations(range(m), d + 1)
     }
-    if exhaustive:
-        best = None
-        for mask in itertools.product((0, 1), repeat=m):
-            indices = tuple(j for j in range(m) if mask[j])
-            if len(indices) <= d or (best and len(indices) <= sum(best[0])):
-                continue
-            label = _homogeneous_label(labels, indices, d + 1)
-            if label is not None:
-                best = (mask, label)
-        return best
-    chosen = ()
-    for x in range(m):
-        trial = chosen + (x,)
-        if len(trial) <= d or _homogeneous_label(labels, trial, d + 1) is not None:
-            chosen = trial
-    mask = tuple(1 if j in chosen else 0 for j in range(m))
-    return mask, _homogeneous_label(labels, chosen, d + 1)
+    best = None
+    for mask in itertools.product((0, 1), repeat=m):
+        indices = tuple(j for j in range(m) if mask[j])
+        if len(indices) <= d or (best and len(indices) <= sum(best[0])):
+            continue
+        label = _homogeneous_label(labels, indices, d + 1)
+        if label is not None:
+            best = (mask, label)
+    return best

@@ -412,6 +412,24 @@ def test_homogenize_subcommand(capsys, mixed_file):
     assert out == "subset 1,2\nlabel 11\nsize 2\n"
 
 
+def test_homogenize_of_a_permuted_family_at_ground_20(capsys, tmp_path):
+    # Points 0-19 of avoid 10 (the words 0...01...1) reordered: the pair
+    # {i, j} with i < j carries 10 if order[i] < order[j] and 01 otherwise,
+    # so a homogeneous set is a monotone subsequence of order.  The longest
+    # here falls through 10 points; this is the lex-least mask of those,
+    # as the exhaustive oracle finds.  Taking points greedily from the left
+    # stops at 0-3.
+    order = [18, 16, 5, 0, 11, 14, 15, 19, 12, 10, 2, 4, 9, 8, 7, 13, 3, 1, 6, 17]
+    family = SetSystem.from_masks(
+        20, (tuple(mask[j] for j in order) for mask in avoid_family(20, (1, 0)).members)
+    )
+    path = tmp_path / "permuted.txt"
+    path.write_text(family.to_text(), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "homogenize", "--in", str(path))
+    assert code == 0
+    assert out == "subset 0,1,6,8,9,12,13,14,16,17\nlabel 01\nsize 10\n"
+
+
 def test_labels_and_homogenize_of_a_settled_family_at_ground_20(tmp_path):
     # The shatter search gives these labels; a scan of every 5-subset took
     # about 9 s for each command.

@@ -7,7 +7,6 @@ import pytest
 import bruteforce as bf
 from vclabels import harness, labelcompiler, setsystem
 from vclabels.harness import (
-    EXHAUSTIVE_GROUND_CAP,
     IctTensor,
     IctWitness,
     NotMaximumError,
@@ -183,11 +182,22 @@ def test_homogenize_output_is_label_constant():
             assert forbidden_label(system, mask_from_indices(6, combo)) == got
 
 
-def test_homogenize_greedy_mode_beyond_cap():
+def test_homogenize_takes_the_whole_ground_of_a_constant_family():
     system = avoid_family(13, (0, 1))
     subset, eta = ramsey_homogenize(system)
     assert subset == (1,) * 13
     assert eta == (0, 1)
+
+
+def test_homogenize_refuses_past_its_step_budget(monkeypatch):
+    # A budget of 2^8 steps: the constant family at ground 8 takes 119 of
+    # them, the one at ground 13 more than 256.
+    monkeypatch.setattr(harness, "ENUMERATION_GROUND_CAP", 8)
+    assert ramsey_homogenize(avoid_family(8, (0, 1))) == ((1,) * 8, (0, 1))
+    with pytest.raises(
+        SizeGuardError, match=r"^homogenize search of \d+ steps exceeds cap 256$"
+    ):
+        ramsey_homogenize(avoid_family(13, (0, 1)))
 
 
 @pytest.mark.parametrize("m", range(6, 15))
@@ -202,8 +212,7 @@ def test_homogenize_matches_brute_force_on_permuted_avoidance_families(m):
         system = SetSystem.from_masks(
             m, (tuple(mask[i] for i in order) for mask in avoid_family(m, eta).members)
         )
-        exhaustive = m <= EXHAUSTIVE_GROUND_CAP
-        want = bf.homogenize(system.members, m, length - 1, exhaustive)
+        want = bf.homogenize(system.members, m, length - 1)
         assert ramsey_homogenize(system) == want
         sizes.append(sum(want[0]))
     assert min(sizes) < m

@@ -176,7 +176,10 @@ def test_is_characterized_by_examples():
 
 
 def _built_and_compared(system, eta):
-    """is_characterized_by by its definition: build the family, compare."""
+    """is_characterized_by by its definition: a SetSystem, equal to the
+    family built."""
+    if not isinstance(system, SetSystem):
+        raise ValueError(f"family must be a SetSystem, got {type(system).__name__}")
     return system == avoid_family(system.ground_size, as_label(eta))
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import bruteforce as bf
-from vclabels import _classifier, cli, labelcalc, setsystem
+from vclabels import _classifier, cli, harness, labelcalc, setsystem
 from vclabels.labelcalc import avoid_family
 from vclabels.orderformula import Top, ordered_trace_family
 from vclabels.setsystem import (
@@ -948,6 +948,33 @@ def test_from_text_refuses_what_is_not_a_str(text):
     # others an AttributeError from splitlines.
     with pytest.raises(ValueError, match="^set-system text must be a str, got "):
         SetSystem.from_text(text)
+
+
+NOT_A_FAMILY = "family must be a SetSystem, got NoneType"
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: setsystem.classify(None), NOT_A_FAMILY),
+        (lambda: setsystem.vc_dim(None), NOT_A_FAMILY),
+        (lambda: setsystem.forbidden_labels(None, 1), NOT_A_FAMILY),
+        (lambda: harness.ramsey_homogenize(None), NOT_A_FAMILY),
+        (lambda: labelcalc.is_characterized_by(None, (1, 0)), NOT_A_FAMILY),
+        (lambda: setsystem.classify([(0,)]), "family must be a SetSystem, got list"),
+        (lambda: SetSystem(2, None), "members must be an iterable, got NoneType"),
+        (lambda: SetSystem(2, 5), "members must be an iterable, got int"),
+        (lambda: SetSystem.from_masks(2, None), "masks must be an iterable, got NoneType"),
+    ],
+    ids=[
+        "classify", "vc_dim", "forbidden_labels", "ramsey_homogenize",
+        "is_characterized_by", "classify-list", "SetSystem", "SetSystem-int", "from_masks",
+    ],
+)
+def test_entry_points_name_what_is_not_a_family(call, text):
+    # These used to raise a stray AttributeError or TypeError.
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        call()
 
 
 def test_from_masks_normalizes_and_validates():
