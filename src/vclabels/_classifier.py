@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 
 from .setsystem import Classification, EmptyFamilyError, Label, SetSystem, phi_bound
-from .setsystem import _BIT_CHARS, _check_cap, _check_size
+from .setsystem import _check_cap, _check_size
 
 # Classification of a family that the maximum test does not settle folds a
 # 2^m-bit indicator once per subset of the ground, shrinking it as points
@@ -55,7 +56,7 @@ def vc_dim(system: SetSystem) -> int:
     number of members.  A size whose C(m, k) * |F| pairs exceed
     VC_DIM_WORK_CAP is left to classify.
     """
-    count, m = len(system.members), system.ground_size
+    count, m = len(system._ints), system.ground_size
     if not count:
         return -1
     d, _ = _sauer_floor(count, m)
@@ -66,7 +67,7 @@ def vc_dim(system: SetSystem) -> int:
         if math.comb(m, k) * count > VC_DIM_WORK_CAP:
             return classify(system).vc_dimension
         if columns is None:
-            columns = _columns(system.members)
+            columns = _columns(system._ints, m)
         if not _shatters_some(columns, count, k):
             break
         d = k
@@ -74,7 +75,13 @@ def vc_dim(system: SetSystem) -> int:
 
 
 def _indicator(ints, m: int) -> int:
-    """The 2^m-bit int whose bit v is set exactly when v is in ``ints``."""
+    """The 2^m-bit int whose bit v is set exactly when v is in ``ints``.
+
+    On a family's own ints, point j of the ground is bit m - 1 - j of v.
+    The fold's trace counts do not depend on how points are named, so
+    classify reads them in that order; only a label read off the fold maps
+    its bits back to points (see forbidden_labels).
+    """
     buf = bytearray(((1 << m) + 7) >> 3)
     for v in ints:
         buf[v >> 3] |= 1 << (v & 7)
@@ -173,17 +180,32 @@ def _fold(system: SetSystem) -> tuple[int, list[int], list[int], list[dict[int, 
     """
     m = system.ground_size
     _check_cap(m, CLASSIFY_GROUND_CAP, "classification on ground {}")
-    indicator = _indicator(system.member_ints, m)
+    indicator = _indicator(system._ints, m)
     low = _low_halves(m)
     return indicator, low, *_trace_counts(indicator, m, low)
 
 
-def _columns(members) -> list[int]:
-    """Member bit columns: bit i of column j is bit j of member i.
+# For each bit k of a byte, the table that turns a byte into the digit of its bit k.
+_DIGIT_OF_BIT = [bytes(b"01"[x >> k & 1] for x in range(256)) for k in range(8)]
 
-    The members are numbered in one order, the same for every column.
+
+def _columns(ints, m: int) -> list[int]:
+    """Point bit columns: bit i of column j is point j of member int i.
+
+    The members are numbered in one order, the same for every column.  The
+    ints are laid out as bytes of one width, little end first, so bit b of
+    every member lies in one strided slice of bytes, which one translate
+    turns into the digits of one int.  Point j is bit m - 1 - j.
     """
-    return [int(bytes(column).translate(_BIT_CHARS), 2) for column in zip(*members)]
+    if m <= 64:
+        width, data = 8, struct.pack(f"<{len(ints)}Q", *ints)
+    else:
+        width = (m + 7) >> 3
+        data = b"".join(v.to_bytes(width, "little") for v in ints)
+    return [
+        int(data[b >> 3 :: width].translate(_DIGIT_OF_BIT[b & 7]), 2)
+        for b in reversed(range(m))
+    ]
 
 
 def _shatters_some(columns, count: int, size: int, labels=None) -> bool:
@@ -271,7 +293,7 @@ def _maximum_dimension(system: SetSystem, labels=None) -> int | None:
     CLASSIFY_GROUND_CAP points above that ground.  None when the test does
     not apply or fails.
     """
-    count, m = len(system.members), system.ground_size
+    count, m = len(system._ints), system.ground_size
     d, bound = _sauer_floor(count, m)
     if bound != count:
         return None
@@ -280,7 +302,7 @@ def _maximum_dimension(system: SetSystem, labels=None) -> int | None:
     cells = sum(math.comb(m, t) << t for t in range(1, d + 1))
     if cells > SEARCH_CELLS_PER_FOLD << min(m, CLASSIFY_GROUND_CAP):
         return None
-    if _shatters_some(_columns(system.members), count, d + 1, labels):
+    if _shatters_some(_columns(system._ints, m), count, d + 1, labels):
         return None
     return d
 
@@ -307,7 +329,7 @@ def classify(system: SetSystem) -> Classification:
     This fold path moves 2^12 * 3^(m-6) bits in 2^m folds, independent of
     the family's size; CLASSIFY_GROUND_CAP bounds it, and nothing else.
     """
-    if not system.members:
+    if not system._ints:
         raise EmptyFamilyError("cannot classify an empty family")
     m = system.ground_size
     d = _maximum_dimension(system)
@@ -319,7 +341,7 @@ def classify(system: SetSystem) -> Classification:
     # Maximum exactly when |F| = phi(d, m): such a family shatters every set
     # of at most d points (Pajor's lemma) and each restriction is maximum
     # (Welzl 1987), so every k-subset carries phi(d, k) traces.
-    is_maximum = len(system.members) == phi_bound(d, m)
+    is_maximum = len(system._ints) == phi_bound(d, m)
     if is_maximum:
         is_maximal = True
     else:
@@ -355,7 +377,7 @@ def forbidden_labels(system: SetSystem, size: int) -> dict[tuple[int, ...], Labe
     does not settle raises SizeGuardError.
     """
     _check_size(size, "subset size")
-    m, count = system.ground_size, len(system.members)
+    m, count = system.ground_size, len(system._ints)
     labels = dict.fromkeys(itertools.combinations(range(m), size))
     if not labels:
         return labels
@@ -365,6 +387,6 @@ def forbidden_labels(system: SetSystem, size: int) -> dict[tuple[int, ...], Labe
     _, low, _, shorts = _fold(system)
     labels = dict.fromkeys(labels)  # afresh: a failed search writes some labels
     for b, folded in shorts[size].items():
-        pairs = _missing_trace(b, folded, m, low)
-        labels[tuple(j for j, _ in pairs)] = tuple(bit for _, bit in pairs)
+        pairs = _missing_trace(b, folded, m, low)[::-1]  # bit m - 1 - j is point j
+        labels[tuple(m - 1 - j for j, _ in pairs)] = tuple(bit for _, bit in pairs)
     return labels

@@ -77,7 +77,7 @@ def _cmd_classify(args) -> int:
     system = _load_system(args.path)
     result = classify(system)
     print(f"ground {system.ground_size}")
-    print(f"members {len(system.members)}")
+    print(f"members {len(system._ints)}")
     print(f"vc_dimension {result.vc_dimension}")
     print(f"is_maximum {_bool_text(result.is_maximum)}")
     print(f"is_maximal {_bool_text(result.is_maximal)}")
@@ -147,7 +147,7 @@ def _cmd_avoid(args) -> int:
     blocks = _automaton_blocks(args.ground, 0, _avoid_step(parse_label(args.label)))
     sys.stdout.write(f"ground {args.ground}\n")
     for block in blocks:
-        sys.stdout.write(_member_lines(block))
+        sys.stdout.write(_member_lines(block, args.ground))
     return 0
 
 
@@ -175,8 +175,8 @@ def _cmd_verify(args) -> int:
         inputs = {"depth": args.depth, "cols": args.cols}
         counts = {
             "witnesses": len(tensor.witnesses),
-            "family": len(family.members) if family is not None else 0,
-            "expected": len(expected.members),
+            "family": len(family._ints) if family is not None else 0,
+            "expected": len(expected._ints),
         }
     else:
         # sauer: avoidance family sizes meet the counting bound on every ground

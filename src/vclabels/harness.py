@@ -22,6 +22,7 @@ from .setsystem import (
     _automaton_family,
     _check_cap,
     _check_size,
+    _check_type,
     _count_words,
     _first_disagreement,
     _Value,
@@ -227,7 +228,11 @@ def _on_path(path: tuple[int, ...], columns: int) -> tuple[tuple[int, ...], ...]
 
 
 def ict_failure(tensor: IctTensor):
-    """First covered path with no exactly-matching witness, or None."""
+    """First covered path with no exactly-matching witness, or None.
+
+    An object that is not an IctTensor raises ValueError.
+    """
+    _check_type(tensor, IctTensor, "tensor must be an IctTensor")
     matched = {
         witness.path
         for witness in tensor.witnesses

@@ -67,6 +67,7 @@ def induces(mask: Mask, eta: Label) -> bool:
     Greedy left-to-right matching; equivalent to subsequence containment of
     eta in the membership string.
     """
+    _check_mask(mask)
     return induces_within(mask, (1,) * len(mask), eta)
 
 
@@ -151,10 +152,10 @@ def is_characterized_by(system: SetSystem, eta: Label) -> bool:
     if system.__class__ is not SetSystem:
         return system == avoid_family(m, eta)
     blocks = _automaton_blocks(m, 0, _avoid_step(eta))
-    if len(system.members) != phi_bound(len(eta) - 1, m):
+    if len(system._ints) != phi_bound(len(eta) - 1, m):
         return False
     words = itertools.chain.from_iterable(blocks)
-    return all(itertools.starmap(operator.eq, itertools.zip_longest(system.members, words)))
+    return all(itertools.starmap(operator.eq, itertools.zip_longest(system._ints, words)))
 
 
 def complement_label(eta: Label) -> Label:
@@ -167,13 +168,16 @@ def similar(first: SetSystem, second: SetSystem) -> bool:
 
     On a finite ground the full ground is itself one of the subsets and
     determines all the others, so this reduces to equality of the
-    deduplicated families.
+    deduplicated families.  An object that is not a SetSystem raises
+    ValueError.
     """
+    _check_type(first, SetSystem, "family must be a SetSystem")
+    _check_type(second, SetSystem, "family must be a SetSystem")
     if first.ground_size != second.ground_size:
         raise GroundMismatchError(
             f"grounds differ: {first.ground_size} vs {second.ground_size}"
         )
-    return first.members == second.members
+    return first._ints == second._ints
 
 
 def extend_avoiding(ground_size: int, region: Mask, partial: Mask, eta: Label) -> Mask:

@@ -22,7 +22,7 @@ from .orderformula import (
     Or,
     Top,
 )
-from .setsystem import Label, Mask, _Value, _check_cap, _check_size
+from .setsystem import Label, Mask, _Value, _check_cap, _check_size, _check_type
 
 
 class MalformedExpressionError(ValueError):
@@ -174,6 +174,7 @@ def from_interval_expr(expr: IntervalExpr) -> Label:
 
 def format_expr(expr: IntervalExpr) -> str:
     """Deterministic text form: pieces joined by ' u '; '{}' for the empty set."""
+    _check_type(expr, IntervalExpr, "expression must be an IntervalExpr")
     if not expr.segments:
         return "{}"
     parts = []
@@ -245,8 +246,10 @@ def realize_expr(expr: IntervalExpr, assignment, ground_size: int) -> Mask:
 
     ``assignment`` gives one strictly increasing grid position per symbol;
     ground element j sits at position 2*j.  The ground size must be a
-    nonnegative int (a bool counts); anything else raises ValueError.
+    nonnegative int (a bool counts); anything else raises ValueError, and
+    so does an expression that is not an IntervalExpr.
     """
+    _check_type(expr, IntervalExpr, "expression must be an IntervalExpr")
     _check_size(ground_size, "ground size")
     positions = tuple(assignment)
     if len(positions) != expr.symbol_count:

@@ -1,8 +1,10 @@
 """Finite set systems over a linearly ordered ground set.
 
 The ground set of size m is {0, ..., m-1} carrying the natural order.
-Member sets are stored as 0/1 membership masks, deduplicated and kept in
-lexicographic order so that every derived output is deterministic.
+Member sets are 0/1 membership masks at the API and in files, and one int
+per mask inside: the mask read as a base-2 numeral.  Members are
+deduplicated and kept in lexicographic order, which is the ints' order, so
+that every derived output is deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import math
 import operator
 from functools import cache, cached_property
-from collections.abc import Iterable
+from collections.abc import Iterable, Sized
 
 Mask = tuple[int, ...]
 Label = tuple[int, ...]
@@ -20,8 +22,8 @@ Label = tuple[int, ...]
 # Whole-family enumerations (power sets, avoidance scans) are 2^m.
 ENUMERATION_GROUND_CAP = 20
 # The automaton kernel hands out its words in blocks of about this many, so
-# a caller that writes them out holds one block at a time; the
-# constructor's fast check reads members in chunks of the same size.
+# a caller that writes them out holds one block at a time; to_text writes
+# blocks of the same size.
 BLOCK_WORDS = 1024
 
 
@@ -41,8 +43,9 @@ class SizeGuardError(ValueError):
     """The input exceeds an enumeration size cap."""
 
 
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
-_CHAR_BITS = bytes.maketrans(b"01", b"\x00\x01")
+# Bytes 0 and 1 to the digits 0 and 1, and every other byte to a character
+# that int(..., 2) refuses.
+_BIT_DIGITS = b"01" + b"x" * 254
 
 
 def _all_bits(entries) -> bool:
@@ -53,29 +56,15 @@ def _all_bits(entries) -> bool:
         return False
 
 
-def _sorted_bit_tuples(members, ground_size: int) -> bool:
-    """True iff ``members`` are strictly increasing tuples of ``ground_size`` bits.
+def _sorted_ints(ints: tuple, ground_size: int) -> bool:
+    """True iff ``ints`` are ints strictly increasing within range(2**ground_size).
 
-    A bit is an int 0 or 1, a bool included.  Each check is a C-level pass
-    over a chunk of BLOCK_WORDS + 1 members, so the check holds one
-    chunk's bytes at a time; neighbouring chunks share a member, so every
-    two neighbours are compared.  ``bytes`` of a tuple fails on an entry
-    that is not an int in range(256), one join of a chunk's rows shows any
-    entry above 1, and on rows of one length the bytes order is the
-    tuples' lexicographic order.
+    One C-level pass reads the types and one the order, from -1 up.
     """
-    if not (set(map(type, members)) <= {tuple} and set(map(len, members)) <= {ground_size}):
+    if not set(map(type, ints)) <= {int}:
         return False
-    for start in range(0, len(members) or 1, BLOCK_WORDS):
-        try:
-            rows = list(map(bytes, members[start : start + BLOCK_WORDS + 1]))
-        except (TypeError, ValueError):
-            return False
-        if b"".join(rows).translate(None, b"\x00\x01") or not all(
-            map(operator.lt, rows, itertools.islice(rows, 1, None))
-        ):
-            return False
-    return True
+    increasing = all(map(operator.lt, itertools.chain((-1,), ints), ints))
+    return increasing and (not ints or ints[-1].bit_length() <= ground_size)
 
 
 def _check_size(value, name: str) -> None:
@@ -105,7 +94,15 @@ def _check_cap(value: int, cap: int, what: str) -> None:
         raise SizeGuardError(f"{what.format(value)} exceeds cap {cap}")
 
 
-def _check_mask(mask: Mask, ground_size: int) -> None:
+def _check_mask(mask: Mask, ground_size: int | None = None) -> None:
+    """Raise ValueError unless ``mask`` is a sequence of ``ground_size`` bits.
+
+    The ground defaults to the mask's own length.  An object without a
+    length raises ValueError naming its type, and a mask of another length
+    than the ground GroundMismatchError.
+    """
+    _check_type(mask, Sized, "a mask must be a sequence of bits")
+    ground_size = len(mask) if ground_size is None else ground_size
     _check_size(ground_size, "ground size")
     if len(mask) != ground_size:
         raise GroundMismatchError(
@@ -118,6 +115,7 @@ def _check_mask(mask: Mask, ground_size: int) -> None:
 def mask_from_indices(ground_size: int, indices: Iterable[int]) -> Mask:
     """Membership mask of the given element indices (ints; a bool counts)."""
     _check_size(ground_size, "ground size")
+    _check_type(indices, Iterable, "indices must be an iterable")
     indices = list(indices)
     odd = [i for i in indices if not isinstance(i, int)]
     if odd:
@@ -131,20 +129,19 @@ def mask_from_indices(ground_size: int, indices: Iterable[int]) -> Mask:
 
 def mask_indices(mask: Mask) -> tuple[int, ...]:
     """Element indices present in the mask, in increasing order."""
+    _check_mask(mask)
     return tuple(j for j, b in enumerate(mask) if b)
 
 
-def _member_lines(masks) -> str:
-    """The member lines of the set-system file format, one per mask.
+def _member_lines(words, ground_size: int) -> str:
+    """The member lines of the set-system file format, one per member int.
 
     Each line is the mask's bits as 0/1 characters and ends in a newline;
-    the empty mask is an empty line.
+    the empty mask is an empty line.  Each int is written by bin() after a
+    bit above the ground, so every "0b1" in the join starts a line.
     """
-    return b"\n".join([*map(bytes, masks), b""]).translate(_BIT_CHARS).decode()
-
-
-def _mask_int(mask: Mask) -> int:
-    return int(bytes(mask[::-1]).translate(_BIT_CHARS) or b"0", 2)
+    text = "".join(map(bin, map((1 << ground_size).__or__, words))).replace("0b1", "\n")
+    return text[1:] + "\n" if words else ""
 
 
 class _Value:
@@ -153,7 +150,8 @@ class _Value:
     Instances are equal when their classes and all their fields are; the
     hash is that of the field values and the repr lists them by name.
     Fields cannot be assigned or deleted, so each subclass's ``__init__``
-    stores them through ``object.__setattr__`` or its slots' own setters.
+    stores them through ``object.__setattr__``, its ``__dict__`` or its
+    slots' own setters.
     A value is its own copy, and its own deep copy when it hashes; one that
     a caller built with a mutable field, such as a list, deep-copies field
     by field.  Unpickled values are built by ``__init__``, so what it
@@ -216,7 +214,13 @@ class _Value:
 
 
 class SetSystem(_Value):
-    """A deduplicated family of subsets of an ordered ground set."""
+    """A deduplicated family of subsets of an ordered ground set.
+
+    The family holds one int per member, in increasing order: the mask read
+    as a base-2 numeral, point 0 the highest of its ``ground_size`` bits.
+    ``members``, the tuple masks, is built from the ints when first read,
+    unless the constructor was given them.
+    """
 
     __match_args__ = ("ground_size", "members")
 
@@ -224,9 +228,10 @@ class SetSystem(_Value):
         _check_size(ground_size, "ground size")
         _check_type(members, Iterable, "members must be an iterable")
         members = tuple(members)
+        ints = _module("_masks").mask_ints(members, ground_size)
         # Only a family that fails the fast check is checked again mask by
         # mask, for the first error in member order.
-        if not _sorted_bit_tuples(members, ground_size):
+        if ints is None or not _sorted_ints(ints, ground_size):
             for mask in members:
                 _check_mask(mask, ground_size)
             if list(members) != sorted(set(members)):
@@ -234,8 +239,20 @@ class SetSystem(_Value):
                     "members must be deduplicated and lexicographically sorted; "
                     "use SetSystem.from_masks"
                 )
-        object.__setattr__(self, "ground_size", ground_size)
-        object.__setattr__(self, "members", members)
+        self.__dict__.update(ground_size=ground_size, _ints=ints, members=members)
+
+    @classmethod
+    def _of_ints(cls, ground_size: int, ints: Iterable[int]) -> SetSystem:
+        """The family of the given member ints, checked by _sorted_ints."""
+        family = object.__new__(cls)
+        family.__dict__.update(ground_size=ground_size, _ints=tuple(ints))
+        if not _sorted_ints(family._ints, ground_size):
+            raise ValueError(f"member ints must increase within range(2**{ground_size})")
+        return family
+
+    @cached_property
+    def members(self) -> tuple[Mask, ...]:
+        return _module("_masks").member_tuples(self._ints, self.ground_size)
 
     @classmethod
     def from_masks(cls, ground_size: int, masks: Iterable[Mask]) -> SetSystem:
@@ -253,6 +270,7 @@ class SetSystem(_Value):
 
     @classmethod
     def from_index_sets(cls, ground_size: int, index_sets) -> SetSystem:
+        _check_type(index_sets, Iterable, "index sets must be an iterable")
         return cls.from_masks(
             ground_size, (mask_from_indices(ground_size, s) for s in index_sets)
         )
@@ -276,13 +294,14 @@ class SetSystem(_Value):
 
     @cached_property
     def member_ints(self) -> tuple[int, ...]:
-        return tuple(_mask_int(mask) for mask in self.members)
+        """Each member as the int whose bit j is point j: its own int's bits reversed."""
+        return _module("_masks").reversed_ints(self._ints, self.ground_size)
 
     def to_text(self) -> str:
         """Serialize in the set-system file format, a block of lines at a time."""
-        members = self.members
-        blocks = (members[i : i + BLOCK_WORDS] for i in range(0, len(members), BLOCK_WORDS))
-        return f"ground {self.ground_size}\n" + "".join(map(_member_lines, blocks))
+        ints, m = self._ints, self.ground_size
+        blocks = (ints[i : i + BLOCK_WORDS] for i in range(0, len(ints), BLOCK_WORDS))
+        return f"ground {m}\n" + "".join(_member_lines(block, m) for block in blocks)
 
     @classmethod
     def from_text(cls, text: str) -> SetSystem:
@@ -292,11 +311,12 @@ class SetSystem(_Value):
         string over {0,1} of length m.  Lines starting with ``#`` are
         ignored, and so are blank lines, except after ``ground 0``: there a
         blank line is the empty member.  Duplicate members are dropped.
-        Text that is not a str raises ValueError.
+        Text that is not a str raises ValueError.  Each member line is read
+        straight to its int.
         """
         _check_type(text, str, "set-system text must be a str")
         ground_size = None
-        masks = []
+        ints = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if line.startswith("#") or not line and ground_size != 0:
@@ -314,10 +334,10 @@ class SetSystem(_Value):
                     f"line {lineno}: expected a 0/1 string of length {ground_size}, "
                     f"got {line!r}"
                 )
-            masks.append(tuple(line.encode().translate(_CHAR_BITS)))
+            ints.append(int(line or "0", 2))
         if ground_size is None:
             raise ValueError("missing 'ground <m>' header line")
-        return cls.from_masks(ground_size, masks)
+        return cls._of_ints(ground_size, sorted(set(ints)))
 
 
 def _automaton_blocks(ground_size: int, start, step):
@@ -327,7 +347,8 @@ def _automaton_blocks(ground_size: int, start, step):
     be a pure function of a hashable state and a bit: the walk calls it
     once per reachable state and bit and keeps the answers in a move
     table.  The depth-first walk pops bit 0 before bit 1, so every
-    accepted word comes out once and in lexicographic order; its stack
+    accepted word comes out once and in lexicographic order, as the int
+    of SetSystem (its bits read as a base-2 numeral); its stack
     holds at most one entry per level, and words end at the last level
     without being pushed.  The words come in lists, each but the last of
     BLOCK_WORDS or BLOCK_WORDS + 1 words, and the walk goes on only when
@@ -341,43 +362,48 @@ def _automaton_blocks(ground_size: int, start, step):
 
 
 def _walk(ground_size: int, start, step):
-    """The generator of _automaton_blocks, which checks its arguments."""
+    """The generator of _automaton_blocks, which checks its arguments.
+
+    A prefix of L bits is held as the int 2^L plus its bits, so doubling
+    it appends a 0, and a doubled prefix at or above 2^m is a word, less
+    that leading bit.
+    """
     if not ground_size:
-        yield [()]
+        yield [0]
         return
-    words: list[Mask] = []
+    words: list[int] = []
     moves = {}
-    stack = [((), start)]
-    last = ground_size - 1
+    stack = [(1, start)]
+    top = 1 << ground_size
     while stack:
         word, state = stack.pop()
         try:
             zero, one = moves[state]
         except KeyError:
             zero, one = moves[state] = step(state, 0), step(state, 1)
-        if len(word) == last:
+        word += word
+        if word >= top:
+            word -= top
             if zero is not None:
-                words.append(word + (0,))
+                words.append(word)
             if one is not None:
-                words.append(word + (1,))
+                words.append(word + 1)
             if len(words) >= BLOCK_WORDS:
                 yield words
                 words = []
         else:
             if one is not None:
-                stack.append((word + (1,), one))
+                stack.append((word + 1, one))
             if zero is not None:
-                stack.append((word + (0,), zero))
+                stack.append((word, zero))
     if words:
         yield words
 
 
 def _automaton_family(ground_size: int, start, step) -> SetSystem:
     """The family of the words an automaton accepts (see _automaton_blocks)."""
-    words: list[Mask] = []
-    for block in _automaton_blocks(ground_size, start, step):
-        words += block
-    return SetSystem(ground_size, words)
+    blocks = _automaton_blocks(ground_size, start, step)
+    return SetSystem._of_ints(ground_size, itertools.chain.from_iterable(blocks))
 
 
 def _count_words(levels: int, start, step) -> list[int]:
@@ -441,8 +467,8 @@ def _sized_family(ground_size: int, low: int, high: int) -> SetSystem:
     The automaton's state is (points read, members so far); a point joins
     while the size stays at most ``high``, and stays out while the points
     left can still reach ``low``.  The walk's cost follows the ground as
-    much as the family (the m one-point sets of m points copy about m^3/6
-    word entries); the kernel's ground cap also bounds the family at 2^20
+    much as the family (the m one-point sets of m points take about m^2/2
+    steps); the kernel's ground cap also bounds the family at 2^20
     members.
     """
 
@@ -454,7 +480,7 @@ def _sized_family(ground_size: int, low: int, high: int) -> SetSystem:
 
     family = _automaton_family(ground_size, (0, 0), step)
     # No such subset, though the walk accepts the empty word on the empty ground.
-    return family if low <= ground_size else SetSystem(ground_size, ())
+    return family if low <= ground_size else SetSystem._of_ints(ground_size, ())
 
 
 class Classification(_Value):
@@ -462,17 +488,9 @@ class Classification(_Value):
 
     __match_args__ = ("vc_dimension", "is_maximum", "is_maximal", "sauer_profile")
 
-    def __init__(
-        self,
-        vc_dimension: int,
-        is_maximum: bool,
-        is_maximal: bool,
-        sauer_profile: tuple[tuple[int, int], ...],
-    ):
-        object.__setattr__(self, "vc_dimension", vc_dimension)
-        object.__setattr__(self, "is_maximum", is_maximum)
-        object.__setattr__(self, "is_maximal", is_maximal)
-        object.__setattr__(self, "sauer_profile", sauer_profile)
+    def __init__(self, vc_dimension: int, is_maximum: bool, is_maximal: bool, sauer_profile):
+        values = vc_dimension, is_maximum, is_maximal, sauer_profile
+        self.__dict__.update(zip(self.__match_args__, values))
 
 
 def phi_bound(d: int, n: int) -> int:
@@ -486,6 +504,7 @@ def phi_bound(d: int, n: int) -> int:
 
 def trace(system: SetSystem, region: Mask) -> SetSystem:
     """Restrict the family to the elements of ``region``, reindexed in order."""
+    _check_type(system, SetSystem, "family must be a SetSystem")
     _check_mask(region, system.ground_size)
     keep = mask_indices(region)
     return SetSystem.from_masks(
@@ -493,23 +512,36 @@ def trace(system: SetSystem, region: Mask) -> SetSystem:
     )
 
 
+def _traces(system: SetSystem, region: Mask) -> tuple[int, set[int]]:
+    """The int of ``region`` and the members' traces on it, as ints.
+
+    An object that is not a SetSystem, or a region that is not a mask on
+    its ground, raises ValueError.
+    """
+    _check_type(system, SetSystem, "family must be a SetSystem")
+    _check_mask(region, system.ground_size)
+    a = int(bytes(region).translate(_BIT_DIGITS) or b"0", 2)
+    return a, {v & a for v in system._ints}
+
+
 def shatters(system: SetSystem, region: Mask) -> bool:
     """True iff every subset of ``region`` occurs as a trace."""
-    _check_mask(region, system.ground_size)
-    a = _mask_int(region)
-    return len({v & a for v in system.member_ints}) == 1 << a.bit_count()
+    a, present = _traces(system, region)
+    return len(present) == 1 << a.bit_count()
 
 
 @cache
-def _engine():
-    """The module of the fold and the shatter search, imported on the first call.
+def _module(name: str):
+    """The package's private module ``name``, imported on the first call for it.
 
-    Only classify, forbidden_labels and vc_dim use it, so a process that
-    calls none of them does not compile it.
+    _classifier, the fold and the shatter search, serves classify,
+    forbidden_labels and vc_dim; _masks, the tuple masks, serves the
+    constructor, ``members`` and ``member_ints``.  A process that calls
+    none of a module's users does not compile it.
     """
-    from . import _classifier
-
-    return _classifier
+    # Unlike import_module this shows in -X importtime; with a fromlist,
+    # __import__ returns the module itself rather than the package.
+    return __import__(f"{__package__}.{name}", fromlist=["*"])
 
 
 def vc_dim(system: SetSystem) -> int:
@@ -521,7 +553,7 @@ def vc_dim(system: SetSystem) -> int:
     SetSystem raises ValueError.
     """
     _check_type(system, SetSystem, "family must be a SetSystem")
-    return _engine().vc_dim(system)
+    return _module("_classifier").vc_dim(system)
 
 
 def classify(system: SetSystem) -> Classification:
@@ -535,7 +567,7 @@ def classify(system: SetSystem) -> Classification:
     an object that is not a SetSystem ValueError.
     """
     _check_type(system, SetSystem, "family must be a SetSystem")
-    return _engine().classify(system)
+    return _module("_classifier").classify(system)
 
 
 def forbidden_label(system: SetSystem, region: Mask) -> Label:
@@ -544,9 +576,7 @@ def forbidden_label(system: SetSystem, region: Mask) -> Label:
     Bit i corresponds to the i-th smallest element of the region.  Defined
     exactly when the trace on the region misses a single pattern.
     """
-    _check_mask(region, system.ground_size)
-    a = _mask_int(region)
-    present = {v & a for v in system.member_ints}
+    a, present = _traces(system, region)
     expected = (1 << a.bit_count()) - 1
     if len(present) != expected:
         raise NotLocallyMaximumError(
@@ -555,7 +585,8 @@ def forbidden_label(system: SetSystem, region: Mask) -> Label:
     missing = a  # the submasks of a, from the largest down, until one is absent
     while missing in present:
         missing = (missing - 1) & a
-    return tuple(missing >> j & 1 for j in mask_indices(region))
+    # Point j is bit m - 1 - j.
+    return tuple(missing >> (system.ground_size - 1 - j) & 1 for j in mask_indices(region))
 
 
 def forbidden_labels(system: SetSystem, size: int) -> dict[tuple[int, ...], Label | None]:
@@ -569,7 +600,7 @@ def forbidden_labels(system: SetSystem, size: int) -> dict[tuple[int, ...], Labe
     An object that is not a SetSystem raises ValueError.
     """
     _check_type(system, SetSystem, "family must be a SetSystem")
-    return _engine().forbidden_labels(system, size)
+    return _module("_classifier").forbidden_labels(system, size)
 
 
 def alternation_number(mask: Mask) -> int:
@@ -578,6 +609,5 @@ def alternation_number(mask: Mask) -> int:
     Equals the number of maximal constant runs of the membership string;
     0 only on the empty ground.
     """
-    if not mask:
-        return 0
-    return 1 + sum(mask[i] != mask[i - 1] for i in range(1, len(mask)))
+    _check_mask(mask)
+    return bool(mask) + sum(mask[i] != mask[i - 1] for i in range(1, len(mask)))

@@ -7,7 +7,10 @@ construction the library used before a faster one replaced it, kept as a
 second, independently derived answer to compare the new one with:
 ``extend_by_stripping``, the bit-stripping extension construction before
 the one-pass fill, and ``fold_trace_counts``, the trace counts by folding
-the whole 2^m-bit indicator before the compacting fold.
+the whole 2^m-bit indicator before the compacting fold.  The helpers of
+the tuple-mask family come last: ``mask_int``, ``zip_columns`` and
+``tuple_blocks`` are the library's conversions and kernel from before a
+family held its members as ints, kept to check the int paths against.
 """
 
 import itertools
@@ -338,3 +341,61 @@ def homogenize(members, m, d):
         if label is not None:
             best = (mask, label)
     return best
+
+
+# --- the tuple-mask family, before members were held as ints --------------
+
+
+def numeral(mask):
+    """The mask's bits read as a base-2 numeral, point 0 the highest bit."""
+    return int("".join(map(str, mask)) or "0", 2)
+
+
+def mask_int(mask):
+    """The int whose bit j is point j of the mask."""
+    return sum(bit << j for j, bit in enumerate(mask))
+
+
+def zip_columns(members):
+    """Bit columns by transposing the tuples: bit i of column j is point j of
+    member i, member 0 the highest bit."""
+    return [int("".join(map(str, column)), 2) for column in zip(*members)]
+
+
+def member_lines(members):
+    """The member lines of the set-system file format, written from tuples."""
+    return "".join("".join(map(str, mask)) + "\n" for mask in members)
+
+
+def tuple_blocks(ground_size, start, step, block_words):
+    """The kernel's walk over tuple words, as it stood before int words: the
+    accepted words in lexicographic order, in lists each but the last of
+    block_words or block_words + 1 words."""
+    if not ground_size:
+        yield [()]
+        return
+    words = []
+    moves = {}
+    stack = [((), start)]
+    last = ground_size - 1
+    while stack:
+        word, state = stack.pop()
+        try:
+            zero, one = moves[state]
+        except KeyError:
+            zero, one = moves[state] = step(state, 0), step(state, 1)
+        if len(word) == last:
+            if zero is not None:
+                words.append(word + (0,))
+            if one is not None:
+                words.append(word + (1,))
+            if len(words) >= block_words:
+                yield words
+                words = []
+        else:
+            if one is not None:
+                stack.append((word + (1,), one))
+            if zero is not None:
+                stack.append((word + (0,), zero))
+    if words:
+        yield words

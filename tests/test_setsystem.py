@@ -965,10 +965,15 @@ NOT_A_FAMILY = "family must be a SetSystem, got NoneType"
         (lambda: SetSystem(2, None), "members must be an iterable, got NoneType"),
         (lambda: SetSystem(2, 5), "members must be an iterable, got int"),
         (lambda: SetSystem.from_masks(2, None), "masks must be an iterable, got NoneType"),
+        (lambda: setsystem.forbidden_label(None, (1,)), NOT_A_FAMILY),
+        (lambda: trace(None, (1,)), NOT_A_FAMILY),
+        (lambda: setsystem.shatters(None, (1,)), NOT_A_FAMILY),
+        (lambda: labelcalc.similar(None, None), NOT_A_FAMILY),
     ],
     ids=[
         "classify", "vc_dim", "forbidden_labels", "ramsey_homogenize",
         "is_characterized_by", "classify-list", "SetSystem", "SetSystem-int", "from_masks",
+        "forbidden_label", "trace", "shatters", "similar",
     ],
 )
 def test_entry_points_name_what_is_not_a_family(call, text):
@@ -1262,9 +1267,14 @@ def test_automaton_family_matches_recursive_walk(table, m):
     "m, eta", [(0, (1,)), (1, (0,)), (9, (1, 0)), (12, (1,) * 13), (16, (1, 0, 1, 0, 1, 0))]
 )
 def test_kernel_blocks_hold_the_words_in_order(m, eta):
+    # The words are the ints of the masks, block for block those of the
+    # tuple walk the kernel replaced.
     step = labelcalc._avoid_step(eta)
     blocks = list(setsystem._automaton_blocks(m, 0, step))
-    assert [word for block in blocks for word in block] == bf.automaton_words(m, 0, step)
+    words = [word for block in blocks for word in block]
+    assert words == list(map(bf.numeral, bf.automaton_words(m, 0, step)))
+    old = bf.tuple_blocks(m, 0, step, setsystem.BLOCK_WORDS)
+    assert blocks == [list(map(bf.numeral, block)) for block in old]
     full = setsystem.BLOCK_WORDS
     assert all(len(block) in (full, full + 1) for block in blocks[:-1])
     assert 0 < len(blocks[-1]) <= full + 1

@@ -67,6 +67,7 @@ COMPILER = FORMULA | {"vclabels.labelcompiler"}
 EVERYTHING = COMPILER | {"vclabels.harness"}
 HARNESS = CLI | {"vclabels.harness"}  # homogenize and t2 compile no formula
 ENGINE = "vclabels._classifier"  # the fold and the shatter search
+MASKS = "vclabels._masks"  # a family's members as tuple masks
 
 
 def _cli(*argv):
@@ -94,7 +95,8 @@ def _cli(*argv):
         pytest.param(
             _cli("verify", "l2", "--label", "101", "--pairs", "3"), EVERYTHING, id="l2"
         ),
-        pytest.param(_cli("verify", "t2"), HARNESS, id="t2"),
+        # The witness family is built from tuple masks.
+        pytest.param(_cli("verify", "t2"), HARNESS | {MASKS}, id="t2"),
     ],
 )
 def test_a_process_loads_only_the_modules_it_runs(tmp_path, argv, expected):
@@ -126,6 +128,25 @@ def test_a_process_loads_only_the_modules_it_runs(tmp_path, argv, expected):
 )
 def test_only_classification_loads_the_engine(tmp_path, code, loads_engine):
     assert (ENGINE in _loaded(["-c", code], tmp_path)) == loads_engine
+
+
+@pytest.mark.parametrize(
+    "code, loads_masks",
+    [
+        ("from vclabels import avoid_family as f; f(6, (1, 0, 1)).to_text()", False),
+        (
+            "from vclabels import SetSystem as S, classify as f; "
+            "f(S.from_text('ground 2\\n01\\n10\\n'))",
+            False,
+        ),
+        ("from vclabels import SetSystem as S; S(2, ((0, 1),))", True),
+        ("from vclabels import avoid_family as f; f(6, (1, 0, 1)).members", True),
+        ("from vclabels import avoid_family as f; f(6, (1, 0, 1)).member_ints", True),
+    ],
+    ids=["avoid_family", "from_text-classify", "constructor", "members", "member_ints"],
+)
+def test_only_tuple_masks_load_their_module(tmp_path, code, loads_masks):
+    assert (MASKS in _loaded(["-c", code], tmp_path)) == loads_masks
 
 
 @pytest.mark.parametrize(
