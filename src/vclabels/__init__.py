@@ -6,22 +6,24 @@ compiles only the modules it uses.
 """
 
 _EXPORTS = {
-    "setsystem": (
-        "Classification",
+    "_kernel": (
         "EmptyFamilyError",
         "GroundMismatchError",
         "Label",
         "Mask",
         "NotLocallyMaximumError",
-        "SetSystem",
         "SizeGuardError",
+        "phi_bound",
+    ),
+    "setsystem": (
+        "Classification",
+        "SetSystem",
         "alternation_number",
         "classify",
         "forbidden_label",
         "forbidden_labels",
         "mask_from_indices",
         "mask_indices",
-        "phi_bound",
         "shatters",
         "trace",
         "vc_dim",
@@ -84,7 +86,8 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted([*_EXPORTS, *_MODULE_OF])
+# The private module _kernel is no public name.
+__all__ = sorted(name for name in [*_EXPORTS, *_MODULE_OF] if name[0] != "_")
 
 
 def __getattr__(name):

@@ -12,8 +12,8 @@ import itertools
 import math
 import struct
 
-from .setsystem import Classification, EmptyFamilyError, Label, SetSystem, phi_bound
-from .setsystem import _check_cap, _check_size
+from ._kernel import EmptyFamilyError, Label, _check_cap, _check_size, phi_bound
+from .setsystem import Classification, SetSystem
 
 # Classification of a family that the maximum test does not settle folds a
 # 2^m-bit indicator once per subset of the ground, shrinking it as points

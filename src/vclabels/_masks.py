@@ -16,7 +16,7 @@ import itertools
 import operator
 from functools import cache
 
-from .setsystem import Mask, _BIT_DIGITS
+from ._kernel import Mask, _BIT_DIGITS
 
 
 def mask_ints(members, ground_size: int) -> tuple[int, ...] | None:

@@ -11,31 +11,36 @@ import os
 import sys
 
 
-def _deferred(module: str, name: str):
+def _deferred(module: str, name: str, source: str = ""):
     """A stand-in for ``module.name`` that imports the module when first called.
 
     Each subcommand then compiles only the modules it runs, and ``--help``
     and usage errors compile none but this one.  The stand-in carries the
     function's names, so wrappers that read them see the real function.
+    With ``source`` it imports that module instead, which defines the
+    function ``module`` exports.
     """
     qualified = f"{__package__}.{module}"
+    loaded = f"{__package__}.{source or module}"
 
     def stand_in(*args, **kwargs):
-        __import__(qualified)  # shows in -X importtime, unlike import_module
-        return getattr(sys.modules[qualified], name)(*args, **kwargs)
+        __import__(loaded)  # shows in -X importtime, unlike import_module
+        return getattr(sys.modules[loaded], name)(*args, **kwargs)
 
     stand_in.__module__ = qualified
     stand_in.__name__ = stand_in.__qualname__ = name
     return stand_in
 
 
-_automaton_blocks = _deferred("setsystem", "_automaton_blocks")
-_count_words = _deferred("setsystem", "_count_words")
-_member_lines = _deferred("setsystem", "_member_lines")
+# Named as setsystem exports them, so a tracer that groups calls by module,
+# such as perfbench's, counts them in that layer; they load only _kernel.
+_automaton_blocks = _deferred("setsystem", "_automaton_blocks", "_kernel")
+_count_words = _deferred("setsystem", "_count_words", "_kernel")
+_member_lines = _deferred("setsystem", "_member_lines", "_kernel")
+phi_bound = _deferred("setsystem", "phi_bound", "_kernel")
 classify = _deferred("setsystem", "classify")
 forbidden_labels = _deferred("setsystem", "forbidden_labels")
 mask_indices = _deferred("setsystem", "mask_indices")
-phi_bound = _deferred("setsystem", "phi_bound")
 _avoid_step = _deferred("labelcalc", "_avoid_step")
 format_label = _deferred("labelcalc", "format_label")
 parse_label = _deferred("labelcalc", "parse_label")
@@ -268,8 +273,8 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except (ValueError, RuntimeError, OSError) as exc:
-        # Only a loaded setsystem can have raised its SizeGuardError.
-        guard = getattr(sys.modules.get(f"{__package__}.setsystem"), "SizeGuardError", ())
+        # Only a loaded _kernel can have raised its SizeGuardError.
+        guard = getattr(sys.modules.get(f"{__package__}._kernel"), "SizeGuardError", ())
         kinds = (UsageError, "usage: "), (guard, "size guard: "), (OSError, "file: ")
         prefix = next((text for kind, text in kinds if isinstance(exc, kind)), "")
         print(f"error: {prefix}{exc}", file=sys.stderr)

@@ -13,27 +13,24 @@ import itertools
 import math
 from typing import TYPE_CHECKING
 
-from .labelcalc import as_label
-from .setsystem import (
+from ._kernel import (
     ENUMERATION_GROUND_CAP,
     Label,
     Mask,
-    SetSystem,
-    _automaton_family,
     _check_cap,
     _check_size,
     _check_type,
     _count_words,
     _first_disagreement,
+    _module,
     _Value,
-    classify,
-    forbidden_labels,
-    mask_from_indices,
     phi_bound,
 )
+from .labelcalc import as_label
 
 if TYPE_CHECKING:
     from .orderformula import FormulaAst
+    from .setsystem import SetSystem
 
 ICT_DEPTH_CAP = 3
 ICT_COLUMN_CAP = 4
@@ -56,7 +53,7 @@ def xor_pair_family(ast: FormulaAst, n: int, m_pairs: int) -> SetSystem:
     formula's truth differs at its two points.  The family is the words of
     the automaton of _pair_step; the pairs are its ground.
     """
-    return _automaton_family(m_pairs, 0, _pair_step(ast, n))
+    return _module("setsystem")._automaton_family(m_pairs, 0, _pair_step(ast, n))
 
 
 def _pair_step(ast: FormulaAst, n: int):
@@ -68,10 +65,9 @@ def _pair_step(ast: FormulaAst, n: int):
     higher one (see _cell_step), and a pair is rejected when neither t
     reaches a state.
     """
-    # Imported here: homogenize and the ICT checks never compile a formula.
-    from .orderformula import _cell_step, _cells
-
-    cell = _cell_step(_cells(ast, n))
+    # Looked up here: homogenize and the ICT checks never compile a formula.
+    of = _module("orderformula")
+    cell = of._cell_step(of._cells(ast, n))
 
     def step(least: int, bit: int):
         ends = []
@@ -105,12 +101,10 @@ def verify_pair_xor(eta: Label, m_pairs: int) -> PairXorReport:
     failing family's size is a count of the pair automaton's words (see
     _count_words); no family is built.
     """
-    from .labelcompiler import compile_label
-
     eta = as_label(eta)
     _check_size(m_pairs, "pair count")
     d = len(eta) - 1
-    step = _pair_step(compile_label(eta), d)
+    step = _pair_step(_module("labelcompiler").compile_label(eta), d)
     expected = phi_bound(d, m_pairs)
 
     def count(size: int, bit: int):
@@ -141,7 +135,8 @@ def ramsey_homogenize(system: SetSystem) -> tuple[Mask, Label]:
     may make; past 2^ENUMERATION_GROUND_CAP steps the search raises
     SizeGuardError.
     """
-    result = classify(system)
+    families = _module("setsystem")
+    result = families.classify(system)
     if not result.is_maximum:
         raise NotMaximumError("the family is not maximum")
     d = result.vc_dimension
@@ -150,7 +145,7 @@ def ramsey_homogenize(system: SetSystem) -> tuple[Mask, Label]:
         raise ValueError(
             "the family shatters its whole ground; no forbidden labels exist"
         )
-    label_of = forbidden_labels(system, d + 1)
+    label_of = families.forbidden_labels(system, d + 1)
     best, size, steps = None, d, 0
     # Each entry: the next point, the chosen points, and their label once
     # they number more than d.
@@ -160,7 +155,7 @@ def ramsey_homogenize(system: SetSystem) -> tuple[Mask, Label]:
         if len(chosen) + m - x <= size:
             continue
         if x == m:
-            best, size = (mask_from_indices(m, chosen), label), len(chosen)
+            best, size = (families.mask_from_indices(m, chosen), label), len(chosen)
             continue
         steps += 1 + math.comb(len(chosen), d)
         _check_cap(steps, 1 << ENUMERATION_GROUND_CAP, "homogenize search of {} steps")
@@ -269,9 +264,10 @@ def ict_witness_family(tensor: IctTensor) -> SetSystem:
         raise UnverifiedTensorError(
             f"tensor does not cover all injective paths; first missing {missing[0]}"
         )
+    families = _module("setsystem")
     members = [
-        mask_from_indices(tensor.columns, witness.path)
+        families.mask_from_indices(tensor.columns, witness.path)
         for witness in tensor.witnesses
         if len(set(witness.path)) == tensor.depth
     ]
-    return SetSystem.from_masks(tensor.columns, members)
+    return families.SetSystem.from_masks(tensor.columns, members)

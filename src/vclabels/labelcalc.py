@@ -10,25 +10,33 @@ the prefix of eta matched so far: the avoidance family is the set of words
 on which it never completes, induction is one pass of it along a mask, and
 extension is the same pass with each point off the region taking the bit
 the matcher does not want next.
+
+The matcher runs on the automaton kernel of _kernel.  Only the functions
+that build or type-check a SetSystem reach setsystem, so CLI ``avoid`` and
+``verify sauer``, which walk the matcher and build no family, never
+compile it.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from typing import TYPE_CHECKING
 
-from .setsystem import (
+from ._kernel import (
     GroundMismatchError,
     Label,
     Mask,
-    SetSystem,
     _all_bits,
     _automaton_blocks,
-    _automaton_family,
     _check_mask,
     _check_type,
+    _module,
     phi_bound,
 )
+
+if TYPE_CHECKING:
+    from .setsystem import SetSystem
 
 
 class PreconditionViolatedError(ValueError):
@@ -112,7 +120,7 @@ def avoid_family(ground_size: int, eta: Label) -> SetSystem:
     The members are the words on which the greedy matcher never completes
     eta.
     """
-    return _automaton_family(ground_size, 0, _avoid_step(as_label(eta)))
+    return _module("setsystem")._automaton_family(ground_size, 0, _avoid_step(as_label(eta)))
 
 
 def _avoid_step(eta: Label):
@@ -146,6 +154,7 @@ def is_characterized_by(system: SetSystem, eta: Label) -> bool:
     raises ValueError, and a subclass's instance is compared with the
     built family by its own ``==``.
     """
+    SetSystem = _module("setsystem").SetSystem
     _check_type(system, SetSystem, "family must be a SetSystem")
     m = system.ground_size
     eta = as_label(eta)
@@ -171,6 +180,7 @@ def similar(first: SetSystem, second: SetSystem) -> bool:
     deduplicated families.  An object that is not a SetSystem raises
     ValueError.
     """
+    SetSystem = _module("setsystem").SetSystem
     _check_type(first, SetSystem, "family must be a SetSystem")
     _check_type(second, SetSystem, "family must be a SetSystem")
     if first.ground_size != second.ground_size:

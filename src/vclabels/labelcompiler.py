@@ -6,23 +6,22 @@ point-interval expression: reading the label left to right, a leading 0
 opens a ray from minus infinity, each adjacent digit pair consumes one
 fresh symbol (11 an isolated point, 10 an interval start, 01 an interval
 end, 00 a removed point), and a trailing 0 closes a ray at plus infinity.
+
+Only compile_label builds formulas, and it alone reaches orderformula, so
+CLI ``translate``, which maps labels and expressions both ways, never
+compiles that module.
 """
 
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
+from ._kernel import Label, Mask, _Value, _check_cap, _check_size, _check_type, _module
 from .labelcalc import as_label
-from .orderformula import (
-    LABEL_LENGTH_CAP,
-    And,
-    Bottom,
-    Compare,
-    FormulaAst,
-    Or,
-    Top,
-)
-from .setsystem import Label, Mask, _Value, _check_cap, _check_size, _check_type
+
+if TYPE_CHECKING:
+    from .orderformula import FormulaAst
 
 
 class MalformedExpressionError(ValueError):
@@ -126,13 +125,14 @@ def compile_label(eta: Label) -> FormulaAst:
     LABEL_LENGTH_CAP raise SizeGuardError.
     """
     eta = as_label(eta)
-    _check_cap(len(eta), LABEL_LENGTH_CAP, "label of {} bits")
-    ast: FormulaAst = Top() if eta[0] == 0 else Bottom()
+    of = _module("orderformula")
+    _check_cap(len(eta), of.LABEL_LENGTH_CAP, "label of {} bits")
+    ast: FormulaAst = of.Top() if eta[0] == 0 else of.Bottom()
     for k, (before, bit) in enumerate(zip(eta, eta[1:]), start=1):
         if before == 0:
-            ast = And(ast, Compare("<" if bit else "!=", k))
+            ast = of.And(ast, of.Compare("<" if bit else "!=", k))
         else:
-            ast = Or(ast, Compare("=" if bit else ">", k))
+            ast = of.Or(ast, of.Compare("=" if bit else ">", k))
     return ast
 
 

@@ -11,18 +11,13 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from ._kernel import Label, SizeGuardError, _check_cap, _first_disagreement, _module, _Value
 from .labelcalc import _avoid_step, format_label
-from .setsystem import (
-    Label,
-    SetSystem,
-    SizeGuardError,
-    _automaton_family,
-    _check_cap,
-    _first_disagreement,
-    _Value,
-)
+
+if TYPE_CHECKING:
+    from .setsystem import SetSystem
 
 # Evaluating and formatting a formula recurse once per level of its tree,
 # and parsing up to three times per level.  Under Python's default limit of
@@ -456,7 +451,7 @@ def _cell_step(truths: Sequence[int]):
 
 def ordered_trace_family(ast: FormulaAst, n: int, m: int) -> SetSystem:
     """Family of ground traces of the formula with n strictly increasing parameters."""
-    return _automaton_family(m, 0, _cell_step(_cells(ast, n)))
+    return _module("setsystem")._automaton_family(m, 0, _cell_step(_cells(ast, n)))
 
 
 def label_of_formula(ast: FormulaAst, n: int | None = None) -> Label:

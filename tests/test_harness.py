@@ -128,7 +128,7 @@ def test_verify_pair_xor_matches_build_and_compare(monkeypatch, compiler):
 
 def test_verify_pair_xor_builds_no_family_on_pass_or_fail(monkeypatch):
     monkeypatch.setattr(
-        harness, "_automaton_family", mock.Mock(side_effect=AssertionError("built a family"))
+        setsystem, "_automaton_family", mock.Mock(side_effect=AssertionError("built a family"))
     )
     assert verify_pair_xor((1, 0, 1), 10) == PairXorReport(True, 56, 56)
     monkeypatch.setattr(labelcompiler, "compile_label", lambda eta: Top())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce as bf
-from vclabels import labelcalc
+from vclabels import labelcalc, setsystem
 from vclabels.harness import verify_pair_xor
 from vclabels.labelcalc import (
     PreconditionViolatedError,
@@ -253,7 +253,7 @@ def test_is_characterized_by_builds_no_family(monkeypatch):
     family = avoid_family(12, (1, 0, 1, 0))
     one_less = SetSystem(12, family.members[1:])
     monkeypatch.setattr(labelcalc, "avoid_family", refuse)
-    monkeypatch.setattr(labelcalc, "_automaton_family", refuse)
+    monkeypatch.setattr(setsystem, "_automaton_family", refuse)
     monkeypatch.setattr(SetSystem, "__init__", refuse)
     assert is_characterized_by(family, (1, 0, 1, 0))
     assert not is_characterized_by(family, (0, 1, 0, 1))

@@ -213,6 +213,20 @@ def test_constructor_keeps_the_masks_it_was_given():
     assert family._ints == (1, 2) and family == SetSystem.from_index_sets(2, [{1}, {0}])
 
 
+def test_equality_of_plain_families_builds_no_tuple_view():
+    # Families built by the kernel, from a file or from tuples of plain bits
+    # compare by their ground and ints.
+    family = avoid_family(12, (1, 0) * 3)
+    read = SetSystem.from_text(family.to_text())
+    given = SetSystem(3, ((0, 0, 0), (0, 0, 1), (0, 1, 1), (True, True, True)))
+    with mock.patch.object(_masks, "member_tuples", wraps=_masks.member_tuples) as views:
+        assert family == avoid_family(12, (1, 0) * 3) == read
+        assert family != avoid_family(12, (0, 1) * 3) and family != SetSystem.power_set(12)
+        assert given == avoid_family(3, (1, 0)) and given != SetSystem.power_set(3)
+        assert SetSystem._of_ints(2, (0,)) != SetSystem._of_ints(3, (0,))
+    assert views.call_count == 0
+
+
 # --- no CLI path builds the tuple view -----------------------------------
 
 

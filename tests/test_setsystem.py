@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import bruteforce as bf
-from vclabels import _classifier, cli, harness, labelcalc, setsystem
+from vclabels import _classifier, _kernel, cli, harness, labelcalc, setsystem
 from vclabels.labelcalc import avoid_family
 from vclabels.orderformula import Top, ordered_trace_family
 from vclabels.setsystem import (
@@ -1220,6 +1220,16 @@ def test_constructor_checks_match_the_entry_checks(m, members):
     assert _outcome(SetSystem, m, iter(members)) == expected
 
 
+@pytest.mark.parametrize("m, members", _ENTRY_CASES.values(), ids=_ENTRY_CASES)
+def test_equality_keeps_the_answer_of_the_masks(m, members):
+    # == reads the ints only where every entry is a plain bit; an entry
+    # such as an object with an index keeps the answer its masks give.
+    if _outcome(SetSystem, m, members) is None:
+        family = SetSystem(m, members)
+        for other in (SetSystem._of_ints(m, family._ints), SetSystem(m, members)):
+            assert (family == other) == (family.members == other.members)
+
+
 def test_index_entries_are_ordered_by_their_bits():
     # Entries that have an index but no order compare as their bits, where
     # comparing the tuples raised TypeError.
@@ -1331,7 +1341,7 @@ def test_count_words_of_a_member_counter():
 
 
 def test_count_words_refuses_a_walk_over_its_budget(monkeypatch):
-    monkeypatch.setattr(setsystem, "ENUMERATION_GROUND_CAP", 4)
+    monkeypatch.setattr(_kernel, "ENUMERATION_GROUND_CAP", 4)
     # The matcher of 10 holds one state at level 0 and two after it.
     step = labelcalc._avoid_step((1, 0))
     assert setsystem._count_words(8, 0, step) == list(range(1, 10))
@@ -1356,7 +1366,7 @@ def test_count_words_refuses_before_it_walks(monkeypatch, fastest):
         steps.append(state)
         return state
 
-    monkeypatch.setattr(setsystem, "ENUMERATION_GROUND_CAP", 4)
+    monkeypatch.setattr(_kernel, "ENUMERATION_GROUND_CAP", 4)
     # One state costs one pair per level: 16 levels fit the budget of 16.
     assert setsystem._count_words(16, 0, one_state) == [1 << k for k in range(17)]
     steps.clear()

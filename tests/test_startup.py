@@ -1,23 +1,30 @@
 """What a process loads: the package's names load their modules on first use."""
 
+import builtins
 import subprocess
 import sys
 from importlib import import_module
+from unittest import mock
 
 import pytest
 
 import vclabels
 import vclabels.cli
-from vclabels.labelcalc import avoid_family
+from vclabels.harness import ramsey_homogenize, verify_pair_xor
+from vclabels.labelcalc import avoid_family, is_characterized_by, similar
+from vclabels.labelcompiler import compile_label
+from vclabels.orderformula import ordered_trace_family, parse_formula
 
 # The public names, by the module that defines them.
 EXPORTS = {
+    "_kernel": [
+        "EmptyFamilyError", "GroundMismatchError", "Label", "Mask",
+        "NotLocallyMaximumError", "SizeGuardError", "phi_bound",
+    ],
     "setsystem": [
-        "Classification", "EmptyFamilyError", "GroundMismatchError", "Label",
-        "Mask", "NotLocallyMaximumError", "SetSystem", "SizeGuardError",
-        "alternation_number", "classify", "forbidden_label", "forbidden_labels",
-        "mask_from_indices", "mask_indices", "phi_bound", "shatters", "trace",
-        "vc_dim",
+        "Classification", "SetSystem", "alternation_number", "classify",
+        "forbidden_label", "forbidden_labels", "mask_from_indices",
+        "mask_indices", "shatters", "trace", "vc_dim",
     ],
     "labelcalc": [
         "PreconditionViolatedError", "avoid_family", "complement_label",
@@ -41,31 +48,38 @@ EXPORTS = {
         "ramsey_homogenize", "verify_ict", "verify_pair_xor", "xor_pair_family",
     ],
 }
-PUBLIC = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
+NAMES = [*EXPORTS, *(name for names in EXPORTS.values() for name in names)]
+PUBLIC = sorted(name for name in NAMES if name != "_kernel")
 
 
-def _loaded(argv, cwd, status=0):
-    """The ``vclabels`` modules a fresh interpreter imports to run ``argv``."""
+def _run(argv, cwd, status=0):
+    """The ``vclabels`` modules a fresh interpreter imports to run ``argv``,
+    and the lines of its stderr that are not ``-X importtime``'s."""
     done = subprocess.run(
         [sys.executable, "-X", "importtime", *argv],
         capture_output=True, text=True, cwd=cwd,
     )
     assert done.returncode == status, done.stderr
-    imported = (
-        line.rsplit("|", 1)[1].strip()
-        for line in done.stderr.splitlines()
-        if line.startswith("import time:")
-    )
-    return {name for name in imported if name.split(".")[0] == "vclabels"}
+    lines = done.stderr.splitlines()
+    imported = (line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:"))
+    errors = [line for line in lines if not line.startswith("import time:")]
+    return {name for name in imported if name.split(".")[0] == "vclabels"}, errors
+
+
+def _loaded(argv, cwd, status=0):
+    return _run(argv, cwd, status)[0]
 
 
 CLI_ONLY = {"vclabels", "vclabels.cli"}  # --help and usage errors
-FAMILIES = CLI_ONLY | {"vclabels.setsystem"}  # classify prints no label
-CLI = FAMILIES | {"vclabels.labelcalc"}
-FORMULA = CLI | {"vclabels.orderformula"}
+KERNEL = CLI_ONLY | {"vclabels._kernel"}
+FAMILIES = KERNEL | {"vclabels.setsystem"}  # classify prints no label
+MATCHER = KERNEL | {"vclabels.labelcalc"}  # avoid and sauer build no family
+FORMULA = MATCHER | {"vclabels.orderformula"}
 COMPILER = FORMULA | {"vclabels.labelcompiler"}
-EVERYTHING = COMPILER | {"vclabels.harness"}
-HARNESS = CLI | {"vclabels.harness"}  # homogenize and t2 compile no formula
+TRANSLATOR = MATCHER | {"vclabels.labelcompiler"}  # translate compiles no formula
+PAIRS = COMPILER | {"vclabels.harness"}  # l2 builds no family
+HARNESS = FAMILIES | MATCHER | {"vclabels.harness"}  # homogenize and t2 compile no formula
+SETSYSTEM = "vclabels.setsystem"
 ENGINE = "vclabels._classifier"  # the fold and the shatter search
 MASKS = "vclabels._masks"  # a family's members as tuple masks
 
@@ -80,21 +94,21 @@ def _cli(*argv):
         pytest.param(["-c", "import vclabels"], {"vclabels"}, id="import"),
         pytest.param(_cli("--help"), CLI_ONLY, id="help"),
         pytest.param(_cli("classify", "--in", "family.txt"), FAMILIES | {ENGINE}, id="classify"),
-        pytest.param(_cli("labels", "--in", "family.txt"), CLI | {ENGINE}, id="labels"),
-        pytest.param(_cli("avoid", "--label", "101", "--ground", "4"), CLI, id="avoid"),
         pytest.param(
-            _cli("verify", "sauer", "--label", "101", "--ground", "4"), CLI, id="sauer"
+            _cli("labels", "--in", "family.txt"), FAMILIES | MATCHER | {ENGINE}, id="labels"
+        ),
+        pytest.param(_cli("avoid", "--label", "101", "--ground", "4"), MATCHER, id="avoid"),
+        pytest.param(
+            _cli("verify", "sauer", "--label", "101", "--ground", "4"), MATCHER, id="sauer"
         ),
         pytest.param(_cli("label", "--formula", "x>y1 & x<y2"), FORMULA, id="label"),
         pytest.param(_cli("compile", "--label", "101"), COMPILER, id="compile"),
-        pytest.param(_cli("translate", "--label", "101"), COMPILER, id="translate-label"),
-        pytest.param(_cli("translate", "--expr", "(a,b)"), COMPILER, id="translate-expr"),
+        pytest.param(_cli("translate", "--label", "101"), TRANSLATOR, id="translate-label"),
+        pytest.param(_cli("translate", "--expr", "(a,b)"), TRANSLATOR, id="translate-expr"),
         pytest.param(
             _cli("homogenize", "--in", "family.txt"), HARNESS | {ENGINE}, id="homogenize"
         ),
-        pytest.param(
-            _cli("verify", "l2", "--label", "101", "--pairs", "3"), EVERYTHING, id="l2"
-        ),
+        pytest.param(_cli("verify", "l2", "--label", "101", "--pairs", "3"), PAIRS, id="l2"),
         # The witness family is built from tuple masks.
         pytest.param(_cli("verify", "t2"), HARNESS | {MASKS}, id="t2"),
     ],
@@ -107,27 +121,56 @@ def test_a_process_loads_only_the_modules_it_runs(tmp_path, argv, expected):
 
 
 @pytest.mark.parametrize(
-    "code, loads_engine",
+    "code, loads",
     [
-        ("import vclabels.setsystem", False),
-        ("from vclabels import avoid_family as f; f(6, (1, 0, 1))", False),
+        ("import vclabels.setsystem", {SETSYSTEM}),
+        ("from vclabels import avoid_family as f; f(6, (1, 0, 1))", {SETSYSTEM}),
         (
             "from vclabels import label_of_formula as f, parse_formula as p; "
             "f(p('x>y1 & x<y2'))",
-            False,
+            set(),
         ),
-        ("from vclabels import verify_pair_xor as f; assert f((1, 0, 1), 4).passed", False),
-        ("from vclabels import SetSystem as S, vc_dim as f; f(S.power_set(2))", True),
-        ("from vclabels import SetSystem as S, classify as f; f(S.power_set(2))", True),
-        ("from vclabels import SetSystem as S, forbidden_labels as f; f(S.power_set(2), 1)", True),
+        ("from vclabels import verify_pair_xor as f; assert f((1, 0, 1), 4).passed", set()),
+        ("from vclabels import SetSystem as S, vc_dim as f; f(S.power_set(2))", {SETSYSTEM, ENGINE}),
+        ("from vclabels import SetSystem as S, classify as f; f(S.power_set(2))", {SETSYSTEM, ENGINE}),
+        (
+            "from vclabels import SetSystem as S, forbidden_labels as f; f(S.power_set(2), 1)",
+            {SETSYSTEM, ENGINE},
+        ),
     ],
     ids=[
         "import", "avoid_family", "label_of_formula", "verify_pair_xor",
         "vc_dim", "classify", "forbidden_labels",
     ],
 )
-def test_only_classification_loads_the_engine(tmp_path, code, loads_engine):
-    assert (ENGINE in _loaded(["-c", code], tmp_path)) == loads_engine
+def test_only_classification_loads_the_engine(tmp_path, code, loads):
+    # Only what builds a family loads setsystem, and only classification the engine.
+    assert _loaded(["-c", code], tmp_path) & {SETSYSTEM, ENGINE} == loads
+
+
+_FAMILY = avoid_family(8, (1, 0, 1))
+_FORMULA = parse_formula("x>y1 & x<y2")
+HOT_PATHS = {
+    "avoid_family": lambda: avoid_family(8, (1, 0, 1)),
+    "is_characterized_by": lambda: is_characterized_by(_FAMILY, (1, 0, 1)),
+    "similar": lambda: similar(_FAMILY, _FAMILY),
+    "ordered_trace_family": lambda: ordered_trace_family(_FORMULA, 2, 6),
+    "compile_label": lambda: compile_label((1, 0, 1)),
+    "verify_pair_xor": lambda: verify_pair_xor((1, 0, 1), 4),
+    "ramsey_homogenize": lambda: ramsey_homogenize(_FAMILY),
+}
+
+
+@pytest.mark.parametrize("call", HOT_PATHS.values(), ids=HOT_PATHS)
+def test_a_warm_call_runs_no_import_statement(monkeypatch, call):
+    # An import statement calls __import__ on every call, even once its
+    # module is loaded; a module reached through _kernel._module is looked
+    # up in a cache.
+    call()
+    imports = mock.Mock(wraps=builtins.__import__)
+    monkeypatch.setattr(builtins, "__import__", imports)
+    call()
+    assert imports.call_count == 0
 
 
 @pytest.mark.parametrize(
@@ -147,6 +190,23 @@ def test_only_classification_loads_the_engine(tmp_path, code, loads_engine):
 )
 def test_only_tuple_masks_load_their_module(tmp_path, code, loads_masks):
     assert (MASKS in _loaded(["-c", code], tmp_path)) == loads_masks
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_cli("avoid", "--label", "1", "--ground", "21"), "family on ground 21 exceeds cap 20"),
+        (_cli("compile", "--label", "10" * 70), "label of 140 bits exceeds cap 128"),
+        (_cli("label", "--formula", "x<y129"), "formula arity 129 exceeds cap 128"),
+    ],
+    ids=["avoid", "compile", "label"],
+)
+def test_a_size_guard_is_named_where_setsystem_never_loads(tmp_path, argv, message):
+    # In-process CLI tests run with setsystem already imported, so only a
+    # fresh process shows where cli.main finds SizeGuardError.
+    loaded, errors = _run(argv, tmp_path, status=2)
+    assert SETSYSTEM not in loaded
+    assert errors == [f"error: size guard: {message}"]
 
 
 @pytest.mark.parametrize(
