@@ -2,13 +2,19 @@
 
 Exit status: 0 on success or PASS, 1 on a failed verification, 2 on usage,
 file, or size-guard errors.  All output is deterministic.
+
+The grammar is one table, _COMMANDS.  A command line of plain ``--flag
+value`` pairs is read from it by _parse, so a call that runs never imports
+argparse; every other one, such as ``--help`` or a usage error, goes to the
+argparse parser that build_parser makes from the same table, which prints
+the help and errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+import types
 
 
 def _deferred(module: str, name: str, source: str = ""):
@@ -194,15 +200,100 @@ def _cmd_verify(args) -> int:
         counts = {"cases": args.ground + 1}
         if failures:
             shown = {"first_failure": failures[0]}
-    print("PASS" if passed else "FAIL", _key_values(counts | shown))
+    # Written before the verdict is printed, so stdout stays empty when the
+    # report cannot be.
     if args.report is not None:
         record = {"claim": args.claim, **inputs, **counts, "pass": _bool_text(passed)}
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(_key_values(record) + "\n")
+    print("PASS" if passed else "FAIL", _key_values(counts | shown))
     return 0 if passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The grammar of the command line, which both _parse and build_parser read:
+# per subcommand its help, its handler, its options and its positional as
+# (dest, choices), if it takes one.  An option is (flag, dest, type,
+# default, required, metavar); exactly one of the options whose required is
+# _ONE_OF must be given.
+_ONE_OF = "one of"
+_IN = ("--in", "path", str, None, True, "FILE")
+_LABEL = ("--label", "label", str, None, True, "BITS")
+_COMMANDS = {
+    "classify": ("classify a set system from a file", _cmd_classify, [_IN], None),
+    "labels": ("per-subset forbidden labels and constancy", _cmd_labels, [_IN], None),
+    "label": ("extract the label of a formula", _cmd_label, [
+        ("--formula", "formula", str, None, True, "TEXT"),
+        ("--arity", "arity", int, None, False, "N"),
+    ], None),
+    "compile": ("compile a label to formula and expression", _cmd_compile, [_LABEL], None),
+    "translate": ("label to expression or expression to label", _cmd_translate, [
+        ("--label", "label", str, None, _ONE_OF, "BITS"),
+        ("--expr", "expr", str, None, _ONE_OF, "TEXT"),
+    ], None),
+    "homogenize": ("largest label-homogeneous subset", _cmd_homogenize, [_IN], None),
+    "verify": ("run a verification claim", _cmd_verify, [
+        ("--label", "label", str, None, False, "BITS"),
+        ("--pairs", "pairs", int, 5, False, "M"),
+        ("--depth", "depth", int, 2, False, "D"),
+        ("--cols", "cols", int, 3, False, "M"),
+        ("--ground", "ground", int, 10, False, "M"),
+        ("--report", "report", str, None, False, "PATH"),
+    ], ("claim", ("sauer", "l2", "t2"))),
+    "avoid": ("emit an avoidance family in file format", _cmd_avoid, [
+        _LABEL,
+        ("--ground", "ground", int, None, True, "M"),
+    ], None),
+}
+
+
+def _parse(argv: list[str]) -> dict | None:
+    """The arguments argparse gives for ``argv``, as a dict, or None.
+
+    Reads only a command of _COMMANDS followed by exact ``--flag value``
+    pairs, each flag at most once and no value starting with "-", with the
+    command's positional once anywhere among them; every required option
+    must be given, exactly one of a one-of group, and every value must
+    convert to its type.  Any other command line gives None, and argparse
+    reads it: help, abbreviations, ``--flag=value``, repeated flags,
+    negative numbers and every usage error.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options, positional = _COMMANDS[argv[0]]
+    args = {"command": argv[0], "handler": handler}
+    args.update((dest, default) for _, dest, _, default, _, _ in options)
+    readers = {flag: (dest, kind) for flag, dest, kind, _, _, _ in options}
+    given = set()
+    words = iter(argv[1:])
+    for word in words:
+        if word in readers and word not in given:
+            value = next(words, None)
+            if value is None or value.startswith("-"):
+                return None
+            dest, kind = readers[word]
+            try:
+                args[dest] = kind(value)
+            except ValueError:
+                return None
+            given.add(word)
+        elif positional and word in positional[1] and positional[0] not in args:
+            args[positional[0]] = word
+        else:
+            return None
+    if any(need is True and flag not in given for flag, _, _, _, need, _ in options):
+        return None
+    one_of = {flag for flag, _, _, _, need, _ in options if need is _ONE_OF}
+    if one_of and len(one_of & given) != 1:
+        return None
+    if positional and positional[0] not in args:
+        return None
+    return args
+
+
+def build_parser():
+    """The argparse parser of _COMMANDS, which prints help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="vclabels",
         description=(
@@ -212,58 +303,31 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify a set system from a file")
-    p.add_argument("--in", dest="path", required=True, metavar="FILE")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("labels", help="per-subset forbidden labels and constancy")
-    p.add_argument("--in", dest="path", required=True, metavar="FILE")
-    p.set_defaults(handler=_cmd_labels)
-
-    p = sub.add_parser("label", help="extract the label of a formula")
-    p.add_argument("--formula", required=True, metavar="TEXT")
-    p.add_argument("--arity", type=int, default=None, metavar="N")
-    p.set_defaults(handler=_cmd_label)
-
-    p = sub.add_parser("compile", help="compile a label to formula and expression")
-    p.add_argument("--label", required=True, metavar="BITS")
-    p.set_defaults(handler=_cmd_compile)
-
-    p = sub.add_parser("translate", help="label to expression or expression to label")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--label", metavar="BITS")
-    group.add_argument("--expr", metavar="TEXT")
-    p.set_defaults(handler=_cmd_translate)
-
-    p = sub.add_parser("homogenize", help="largest label-homogeneous subset")
-    p.add_argument("--in", dest="path", required=True, metavar="FILE")
-    p.set_defaults(handler=_cmd_homogenize)
-
-    p = sub.add_parser("verify", help="run a verification claim")
-    p.add_argument("claim", choices=["sauer", "l2", "t2"])
-    p.add_argument("--label", metavar="BITS")
-    p.add_argument("--pairs", type=int, default=5, metavar="M")
-    p.add_argument("--depth", type=int, default=2, metavar="D")
-    p.add_argument("--cols", type=int, default=3, metavar="M")
-    p.add_argument("--ground", type=int, default=10, metavar="M")
-    p.add_argument("--report", metavar="PATH")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("avoid", help="emit an avoidance family in file format")
-    p.add_argument("--label", required=True, metavar="BITS")
-    p.add_argument("--ground", type=int, required=True, metavar="M")
-    p.set_defaults(handler=_cmd_avoid)
-
+    for name, (text, handler, options, positional) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if positional:
+            p.add_argument(positional[0], choices=positional[1])
+        group = None
+        for flag, dest, kind, default, need, metavar in options:
+            if need is _ONE_OF:
+                group = group or p.add_mutually_exclusive_group(required=True)
+            (group if need is _ONE_OF else p).add_argument(
+                flag, dest=dest, type=kind, default=default, required=need is True, metavar=metavar
+            )
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parsed = _parse(argv)
+    if parsed is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+    else:
+        args = types.SimpleNamespace(**parsed)
     try:
         status = args.handler(args)
         sys.stdout.flush()

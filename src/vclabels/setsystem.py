@@ -88,6 +88,8 @@ class SetSystem(_Value):
                     "members must be deduplicated and lexicographically sorted; "
                     "use SetSystem.from_masks"
                 )
+            for mask in members:  # such as bytes, which pass both checks
+                _check_type(mask, tuple, "a mask must be a tuple")
         self.__dict__.update(ground_size=ground_size, _ints=ints, members=members)
 
     @classmethod

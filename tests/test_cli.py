@@ -1,3 +1,6 @@
+import contextlib
+import importlib.util
+import io
 import itertools
 import math
 import os
@@ -5,12 +8,15 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import bruteforce as bf
 from vclabels import setsystem
-from vclabels.cli import main
+from vclabels.cli import _parse, build_parser, main
 from vclabels.harness import IctTensor, IctWitness, build_ict_tensor
 from vclabels.labelcalc import avoid_family
 from vclabels.orderformula import Top
@@ -276,6 +282,15 @@ def test_verify_report_file(capsys, tmp_path):
     )
 
 
+def test_verify_prints_no_verdict_when_its_report_cannot_be_written(capsys, tmp_path):
+    report = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(
+        capsys, "verify", "sauer", "--label", "10", "--report", str(report)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: file: [Errno 2] No such file or directory: '{report}'\n"
+
+
 def _count_words_missing_the_empty_word(levels, start, step):
     return [0, *_count_words(levels, start, step)[1:]]
 
@@ -468,6 +483,111 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "compile")[0] == 2
     assert run_cli(capsys, "nosuch")[0] == 2
     assert run_cli(capsys, "translate", "--label", "1", "--expr", "{}")[0] == 2
+
+
+# Command lines of every shape the benchmark and tools/cli_parity.py run.
+PLAIN_ARGVS = [
+    ["classify", "--in", "family.txt"],
+    ["labels", "--in", "family.txt"],
+    ["homogenize", "--in", "family.txt"],
+    ["label", "--formula", "x>y1 & x<y2"],
+    ["label", "--formula", "!(x!=x | x>y1)", "--arity", "1"],
+    ["compile", "--label", "101"],
+    ["translate", "--label", "11001010"],
+    ["translate", "--expr", "(-inf,g)\\{a} u {h} u (i,j)"],
+    ["avoid", "--label", "1010", "--ground", "20"],
+    ["verify", "sauer", "--label", "101", "--ground", "8"],
+    ["verify", "sauer", "--label", "101", "--ground", "8", "--report", "report"],
+    ["verify", "sauer", "--report", "report"],  # the handler's usage error
+    ["verify", "l2", "--label", "101", "--pairs", "4", "--report", "report"],
+    ["verify", "t2"],
+    ["verify", "t2", "--depth", "2", "--cols", "3", "--report", "report"],
+]
+INT_FLAGS = {"--ground", "--pairs", "--depth", "--cols", "--arity"}
+
+
+def _perturbed(argv):
+    """Command lines one edit away from ``argv``, most of which argparse reads
+    differently from plain ``--flag value`` pairs or refuses."""
+    for i in (i for i in range(1, len(argv) - 1) if argv[i].startswith("--")):
+        flag, value = argv[i], argv[i + 1]
+        yield argv[:i] + [flag[:-1]] + argv[i + 1:]  # abbreviated
+        yield argv[:i] + [f"{flag}={value}"] + argv[i + 2:]
+        yield argv + [flag, value]  # repeated
+        yield argv[:i] + argv[i + 2:]  # missing
+        yield argv[:i + 1]  # no value
+        for bad in ("-1", "-", "--x", "-5", ""):
+            yield argv[:i + 1] + [bad] + argv[i + 2:]
+        if flag in INT_FLAGS:
+            for bad in ("x", "1.5", "0x10", " 7 ", "1_0", "+3"):
+                yield argv[:i + 1] + [bad] + argv[i + 2:]
+    for i in range(len(argv) + 1):
+        for word in ("--", "-h", "--help", "extra", "sauer"):
+            yield argv[:i] + [word] + argv[i:]
+    if argv[0] == "verify":
+        yield [argv[0], *argv[2:], argv[1]]  # the claim after the options
+        yield [argv[0], *argv[2:]]  # no claim
+        yield [argv[0], "nosuch", *argv[2:]]
+    if argv[0] == "translate":
+        yield ["translate"]
+        yield ["translate", "--label", "1", "--expr", "{}"]
+        yield ["translate", "--expr", "{}", "--label", "1"]
+    yield ["nosuch", *argv[1:]]
+    yield [argv[0][:-1], *argv[1:]]
+    yield argv[1:]
+
+
+def _argparse_args(argv):
+    """What argparse gives for ``argv``, as a dict, or None if it exits."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def test_plain_command_lines_skip_argparse():
+    for argv in PLAIN_ARGVS:
+        assert _parse(argv) == _argparse_args(argv) is not None, argv
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGVS, ids=" ".join)
+def test_the_table_parser_reads_like_argparse_or_defers_to_it(argv):
+    for case in _perturbed(argv):
+        parsed = _parse(case)
+        assert parsed is None or parsed == _argparse_args(case), case
+
+
+FLAGS = [
+    "--in", "--label", "--expr", "--ground", "--pairs", "--depth", "--formula", "--arity",
+    "--report", "--lab", "--ground=3", "--", "-h", "sauer",
+]
+VALUES = ["10", "2", " 3", "x", "", "-1", "--label", "l2"]
+
+
+@given(
+    st.sampled_from(["verify", "translate", "avoid", "label", "classify", "nosuch"]),
+    st.lists(st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)), max_size=4),
+    st.sampled_from([[], ["sauer"], ["t2"], ["x"]]),
+    st.integers(0, 8),
+)
+def test_the_table_parser_on_random_command_lines(command, pairs, claim, at):
+    words = [word for pair in pairs for word in pair]
+    argv = [command, *words[:at], *claim, *words[at:]]
+    parsed = _parse(argv)
+    assert parsed is None or parsed == _argparse_args(argv)
+
+
+def test_every_benchmark_command_line_skips_argparse(tmp_path):
+    path = Path(__file__).parents[1] / "perfbench" / "workload_gen.py"
+    spec = importlib.util.spec_from_file_location("workload_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for workload in ("cli-classify", "cli-enumerate"):
+        for index in range(3):
+            for job in gen.cli_round(workload, 1, index, tmp_path, "in"):
+                assert _parse(job["argv"]) is not None, job
 
 
 def test_bad_label_literal_exit_2(capsys):

@@ -1139,6 +1139,14 @@ def test_constructor_rejects_malformed_members(members):
     assert _outcome(SetSystem, 2, members) == expected
 
 
+@pytest.mark.parametrize("mask", [b"\x00\x01", range(2)], ids=["bytes", "range"])
+def test_constructor_refuses_a_mask_that_is_not_a_tuple(mask):
+    # Both pass the per-mask and order checks, but hold no member int.
+    assert _outcome(_old_checks, 2, [mask]) is None
+    with pytest.raises(ValueError, match=f"a mask must be a tuple, got {type(mask).__name__}"):
+        SetSystem(2, [mask])
+
+
 def _entry_checks(ground_size, members):
     """The constructor's checks with one pass over all entries and tuple order.
 

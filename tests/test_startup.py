@@ -53,21 +53,26 @@ PUBLIC = sorted(name for name in NAMES if name != "_kernel")
 
 
 def _run(argv, cwd, status=0):
-    """The ``vclabels`` modules a fresh interpreter imports to run ``argv``,
-    and the lines of its stderr that are not ``-X importtime``'s."""
+    """The modules a fresh interpreter imports to run ``argv``, standard
+    library ones included, and the lines of its stderr that are not
+    ``-X importtime``'s."""
     done = subprocess.run(
         [sys.executable, "-X", "importtime", *argv],
         capture_output=True, text=True, cwd=cwd,
     )
     assert done.returncode == status, done.stderr
     lines = done.stderr.splitlines()
-    imported = (line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:"))
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
     errors = [line for line in lines if not line.startswith("import time:")]
-    return {name for name in imported if name.split(".")[0] == "vclabels"}, errors
+    return imported, errors
+
+
+def _package(imported):
+    return {name for name in imported if name.split(".")[0] == "vclabels"}
 
 
 def _loaded(argv, cwd, status=0):
-    return _run(argv, cwd, status)[0]
+    return _package(_run(argv, cwd, status)[0])
 
 
 CLI_ONLY = {"vclabels", "vclabels.cli"}  # --help and usage errors
@@ -117,7 +122,10 @@ def test_a_process_loads_only_the_modules_it_runs(tmp_path, argv, expected):
     # Each module is compiled from source when no bytecode cache is written,
     # so an eager import adds its compile time to every process.
     (tmp_path / "family.txt").write_text(avoid_family(4, (1, 0, 1)).to_text())
-    assert _loaded(argv, tmp_path) == expected
+    imported = _run(argv, tmp_path)[0]
+    assert _package(imported) == expected
+    # argparse, and the gettext and locale it imports, only print help.
+    assert ("argparse" in imported) == ("--help" in argv)
 
 
 @pytest.mark.parametrize(
@@ -210,12 +218,19 @@ def test_a_size_guard_is_named_where_setsystem_never_loads(tmp_path, argv, messa
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [_cli("verify", "sauer"), _cli("avoid", "--ground", "4"), _cli("nosuch")],
+    "argv, by_argparse",
+    [
+        # verify reads its command line, and then finds --label missing.
+        (_cli("verify", "sauer"), False),
+        (_cli("avoid", "--ground", "4"), True),
+        (_cli("nosuch"), True),
+    ],
     ids=["missing-label", "missing-option", "no-such-command"],
 )
-def test_a_usage_error_loads_only_the_cli(tmp_path, argv):
-    assert _loaded(argv, tmp_path, status=2) == CLI_ONLY
+def test_a_usage_error_loads_only_the_cli(tmp_path, argv, by_argparse):
+    imported = _run(argv, tmp_path, status=2)[0]
+    assert _package(imported) == CLI_ONLY
+    assert ("argparse" in imported) == by_argparse
 
 
 def test_public_names_are_unchanged():

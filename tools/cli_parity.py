@@ -13,6 +13,10 @@ The set-system files are written here, with a subsequence test and a
 prefix matcher of its own for the avoidance families, so nothing is
 imported from the package under test.  Standard library only.
 
+The last cases are help and usage errors, which argparse prints, and
+command lines in other forms than plain ``--flag value`` pairs, such as
+``--ground=4``.
+
 A case may take an argument from an earlier case's stdout: ``label``
 cases read the formula the last ``compile`` case printed, and
 ``translate --expr`` cases the expression the last ``translate --label``
@@ -195,6 +199,24 @@ def formula_error_cases():
     yield "unopened", "x<y1)"
 
 
+# Help, usage errors, and command lines in forms that argparse also reads:
+# an abbreviated flag, --flag=value, a repeated flag, verify's claim last.
+USAGE_CASES = {
+    "help": ["--help"],
+    "classify-help": ["classify", "--help"],
+    "verify-help": ["verify", "--help"],
+    "no-such-command": ["nosuch"],
+    "no-arguments": [],
+    "missing-option": ["avoid", "--ground", "4"],
+    "abbreviated": ["avoid", "--lab", "10", "--ground", "4"],
+    "equals": ["avoid", "--label", "10", "--ground=4"],
+    "repeated": ["avoid", "--label", "10", "--ground", "4", "--ground", "5"],
+    "both-of-one-of": ["translate", "--label", "1", "--expr", "{}"],
+    "claim-last": ["verify", "--label", "10", "--ground", "4", "sauer"],
+    "bad-int": ["label", "--formula", "x<y1", "--arity", "x"],
+}
+
+
 def cases():
     """(case id, argv, input file text or None), in sweep order."""
     for label in [*labels(6), LONG_LABEL]:
@@ -248,6 +270,8 @@ def cases():
     for name, text in formula_error_cases():
         yield f"label:{name}", ["label", "--formula", text], None
     yield "classify:missing-file", ["classify", "--in", "missing.txt"], None
+    for name, argv in USAGE_CASES.items():
+        yield f"usage:{name}", argv, None
 
 
 def digest(data: bytes | None) -> str:
