@@ -1,12 +1,12 @@
 """Tuple masks at the API boundary: a family's member ints to and from tuples.
 
-A SetSystem holds one int per member: the mask read as a base-2 numeral,
-point 0 the highest of its ground_size bits (see setsystem).  Its public
-constructor reads tuple masks into those ints, and its ``members`` and
-``member_ints`` are views built from them when first read.  Only those
-calls import this module, so a process that never builds a family from
-tuples or reads them back, such as CLI ``classify`` or ``avoid``, never
-compiles it.
+A SetSystem holds only one int per member: the mask read as a base-2
+numeral, point 0 the highest of its ground_size bits (see setsystem).
+Its public constructor and ``from_masks`` read masks into those ints,
+and its ``members`` and ``member_ints`` are views built from them when
+first read.  Only those calls import this module, so a process that
+never builds a family from masks or reads them back, such as every CLI
+call, never compiles it.
 """
 
 from __future__ import annotations

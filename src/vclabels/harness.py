@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from ._kernel import (
@@ -185,12 +186,14 @@ class IctTensor(_Value):
     __match_args__ = ("depth", "columns", "witnesses")
 
     def __init__(self, depth: int, columns: int, witnesses: tuple[IctWitness, ...]):
+        _check_type(witnesses, Iterable, "witnesses must be an iterable")
         for witness in witnesses:
+            _check_type(witness, IctWitness, "a witness must be an IctWitness")
             if len(witness.path) != depth or len(witness.sat) != depth:
                 raise ValueError("witness shape does not match tensor depth")
             if any(len(row) != columns for row in witness.sat):
                 raise ValueError("witness row width does not match column count")
-            if any(not 0 <= j < columns for j in witness.path):
+            if any(not (isinstance(j, int) and 0 <= j < columns) for j in witness.path):
                 raise ValueError("path column out of range")
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "columns", columns)
@@ -264,10 +267,10 @@ def ict_witness_family(tensor: IctTensor) -> SetSystem:
         raise UnverifiedTensorError(
             f"tensor does not cover all injective paths; first missing {missing[0]}"
         )
-    families = _module("setsystem")
-    members = [
-        families.mask_from_indices(tensor.columns, witness.path)
+    # Point j of the column ground is bit columns - 1 - j of the member's int.
+    ints = {
+        sum(1 << tensor.columns - 1 - j for j in witness.path)
         for witness in tensor.witnesses
         if len(set(witness.path)) == tensor.depth
-    ]
-    return families.SetSystem.from_masks(tensor.columns, members)
+    }
+    return _module("setsystem").SetSystem._of_ints(tensor.columns, sorted(ints))

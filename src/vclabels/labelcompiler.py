@@ -15,6 +15,7 @@ compiles that module.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from ._kernel import Label, Mask, _Value, _check_cap, _check_size, _check_type, _module
@@ -84,6 +85,7 @@ def _segment_symbols(segment: Segment):
         )
     if segment.lower is not None:
         yield segment.lower, 0
+    _check_type(segment.removed, Iterable, "removed points must be an iterable")
     yield from ((symbol, 0) for symbol in segment.removed)
     if segment.upper is not None:
         yield segment.upper, 1
@@ -95,6 +97,7 @@ class IntervalExpr(_Value):
     __match_args__ = ("segments", "symbol_count")
 
     def __init__(self, segments: tuple[Segment, ...], symbol_count: int):
+        _check_type(segments, Iterable, "segments must be an iterable")
         walk = [s for segment in segments for s, _ in _segment_symbols(segment)]
         if walk != list(range(symbol_count)):
             raise MalformedExpressionError(
@@ -251,7 +254,12 @@ def realize_expr(expr: IntervalExpr, assignment, ground_size: int) -> Mask:
     """
     _check_type(expr, IntervalExpr, "expression must be an IntervalExpr")
     _check_size(ground_size, "ground size")
+    _check_type(assignment, Iterable, "assignment must be an iterable")
     positions = tuple(assignment)
+    from numbers import Real  # imported here: no CLI call realizes an expression
+
+    for position in positions:
+        _check_type(position, Real, "assignment positions must be real numbers")
     if len(positions) != expr.symbol_count:
         raise ValueError(
             f"assignment has {len(positions)} positions for "

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Iterable
 from typing import TYPE_CHECKING, Sequence
 
-from ._kernel import Label, SizeGuardError, _check_cap, _first_disagreement, _module, _Value
+from ._kernel import (
+    Label, SizeGuardError, _check_cap, _check_type, _first_disagreement, _module, _Value,
+)
 from .labelcalc import _avoid_step, format_label
 
 if TYPE_CHECKING:
@@ -395,6 +398,7 @@ def _eval(ast: FormulaAst, x, params: Sequence) -> bool:
 
 def eval_formula(ast: FormulaAst, x_position, params: Sequence) -> bool:
     """Truth of the formula at x_position under the given parameter positions."""
+    _check_type(params, Iterable, "parameters must be an iterable")
     params = tuple(params)
     needed = formula_arity(ast)
     if len(params) < needed:

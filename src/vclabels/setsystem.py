@@ -65,10 +65,11 @@ def mask_indices(mask: Mask) -> tuple[int, ...]:
 class SetSystem(_Value):
     """A deduplicated family of subsets of an ordered ground set.
 
-    The family holds one int per member, in increasing order: the mask read
-    as a base-2 numeral, point 0 the highest of its ``ground_size`` bits.
-    ``members``, the tuple masks, is built from the ints when first read,
-    unless the constructor was given them.
+    The family holds only one int per member, in increasing order: the
+    mask read as a base-2 numeral, point 0 the highest of its
+    ``ground_size`` bits.  ``members``, the tuple masks, is built from the
+    ints when first read, so its entries are the ints 0 and 1 whatever
+    bits the masks were given as.
     """
 
     __match_args__ = ("ground_size", "members")
@@ -90,13 +91,13 @@ class SetSystem(_Value):
                 )
             for mask in members:  # such as bytes, which pass both checks
                 _check_type(mask, tuple, "a mask must be a tuple")
-        self.__dict__.update(ground_size=ground_size, _ints=ints, members=members)
+        self.__dict__.update(ground_size=ground_size, _ints=ints)
 
     @classmethod
     def _of_ints(cls, ground_size: int, ints: Iterable[int]) -> SetSystem:
         """The family of the given member ints, checked by _sorted_ints."""
         family = object.__new__(cls)
-        family.__dict__.update(ground_size=ground_size, _ints=tuple(ints), _plain=True)
+        family.__dict__.update(ground_size=ground_size, _ints=tuple(ints))
         if not _sorted_ints(family._ints, ground_size):
             raise ValueError(f"member ints must increase within range(2**{ground_size})")
         return family
@@ -105,38 +106,29 @@ class SetSystem(_Value):
     def members(self) -> tuple[Mask, ...]:
         return _module("_masks").member_tuples(self._ints, self.ground_size)
 
-    @cached_property
-    def _plain(self) -> bool:
-        """True iff the members are tuples of the ints 0 and 1, bools included.
-
-        Their ints then decide ``==``.  A family built from ints is plain
-        without a look at its members.
-        """
-        entries = itertools.chain.from_iterable(self.members)
-        return self._ints is not None and set(map(type, entries)) <= {int, bool}
-
     def __eq__(self, other):
-        # Only entries that are not plain, such as objects with an index,
-        # can make masks of equal ints differ.
-        if other.__class__ is self.__class__ and self._plain and other._plain:
-            return self.ground_size == other.ground_size and self._ints == other._ints
-        return super().__eq__(other)
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ground_size == other.ground_size and self._ints == other._ints
 
     __hash__ = _Value.__hash__
 
     @classmethod
     def from_masks(cls, ground_size: int, masks: Iterable[Mask]) -> SetSystem:
+        """The family of ``masks``, deduplicated and sorted; each may be any
+        iterable of bits.  The first bad mask in input order raises."""
         _check_type(masks, Iterable, "masks must be an iterable")
-        masks = [tuple(mask) for mask in masks]
-        try:
-            return cls(ground_size, sorted(set(masks)))
-        except (TypeError, ValueError):
-            # Sorting fails on an unhashable or unorderable entry, and the
-            # constructor names the first bad mask in sorted order; name the
-            # first in input order instead, after a bad ground.
+        _check_size(ground_size, "ground size")
+        masks, mask_ints = tuple(masks), _module("_masks").mask_ints
+        ints = mask_ints(masks, ground_size)
+        if ints is None:  # a mask that is not a tuple of bits
+            for mask in masks:
+                _check_type(mask, Iterable, "a mask must be a sequence of bits")
+            masks = tuple(map(tuple, masks))
             for mask in masks:
                 _check_mask(mask, ground_size)
-            raise
+            ints = mask_ints(masks, ground_size)
+        return cls._of_ints(ground_size, sorted(set(ints)))
 
     @classmethod
     def from_index_sets(cls, ground_size: int, index_sets) -> SetSystem:
@@ -250,12 +242,12 @@ class Classification(_Value):
 
 def trace(system: SetSystem, region: Mask) -> SetSystem:
     """Restrict the family to the elements of ``region``, reindexed in order."""
-    _check_type(system, SetSystem, "family must be a SetSystem")
-    _check_mask(region, system.ground_size)
+    _, present = _traces(system, region)
     keep = mask_indices(region)
-    return SetSystem.from_masks(
-        len(keep), (tuple(mask[j] for j in keep) for mask in system.members)
-    )
+    # Kept point j moves from bit m - 1 - j to bit k - 1 - i, i its place.
+    shifts = [(system.ground_size - 1 - j, len(keep) - 1 - i) for i, j in enumerate(keep)]
+    ints = (sum((v >> old & 1) << new for old, new in shifts) for v in present)
+    return SetSystem._of_ints(len(keep), sorted(ints))
 
 
 def _traces(system: SetSystem, region: Mask) -> tuple[int, set[int]]:

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce as bf
-from vclabels import _classifier, _masks, cli, harness, labelcalc, labelcompiler, setsystem
+from vclabels import (
+    _classifier, _masks, cli, harness, labelcalc, labelcompiler, orderformula, setsystem,
+)
 from vclabels.labelcalc import avoid_family
 from vclabels.setsystem import (
     NotLocallyMaximumError,
@@ -205,17 +207,31 @@ def test_values_are_those_of_a_family_of_tuples():
     assert SetSystem(0, ()).to_text() == "ground 0\n"
 
 
-def test_constructor_keeps_the_masks_it_was_given():
-    masks = ((False, True), (True, False))
+class _Bit:
+    """An entry that is not an int but has an index."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_constructor_keeps_only_the_ints_of_its_masks():
+    # Bools and other entries with an index come back as the ints 0 and 1.
+    masks = ((False, True), (True, _Bit(0)))
     family = SetSystem(2, masks)
-    assert family.members is masks
-    assert repr(family) == "SetSystem(ground_size=2, members=((False, True), (True, False)))"
-    assert family._ints == (1, 2) and family == SetSystem.from_index_sets(2, [{1}, {0}])
+    assert family.__dict__ == {"ground_size": 2, "_ints": (1, 2)}
+    assert family.members == ((0, 1), (1, 0))
+    assert {type(b) for mask in family.members for b in mask} == {int}
+    assert repr(family) == "SetSystem(ground_size=2, members=((0, 1), (1, 0)))"
+    assert family == SetSystem.from_index_sets(2, [{1}, {0}])
+    assert SetSystem.from_masks(2, reversed(masks)).__dict__ == {"ground_size": 2, "_ints": (1, 2)}
 
 
 def test_equality_of_plain_families_builds_no_tuple_view():
-    # Families built by the kernel, from a file or from tuples of plain bits
-    # compare by their ground and ints.
+    # Families built by the kernel, from a file or from masks compare by
+    # their ground and ints.
     family = avoid_family(12, (1, 0) * 3)
     read = SetSystem.from_text(family.to_text())
     given = SetSystem(3, ((0, 0, 0), (0, 0, 1), (0, 1, 1), (True, True, True)))
@@ -230,29 +246,54 @@ def test_equality_of_plain_families_builds_no_tuple_view():
 # --- no CLI path builds the tuple view -----------------------------------
 
 
-@pytest.mark.parametrize(
-    "family",
-    [
-        avoid_family(8, (1, 0, 1)),  # maximum: the shatter search
-        SetSystem(8, avoid_family(8, (1, 0, 1)).members[1:]),  # the fold
-        SetSystem.power_set(0),
-    ],
-    ids=["search", "fold", "ground-0"],
-)
-@pytest.mark.parametrize("command", ["classify", "labels", "homogenize"])
-def test_cli_paths_build_no_tuple_view(tmp_path, capsys, family, command):
-    path = tmp_path / "family.txt"
-    path.write_text(family.to_text(), encoding="utf-8")
+_SEARCH = avoid_family(8, (1, 0, 1))  # maximum: the shatter search
+_FOLD = SetSystem(8, _SEARCH.members[1:])
+CLI_CASES = {
+    f"{command}-{name}": ([command, "--in", "family.txt"], family)
+    for command in ("classify", "labels", "homogenize")
+    for name, family in (("search", _SEARCH), ("fold", _FOLD), ("ground-0", SetSystem.power_set(0)))
+}
+CLI_CASES["verify-t2"] = (["verify", "t2", "--depth", "2", "--cols", "4"], None)
+
+
+@pytest.mark.parametrize("argv, family", CLI_CASES.values(), ids=CLI_CASES)
+def test_cli_paths_build_no_tuple_view(tmp_path, monkeypatch, capsys, argv, family):
+    if family is not None:
+        (tmp_path / "family.txt").write_text(family.to_text(), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
     with (
         mock.patch.object(_masks, "member_tuples", wraps=_masks.member_tuples) as views,
         mock.patch.object(
             SetSystem, "member_ints", property(mock.Mock(side_effect=AssertionError))
         ),
     ):
-        code = cli.main([command, "--in", str(path)])
-    capsys.readouterr()
+        code = cli.main(argv)
+    out = capsys.readouterr().out
     assert code in (0, 2)  # homogenize refuses the fold's family and ground 0
     assert views.call_count == 0
+    assert argv[0] != "verify" or out.startswith("PASS ")
+
+
+def _built(family):
+    assert "members" not in family.__dict__
+    return family
+
+
+def test_library_calls_build_no_tuple_view():
+    masks = [(1, 0, 1, 0), (0, 0, 1, 1), [1, 0, 1, 0], (0, 1, 0, 0)]
+    with mock.patch.object(_masks, "member_tuples", side_effect=AssertionError):
+        given = _built(SetSystem.from_masks(4, masks))
+        assert _built(SetSystem(4, ((0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 1, 0)))) == given
+        family = _built(avoid_family(6, (1, 0, 1)))
+        assert setsystem.classify(family).is_maximum
+        assert setsystem.forbidden_labels(family, 3)[(0, 1, 2)] == (1, 0, 1)
+        assert _built(setsystem.trace(family, (1, 1, 0, 0, 1, 1))) == avoid_family(4, (1, 0, 1))
+        assert labelcalc.similar(family, avoid_family(6, (1, 0, 1)))
+        assert labelcalc.is_characterized_by(family, (1, 0, 1))
+        tensor = harness.build_ict_tensor(2, 4)
+        witnessed = _built(harness.ict_witness_family(tensor))
+        assert witnessed == SetSystem.size_exactly(4, 2)
+        assert family != given and family != SetSystem.power_set(6)
 
 
 # --- entry points that take a mask, a tensor or an expression ------------
@@ -260,6 +301,7 @@ def test_cli_paths_build_no_tuple_view(tmp_path, capsys, family, command):
 NOT_A_MASK = "a mask must be a sequence of bits, got NoneType"
 NOT_AN_ITERABLE = "{} must be an iterable, got NoneType"
 NOT_AN_EXPRESSION = "expression must be an IntervalExpr, got NoneType"
+_RAY = labelcompiler.to_interval_expr((1, 0))  # one symbol: the ray (a, +inf)
 
 
 @pytest.mark.parametrize(
@@ -276,11 +318,37 @@ NOT_AN_EXPRESSION = "expression must be an IntervalExpr, got NoneType"
         (lambda: harness.ict_witness_family(None), "tensor must be an IctTensor, got NoneType"),
         (lambda: labelcompiler.format_expr(None), NOT_AN_EXPRESSION),
         (lambda: labelcompiler.realize_expr(None, (), 3), NOT_AN_EXPRESSION),
+        (lambda: labelcompiler.realize_expr(_RAY, None, 3), NOT_AN_ITERABLE.format("assignment")),
+        (
+            lambda: labelcompiler.realize_expr(_RAY, (None,), 3),
+            "assignment positions must be real numbers, got NoneType",
+        ),
+        (lambda: labelcompiler.IntervalExpr(None, 0), NOT_AN_ITERABLE.format("segments")),
+        (
+            lambda: labelcompiler.IntervalExpr((labelcompiler.Interval(0, 1, None),), 2),
+            NOT_AN_ITERABLE.format("removed points"),
+        ),
+        (lambda: harness.IctTensor(1, 2, None), NOT_AN_ITERABLE.format("witnesses")),
+        (
+            lambda: harness.IctTensor(1, 2, (None,)),
+            "a witness must be an IctWitness, got NoneType",
+        ),
+        (
+            lambda: harness.IctTensor(1, 2, (harness.IctWitness((1.0,), ((0, 1),)),)),
+            "path column out of range",
+        ),
+        (
+            lambda: orderformula.eval_formula(orderformula.parse_formula("x<y1"), 0, None),
+            NOT_AN_ITERABLE.format("parameters"),
+        ),
     ],
     ids=[
         "from_index_sets", "from_index_sets-set", "mask_indices", "induces", "trace",
         "shatters", "alternation_number", "verify_ict", "ict_witness_family",
-        "format_expr", "realize_expr",
+        "format_expr", "realize_expr", "realize_expr-assignment", "realize_expr-position",
+        "IntervalExpr", "IntervalExpr-removed", "IctTensor", "IctTensor-witness",
+        "IctTensor-float-column",
+        "eval_formula",
     ],
 )
 def test_entry_points_name_what_is_not_a_mask_tensor_or_expression(call, text):

@@ -965,6 +965,8 @@ NOT_A_FAMILY = "family must be a SetSystem, got NoneType"
         (lambda: SetSystem(2, None), "members must be an iterable, got NoneType"),
         (lambda: SetSystem(2, 5), "members must be an iterable, got int"),
         (lambda: SetSystem.from_masks(2, None), "masks must be an iterable, got NoneType"),
+        (lambda: SetSystem.from_masks(2, [None]), "a mask must be a sequence of bits, got NoneType"),
+        (lambda: SetSystem.from_masks(2, [(0, 1), 5]), "a mask must be a sequence of bits, got int"),
         (lambda: setsystem.forbidden_label(None, (1,)), NOT_A_FAMILY),
         (lambda: trace(None, (1,)), NOT_A_FAMILY),
         (lambda: setsystem.shatters(None, (1,)), NOT_A_FAMILY),
@@ -973,6 +975,7 @@ NOT_A_FAMILY = "family must be a SetSystem, got NoneType"
     ids=[
         "classify", "vc_dim", "forbidden_labels", "ramsey_homogenize",
         "is_characterized_by", "classify-list", "SetSystem", "SetSystem-int", "from_masks",
+        "from_masks-None-mask", "from_masks-int-mask",
         "forbidden_label", "trace", "shatters", "similar",
     ],
 )
@@ -1015,7 +1018,7 @@ def test_from_masks_names_the_first_bad_mask_in_input_order_when_masks_sort():
         with pytest.raises(error) as info:
             SetSystem.from_masks(2, masks)
         assert str(info.value) == message
-    for masks in ([(0,)], [(1, None), (1, "1")], []):
+    for masks in ([(0,)], [(1, None), (1, "1")], [], [None]):
         with pytest.raises(ValueError, match="^ground size must be nonnegative$"):
             SetSystem.from_masks(-1, masks)
 
@@ -1230,8 +1233,8 @@ def test_constructor_checks_match_the_entry_checks(m, members):
 
 @pytest.mark.parametrize("m, members", _ENTRY_CASES.values(), ids=_ENTRY_CASES)
 def test_equality_keeps_the_answer_of_the_masks(m, members):
-    # == reads the ints only where every entry is a plain bit; an entry
-    # such as an object with an index keeps the answer its masks give.
+    # == reads the ints, and the masks are the view built from them, so
+    # the two answers agree whatever entries the members were given with.
     if _outcome(SetSystem, m, members) is None:
         family = SetSystem(m, members)
         for other in (SetSystem._of_ints(m, family._ints), SetSystem(m, members)):
@@ -1244,7 +1247,7 @@ def test_index_entries_are_ordered_by_their_bits():
     members = [(0, 0), (_Bit(1), _Bit(1))]
     with pytest.raises(TypeError, match="'<' not supported"):
         _entry_checks(2, members)
-    assert SetSystem(2, members).members == tuple(members)
+    assert SetSystem(2, members).members == ((0, 0), (1, 1))
 
 
 # --- automaton kernel ----------------------------------------------------

@@ -114,8 +114,8 @@ def _cli(*argv):
             _cli("homogenize", "--in", "family.txt"), HARNESS | {ENGINE}, id="homogenize"
         ),
         pytest.param(_cli("verify", "l2", "--label", "101", "--pairs", "3"), PAIRS, id="l2"),
-        # The witness family is built from tuple masks.
-        pytest.param(_cli("verify", "t2"), HARNESS | {MASKS}, id="t2"),
+        # The witness family is built from its member ints.
+        pytest.param(_cli("verify", "t2"), HARNESS, id="t2"),
     ],
 )
 def test_a_process_loads_only_the_modules_it_runs(tmp_path, argv, expected):
@@ -193,8 +193,16 @@ def test_a_warm_call_runs_no_import_statement(monkeypatch, call):
         ("from vclabels import SetSystem as S; S(2, ((0, 1),))", True),
         ("from vclabels import avoid_family as f; f(6, (1, 0, 1)).members", True),
         ("from vclabels import avoid_family as f; f(6, (1, 0, 1)).member_ints", True),
+        ("from vclabels import SetSystem as S, trace as f; f(S.power_set(3), (1, 0, 1))", False),
+        (
+            "from vclabels import build_ict_tensor as b, ict_witness_family as f; f(b(2, 3))",
+            False,
+        ),
     ],
-    ids=["avoid_family", "from_text-classify", "constructor", "members", "member_ints"],
+    ids=[
+        "avoid_family", "from_text-classify", "constructor", "members", "member_ints",
+        "trace", "ict_witness_family",
+    ],
 )
 def test_only_tuple_masks_load_their_module(tmp_path, code, loads_masks):
     assert (MASKS in _loaded(["-c", code], tmp_path)) == loads_masks
