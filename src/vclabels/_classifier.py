@@ -211,6 +211,8 @@ def _columns(ints, m: int) -> list[int]:
 def _shatters_some(columns, count: int, size: int, labels=None) -> bool:
     """True iff the ``count`` members shatter some ``size``-subset of the ground.
 
+    ``size`` is between 1 and m, the number of ``columns``.
+
     A depth-first walk over subsets in increasing index order carries the
     member cells of the current subset, one nonempty cell per trace.
     Adding point j splits every cell by column j; the branch is dropped as
@@ -220,39 +222,35 @@ def _shatters_some(columns, count: int, size: int, labels=None) -> bool:
     is d + 1, at most phi(d, m) = |F| of them below that size.  (In
     general a family shatters at least |F| sets, by Pajor's lemma.)
 
+    The last point is tested from the node above, and no node of size
+    ``size`` - 1 is pushed: a node of size ``size`` - 2 splits its cells by
+    each point j it may add, and tests every later point k against those
+    fresh cells at once.  Each test first tries the cell that stopped the
+    test of the k before, and scans all the cells only when that one
+    splits.  At size 1 the root is the node tested, and the walk starts
+    above it, at an entry with no cells whose one child, under point -1,
+    is the root.
+
     With a ``labels`` dict, each ``size``-subset the walk reaches that does
-    not split records, under its index tuple, the trace of its first
-    unsplit cell that no member shows.  That trace is the forbidden label
-    when the subset misses exactly one trace, as every (d+1)-subset of a
-    d-maximum family does.  So the dict is the answer only when the walk
-    returns False at size d + 1 on a family of phi(d, m) members (see
-    _maximum_dimension); forbidden_labels discards it otherwise, and reads
-    every label off the fold into a fresh dict.
+    not split records, under its index tuple, the trace of an unsplit cell
+    that no member shows.  That trace is the forbidden label when the
+    subset misses exactly one trace, as every (d+1)-subset of a d-maximum
+    family does, since then one cell alone does not split.  So the dict is
+    the answer only when the walk returns False at size d + 1 on a family
+    of phi(d, m) members (see _maximum_dimension); forbidden_labels
+    discards it otherwise, and reads every label off the fold into a fresh
+    dict.
     """
     m = len(columns)
-    stack = [(((1 << count) - 1,), 0, ())]
+    root = [(1 << count) - 1]
+    # Each entry: a node's cells, its first free point and its subset.
+    stack = [(root, 0, ())] if size > 1 else [([], -1, ())]
     while stack:
         cells, start, subset = stack.pop()
         depth = len(cells).bit_length() - 1
-        if depth + 1 == size:
-            # The last point need only split every cell; no cell is kept.
-            for j, column in enumerate(columns[start:], start):
-                for cell in cells:
-                    inside = cell & column
-                    if not inside or inside == cell:
-                        if labels is not None:
-                            # Cells are kept inside-first: a cell's position,
-                            # read from its top bit, is its trace inverted.
-                            at = cells.index(cell)
-                            bits = (~at >> i & 1 for i in reversed(range(depth)))
-                            labels[subset + (j,)] = (*bits, int(not inside))
-                        break
-                else:
-                    return True
-            continue
-        for j in range(start, m - size + depth + 1):
+        for j in range(start, m - size + depth + 1) if cells else (-1,):
             column = columns[j]
-            split = []
+            split = [] if cells else root
             for cell in cells:
                 inside = cell & column
                 if not inside or inside == cell:
@@ -260,8 +258,31 @@ def _shatters_some(columns, count: int, size: int, labels=None) -> bool:
                 split.append(inside)
                 split.append(cell ^ inside)
             else:
-                # Only a recording walk pays for the index tuples.
-                stack.append((split, j + 1, labels is not None and subset + (j,)))
+                if depth + 2 < size:
+                    # Only a recording walk pays for the index tuples.
+                    stack.append((split, j + 1, labels is not None and subset + (j,)))
+                    continue
+                stop = split[0]
+                for k in range(j + 1, m):
+                    column = columns[k]
+                    inside = stop & column
+                    if not inside or inside == stop:
+                        cell = stop
+                    else:
+                        for cell in split:
+                            inside = cell & column
+                            if not inside or inside == cell:
+                                break
+                        else:
+                            return True
+                        stop = cell
+                    if labels is not None:
+                        # Cells are kept inside-first: a cell's position,
+                        # read from its top bit, is its trace inverted.
+                        at = split.index(cell)
+                        bits = (~at >> i & 1 for i in reversed(range(size - 1)))
+                        # The slice drops the -1 of the entry above the root.
+                        labels[(*subset, j, k)[-size:]] = (*bits, int(not inside))
     return False
 
 
@@ -314,28 +335,35 @@ def classify(system: SetSystem) -> Classification:
     (see _maximum_dimension): |F| = phi(d, m) and no (d+1)-subset is
     shattered.  Every k-subset of a maximum family carries phi(d, k)
     traces, which gives the Sauer profile, and a maximum family is
-    maximal.
+    maximal.  Any other family takes the fold path (see _folded).
+    """
+    d = _maximum_dimension(system)
+    if d is not None:
+        return Classification(d, True, True, _sauer_profile(d, system.ground_size))
+    return _folded(system)[0]
 
-    A family the test does not settle is held as one 2^m-bit indicator,
-    folded once onto every subset of the ground, the indicator shrinking as
-    points drop (see _trace_counts).  The fold answers by size: the largest
-    trace count of each size k is the profile's entry, and d is the largest
-    k at which it is 2^k.  An absent set can join without raising the
-    dimension unless, on some (d+1)-subset one trace short of shattered, it
-    shows the missing trace; those absent sets form one cylinder per such
-    subset, which the fold keeps for size d + 1, and the family is maximal
-    when the cylinders cover every absent set.  Each missing trace is read
-    off that subset's own fold (see _missing_trace), not off the members.
-    This fold path moves 2^12 * 3^(m-6) bits in 2^m folds, independent of
-    the family's size; CLASSIFY_GROUND_CAP bounds it, and nothing else.
+
+def _folded(system: SetSystem) -> tuple[Classification, tuple]:
+    """classify's fold path: the Classification, and the fold it is read off.
+
+    The family is held as one 2^m-bit indicator, folded once onto every
+    subset of the ground, the indicator shrinking as points drop (see
+    _trace_counts).  The fold answers by size: the largest trace count of
+    each size k is the profile's entry, and d is the largest k at which it
+    is 2^k.  An absent set can join without raising the dimension unless,
+    on some (d+1)-subset one trace short of shattered, it shows the missing
+    trace; those absent sets form one cylinder per such subset, which the
+    fold keeps for size d + 1, and the family is maximal when the cylinders
+    cover every absent set.  Each missing trace is read off that subset's
+    own fold (see _missing_trace), not off the members.  This path moves
+    2^12 * 3^(m-6) bits in 2^m folds, independent of the family's size;
+    CLASSIFY_GROUND_CAP bounds it, and nothing else.  An empty family
+    raises EmptyFamilyError before any fold.
     """
     if not system._ints:
         raise EmptyFamilyError("cannot classify an empty family")
     m = system.ground_size
-    d = _maximum_dimension(system)
-    if d is not None:
-        return Classification(d, True, True, _sauer_profile(d, m))
-    indicator, low, best, shorts = _fold(system)
+    fold = indicator, low, best, shorts = _fold(system)
     d = max(k for k in range(m + 1) if best[k] == 1 << k)
 
     # Maximum exactly when |F| = phi(d, m): such a family shatters every set
@@ -354,7 +382,42 @@ def classify(system: SetSystem) -> Classification:
                 cylinder &= high[j] if bit else low[j]
             blocked |= cylinder
         is_maximal = everything & ~indicator & ~blocked == 0
-    return Classification(d, is_maximum, is_maximal, tuple(enumerate(best)))
+    return Classification(d, is_maximum, is_maximal, tuple(enumerate(best))), fold
+
+
+def _fold_labels(fold: tuple, m: int, size: int) -> dict[tuple[int, ...], Label | None]:
+    """The labels of every ``size``-subset, decoded from a fold (see _fold).
+
+    Each ``size``-subset the fold keeps as one trace short gets the label
+    decoded from its folded int (see _missing_trace); every other is None.
+    """
+    _, low, _, shorts = fold
+    labels = dict.fromkeys(itertools.combinations(range(m), size))
+    for b, folded in shorts[size].items():
+        pairs = _missing_trace(b, folded, m, low)[::-1]  # bit m - 1 - j is point j
+        labels[tuple(m - 1 - j for j, _ in pairs)] = tuple(bit for _, bit in pairs)
+    return labels
+
+
+def _classify_labelled(system: SetSystem) -> tuple[Classification, dict]:
+    """classify(system), and forbidden_labels(system, d + 1) for its d.
+
+    The two come from one engine pass, for CLI ``labels`` and
+    ``homogenize``: one search of the maximum test with the dict, when the
+    family has phi(d, m) members for its Sauer floor d and passes (see
+    _maximum_dimension), or else one fold, which gives d and the labels
+    alike.  The errors are those of classify; a family that shatters its
+    whole ground has no (d+1)-subsets and gets the empty dict.
+    """
+    count, m = len(system._ints), system.ground_size
+    d, bound = _sauer_floor(count, m)
+    if bound == count:
+        labels = dict.fromkeys(itertools.combinations(range(m), d + 1))
+        if _maximum_dimension(system, labels) is not None:
+            return Classification(d, True, True, _sauer_profile(d, m)), labels
+        del labels  # freed before the fold, which builds the labels afresh
+    result, fold = _folded(system)
+    return result, _fold_labels(fold, m, result.vc_dimension + 1)
 
 
 def forbidden_labels(system: SetSystem, size: int) -> dict[tuple[int, ...], Label | None]:
@@ -369,12 +432,10 @@ def forbidden_labels(system: SetSystem, size: int) -> dict[tuple[int, ...], Labe
     ``size``-subset, so its search reaches every such subset and reads
     the label off the one cell that does not split (see _shatters_some).
     Every other family and size, and a family that fails the test or is
-    over its budget, takes classify's fold path once (see _fold): the
-    fold keeps the ``size``-subsets one trace short with their folded
-    ints, each such subset's label is decoded from its int (see
-    _missing_trace), and every other label is None.  So
-    above CLASSIFY_GROUND_CAP only the search answers, and a family it
-    does not settle raises SizeGuardError.
+    over its budget, takes classify's fold path once, and its labels are
+    decoded from the fold (see _fold_labels).  So above
+    CLASSIFY_GROUND_CAP only the search answers, and a family it does not
+    settle raises SizeGuardError.
     """
     _check_size(size, "subset size")
     m, count = system.ground_size, len(system._ints)
@@ -384,9 +445,4 @@ def forbidden_labels(system: SetSystem, size: int) -> dict[tuple[int, ...], Labe
     if _sauer_floor(count, m) == (size - 1, count):
         if _maximum_dimension(system, labels) is not None:
             return labels
-    _, low, _, shorts = _fold(system)
-    labels = dict.fromkeys(labels)  # afresh: a failed search writes some labels
-    for b, folded in shorts[size].items():
-        pairs = _missing_trace(b, folded, m, low)[::-1]  # bit m - 1 - j is point j
-        labels[tuple(m - 1 - j for j, _ in pairs)] = tuple(bit for _, bit in pairs)
-    return labels
+    return _fold_labels(_fold(system), m, size)

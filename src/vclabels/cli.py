@@ -45,7 +45,7 @@ _count_words = _deferred("setsystem", "_count_words", "_kernel")
 _member_lines = _deferred("setsystem", "_member_lines", "_kernel")
 phi_bound = _deferred("setsystem", "phi_bound", "_kernel")
 classify = _deferred("setsystem", "classify")
-forbidden_labels = _deferred("setsystem", "forbidden_labels")
+_classify_labelled = _deferred("setsystem", "_classify_labelled")
 mask_indices = _deferred("setsystem", "mask_indices")
 _avoid_step = _deferred("labelcalc", "_avoid_step")
 format_label = _deferred("labelcalc", "format_label")
@@ -98,16 +98,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_labels(args) -> int:
-    system = _load_system(args.path)
-    result = classify(system)
-    d = result.vc_dimension
-    m = system.ground_size
-    print(f"dimension {d}")
-    if d + 1 > m:
+    result, labels = _classify_labelled(_load_system(args.path))
+    print(f"dimension {result.vc_dimension}")
+    if not labels:
         print("constant vacuous")
         return 0
     seen = set()
-    for combo, eta in forbidden_labels(system, d + 1).items():
+    for combo, eta in labels.items():
         subset = ",".join(str(j) for j in combo)
         if eta is None:
             print(f"subset {subset} not-locally-maximum")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 from ._kernel import (
@@ -137,16 +137,14 @@ def ramsey_homogenize(system: SetSystem) -> tuple[Mask, Label]:
     SizeGuardError.
     """
     families = _module("setsystem")
-    result = families.classify(system)
+    result, label_of = families._classify_labelled(system)
     if not result.is_maximum:
         raise NotMaximumError("the family is not maximum")
-    d = result.vc_dimension
-    m = system.ground_size
-    if d + 1 > m:
+    d, m = result.vc_dimension, system.ground_size
+    if not label_of:
         raise ValueError(
             "the family shatters its whole ground; no forbidden labels exist"
         )
-    label_of = families.forbidden_labels(system, d + 1)
     best, size, steps = None, d, 0
     # Each entry: the next point, the chosen points, and their label once
     # they number more than d.
@@ -175,6 +173,10 @@ class IctWitness(_Value):
     __match_args__ = ("path", "sat")
 
     def __init__(self, path: tuple[int, ...], sat: tuple[tuple[int, ...], ...]):
+        _check_type(path, Sequence, "a witness path must be a sequence")
+        _check_type(sat, Sequence, "witness rows must be a sequence")
+        for row in sat:
+            _check_type(row, Sequence, "a witness row must be a sequence")
         object.__setattr__(self, "path", path)
         object.__setattr__(self, "sat", sat)
 

@@ -397,9 +397,17 @@ def _eval(ast: FormulaAst, x, params: Sequence) -> bool:
 
 
 def eval_formula(ast: FormulaAst, x_position, params: Sequence) -> bool:
-    """Truth of the formula at x_position under the given parameter positions."""
+    """Truth of the formula at x_position under the given parameter positions.
+
+    Every position must be a real number; anything else raises ValueError.
+    """
+    from numbers import Real  # imported here: no CLI call evaluates a formula
+
     _check_type(params, Iterable, "parameters must be an iterable")
     params = tuple(params)
+    _check_type(x_position, Real, "the x position must be a real number")
+    for position in params:
+        _check_type(position, Real, "parameter positions must be real numbers")
     needed = formula_arity(ast)
     if len(params) < needed:
         raise ValueError(f"formula uses y{needed} but only {len(params)} parameters given")

@@ -294,6 +294,16 @@ def classify(system: SetSystem) -> Classification:
     return _module("_classifier").classify(system)
 
 
+def _classify_labelled(system: SetSystem) -> tuple[Classification, dict]:
+    """classify(system), and forbidden_labels(system, d + 1) for its d.
+
+    Both come from one engine pass, one search or one fold (see
+    _classifier._classify_labelled), with classify's errors.
+    """
+    _check_type(system, SetSystem, "family must be a SetSystem")
+    return _module("_classifier")._classify_labelled(system)
+
+
 def forbidden_label(system: SetSystem, region: Mask) -> Label:
     """The unique missing trace pattern on ``region``, as a bit string.
 

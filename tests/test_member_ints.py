@@ -357,3 +357,40 @@ def test_entry_points_name_what_is_not_a_mask_tensor_or_expression(call, text):
     # checked with the others in test_setsystem.py.
     with pytest.raises(ValueError, match=f"^{text}$"):
         call()
+
+
+_X_BELOW_Y1 = orderformula.parse_formula("x<y1")
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (
+            lambda: orderformula.eval_formula(_X_BELOW_Y1, None, (1,)),
+            "the x position must be a real number, got NoneType",
+        ),
+        (
+            lambda: orderformula.eval_formula(_X_BELOW_Y1, 0, (None,)),
+            "parameter positions must be real numbers, got NoneType",
+        ),
+        (
+            lambda: harness.IctTensor(1, 2, (harness.IctWitness(None, None),)),
+            "a witness path must be a sequence, got NoneType",
+        ),
+        (
+            lambda: harness.IctWitness((0,), None),
+            "witness rows must be a sequence, got NoneType",
+        ),
+        (
+            lambda: harness.IctWitness((0,), (None,)),
+            "a witness row must be a sequence, got NoneType",
+        ),
+    ],
+    ids=["eval_formula-x", "eval_formula-parameter", "IctTensor-witness-fields",
+         "IctWitness-rows", "IctWitness-row"],
+)
+def test_formula_positions_and_witness_fields_name_what_they_got(call, text):
+    # Each used to raise a stray TypeError, or, for IctWitness, to build a
+    # witness that only IctTensor trips over.
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        call()

@@ -816,14 +816,15 @@ def test_forbidden_labels_scans_what_the_search_does_not_settle(recorded, folds,
             assert list(got) == combos
             for combo in combos:
                 assert got[combo] == bf.forbidden(sys_.members, combo)
-    # phi(1, 3) members that shatter {0, 1}: the search with the dict fails
-    # after writing a label, and the fold answers every subset afresh.
-    sys_ = system(3, set(), {0}, {1}, {0, 1})
+    # phi(1, 3) members that shatter {0, 2} but not {0, 1}: the search with
+    # the dict fails after writing a label, and the fold answers every
+    # subset afresh.
+    sys_ = system(3, set(), {0}, {2}, {0, 2})
     recorded.clear()
     folds.clear()
     got = forbidden_labels(sys_, 2)
     assert len(folds) == 1
-    assert got is not recorded[0] and recorded[0][(1, 2)] is not None
+    assert got is not recorded[0] and recorded[0][(0, 1)] is not None
     combos = list(itertools.combinations(range(3), 2))
     assert got == {combo: bf.forbidden(sys_.members, combo) for combo in combos}
     assert got == {(0, 1): None, (0, 2): None, (1, 2): None}
@@ -848,14 +849,14 @@ def test_forbidden_labels_ask_the_maximum_test_once(recorded, tmp_path, capsys):
         recorded.clear()
         forbidden_labels(family, size)
         assert recorded == []
-    # classify asks once more, and keeps the plain search.
+    # CLI labels and homogenize ask once too, with the dict.
     path = tmp_path / "avoid.txt"
     path.write_text(family.to_text(), encoding="utf-8")
     for command in ("labels", "homogenize"):
         recorded.clear()
         assert cli.main([command, "--in", str(path)]) == 0
-        assert len(recorded) == 2
-        assert recorded[0] is None
+        assert len(recorded) == 1
+        assert recorded[0] is not None
     capsys.readouterr()
 
 
@@ -883,6 +884,126 @@ def test_classify_and_vc_dim_record_no_labels(recorded):
         vc_dim(sys_)
     assert recorded
     assert all(labels is None for labels in recorded)
+
+
+def _swapped_family():
+    """phi(3, 10) members, not maximum: one member of a maximum family
+    swapped for an absent set."""
+    full = avoid_family(10, (1, 0, 1, 0))
+    absent = next(v for v in range(1 << 10) if v not in set(full._ints))
+    return SetSystem._of_ints(10, tuple(sorted(full._ints[1:] + (absent,))))
+
+
+@pytest.mark.parametrize(
+    "family, searches, folds_made",
+    [
+        (lambda: avoid_family(12, (1, 0, 1, 0)), 1, 0),  # settled by the search
+        (lambda: SetSystem.size_at_most(12, 6), 0, 1),  # maximum, over the budget
+        (_swapped_family, 1, 1),  # the search fails, and the fold answers
+    ],
+    ids=["settled", "over-budget", "swapped"],
+)
+def test_labels_and_homogenize_run_one_search_or_fold(
+    family, searches, folds_made, recorded, folds, tmp_path, capsys
+):
+    sys_ = family()
+    path = tmp_path / "family.txt"
+    path.write_text(sys_.to_text(), encoding="utf-8")
+    maximum = classify(sys_).is_maximum
+    assert maximum == (family is not _swapped_family)
+    calls = [
+        lambda: cli.main(["labels", "--in", str(path)]),
+        lambda: cli.main(["homogenize", "--in", str(path)]),
+        lambda: harness.ramsey_homogenize(sys_),
+    ]
+    for call in calls:
+        recorded.clear()
+        folds.clear()
+        if maximum or call is calls[0]:
+            call()
+        elif call is calls[1]:
+            assert call() == 2
+        else:
+            with pytest.raises(harness.NotMaximumError):
+                call()
+        assert (len(recorded), len(folds)) == (searches, folds_made)
+        assert all(labels is not None for labels in recorded)
+    capsys.readouterr()
+    # classify alone keeps its plain search.
+    recorded.clear()
+    classify(sys_)
+    assert recorded == [None] * searches
+
+
+def _search_columns(sys_):
+    return _classifier._columns(sys_._ints, sys_.ground_size)
+
+
+@given(st.integers(0, 9).flatmap(
+    lambda m: st.tuples(st.just(m), st.sets(st.integers(0, (1 << m) - 1), min_size=1, max_size=48))
+))
+def test_shatters_some_matches_oracle(case):
+    m, ints = case
+    sys_ = SetSystem._of_ints(m, tuple(sorted(ints)))
+    columns, count = _search_columns(sys_), len(ints)
+    for size in range(1, m + 1):
+        combos = itertools.combinations(range(m), size)
+        expected = any(bf.shatters(sys_.members, combo) for combo in combos)
+        assert _classifier._shatters_some(columns, count, size) == expected
+
+
+def test_shatters_some_records_the_labels_of_moved_avoidance_families():
+    checked = 0
+    for sys_, eta, order, flip in _maximum_cases():
+        m, size = sys_.ground_size, len(eta)
+        if size > m or m > 9 or order == sorted(order):
+            continue
+        labels = {}
+        columns = _search_columns(sys_)
+        assert not _classifier._shatters_some(columns, len(sys_._ints), size, labels)
+        combos = list(itertools.combinations(range(m), size))
+        assert sorted(labels) == combos
+        for combo in combos:
+            assert labels[combo] == bf.forbidden(sys_.members, combo)
+        checked += 1
+    assert checked > 300
+
+
+# Each family is given by its members' (point 0, point 1, point 2) bits, and
+# searched at size 2 with its labels.  Point 0 splits the root into the
+# cells A (point 0 in) and B; point 1 is tested first, then point 2, which
+# first tries the cell that stopped point 1.
+@pytest.mark.parametrize(
+    "members, shattered, labels",
+    [
+        # B stops point 1 and point 2 alike: the remembered cell is unsplit.
+        ("100 111 000", False, {(0, 1): (0, 1), (0, 2): (0, 1), (1, 2): (1, 0)}),
+        # A stops point 1, splits by point 2, and B, after it, does not.
+        ("100 101 000 010", False, {(0, 1): (1, 1), (0, 2): (0, 1), (1, 2): (1, 1)}),
+        # B stops point 1, splits by point 2, and A does not.
+        ("100 110 000 001", False, {(0, 1): (0, 1), (0, 2): (1, 1), (1, 2): (1, 1)}),
+        # A stops point 1, and every cell splits by point 2.
+        ("100 101 000 001", True, None),
+    ],
+    ids=["remembered-unsplit", "later-cell-unsplit", "earlier-cell-unsplit", "all-split"],
+)
+def test_shatters_some_last_level_cases(members, shattered, labels):
+    sys_ = SetSystem.from_masks(3, [tuple(map(int, bits)) for bits in members.split()])
+    got = {}
+    assert _classifier._shatters_some(_search_columns(sys_), len(sys_._ints), 2, got) == shattered
+    if not shattered:
+        assert got == labels
+        for combo, label in labels.items():  # each a trace no member shows
+            assert label not in bf.trace_family(sys_.members, combo)
+
+
+def test_shatters_some_of_one_member_at_size_one():
+    sys_ = SetSystem.from_masks(4, [(1, 0, 1, 1)])
+    labels = {}
+    assert not _classifier._shatters_some(_search_columns(sys_), 1, 1, labels)
+    assert labels == {(0,): (0,), (1,): (1,), (2,): (0,), (3,): (0,)}
+    assert _classifier._maximum_dimension(sys_) == 0
+    assert forbidden_labels(sys_, 1) == labels
 
 
 # --- alternation_number -------------------------------------------------
