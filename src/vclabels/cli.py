@@ -73,7 +73,11 @@ def _load_system(path: str):
     from .setsystem import SetSystem
 
     with open(path, "r", encoding="utf-8") as handle:
-        return SetSystem.from_text(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:  # printed as a file error, with the path
+            raise OSError(f"{path}: {exc}") from exc
+    return SetSystem.from_text(text)
 
 
 def _bool_text(value: bool) -> str:

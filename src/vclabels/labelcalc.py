@@ -85,7 +85,7 @@ def induces_within(mask: Mask, region: Mask, eta: Label) -> bool:
     A mask of another length than the region raises GroundMismatchError,
     and entries other than 0 or 1 raise ValueError.
     """
-    _check_mask(region, len(region))
+    _check_mask(region)
     _check_mask(mask, len(region))
     return _fill(mask, region, as_label(eta)) is None
 
@@ -118,9 +118,20 @@ def avoid_family(ground_size: int, eta: Label) -> SetSystem:
     """All subsets of the ground whose membership string avoids eta.
 
     The members are the words on which the greedy matcher never completes
-    eta.
+    eta.  A family built before is answered from setsystem's memo, under
+    the ground and the label, as a fresh SetSystem over the held ints; a
+    ground that is not exactly an int, such as True, which the family's
+    repr shows, is built afresh.
     """
-    return _module("setsystem")._automaton_family(ground_size, 0, _avoid_step(as_label(eta)))
+    eta, families = as_label(eta), _module("setsystem")
+    if ground_size.__class__ is not int:
+        return families._automaton_family(ground_size, 0, _avoid_step(eta))
+    ints = families._memo(
+        ("avoid_family", ground_size, eta),
+        lambda: families._automaton_family(ground_size, 0, _avoid_step(eta))._ints,
+        len,
+    )
+    return families.SetSystem._of_ints(ground_size, ints, checked=True)
 
 
 def _avoid_step(eta: Label):

@@ -98,8 +98,9 @@ class IntervalExpr(_Value):
 
     def __init__(self, segments: tuple[Segment, ...], symbol_count: int):
         _check_type(segments, Iterable, "segments must be an iterable")
+        _check_size(symbol_count, "symbol count")
         walk = [s for segment in segments for s, _ in _segment_symbols(segment)]
-        if walk != list(range(symbol_count)):
+        if len(walk) != symbol_count or walk != list(range(symbol_count)):
             raise MalformedExpressionError(
                 f"segment symbols must read a, b, c, ... left to right, got {walk}"
             )

@@ -15,10 +15,12 @@ type-check a SetSystem, so a process that builds no family, such as CLI
 
 from __future__ import annotations
 
+import _thread
 import contextlib
 import itertools
 import operator
 from functools import cached_property
+from collections import OrderedDict
 from collections.abc import Iterable
 
 # Every name below is also setsystem's own, as vclabels.setsystem.X.
@@ -28,6 +30,10 @@ from ._kernel import (
     _check_cap, _check_mask, _check_size, _check_type, _count_words, _first_disagreement,
     _member_lines, _module, _walk, phi_bound,
 )
+
+# The memo of repeated classify and avoid_family calls holds at most this
+# many member ints (see _Memo).
+MEMO_MEMBERS = 1 << 16
 
 
 def _sorted_ints(ints: tuple, ground_size: int) -> bool:
@@ -94,11 +100,12 @@ class SetSystem(_Value):
         self.__dict__.update(ground_size=ground_size, _ints=ints)
 
     @classmethod
-    def _of_ints(cls, ground_size: int, ints: Iterable[int]) -> SetSystem:
-        """The family of the given member ints, checked by _sorted_ints."""
+    def _of_ints(cls, ground_size: int, ints: Iterable[int], checked=False) -> SetSystem:
+        """The family of the given member ints, checked by _sorted_ints
+        unless they are ``checked`` already."""
         family = object.__new__(cls)
         family.__dict__.update(ground_size=ground_size, _ints=tuple(ints))
-        if not _sorted_ints(family._ints, ground_size):
+        if not checked and not _sorted_ints(family._ints, ground_size):
             raise ValueError(f"member ints must increase within range(2**{ground_size})")
         return family
 
@@ -230,6 +237,49 @@ def _sized_family(ground_size: int, low: int, high: int) -> SetSystem:
     return family if low <= ground_size else SetSystem._of_ints(ground_size, ())
 
 
+class _Memo:
+    """The values of earlier calls, keyed by their arguments, within a budget.
+
+    ``entries`` maps a key to its value and the number of member ints the
+    entry holds, oldest first, and ``held`` is their sum, at most
+    MEMO_MEMBERS: an entry that would pass it is never held, and each new
+    one evicts the oldest until it fits.  A call that raises holds
+    nothing.  A lookup is one dict read, atomic under the GIL; the lock
+    guards the updates, so concurrent callers keep ``held`` exact.
+    """
+
+    def __init__(self):
+        self.entries, self.held, self.lock = OrderedDict(), 0, _thread.allocate_lock()
+
+    def __call__(self, key, compute, members):
+        """``compute()``, or what it gave under ``key`` before.
+
+        ``members(value)`` counts the member ints that holding the value
+        keeps alive, its key's included.
+        """
+        entry = self.entries.get(key)
+        if entry is not None:
+            return entry[0]
+        value = compute()
+        size = members(value)
+        if size <= MEMO_MEMBERS:
+            with self.lock:
+                if key not in self.entries:
+                    while self.held + size > MEMO_MEMBERS:
+                        self.held -= self.entries.popitem(last=False)[1][1]
+                    self.entries[key] = value, size
+                    self.held += size
+        return value
+
+    def clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.held = 0
+
+
+_memo = _Memo()
+
+
 class Classification(_Value):
     """VC dimension together with the maximum/maximal verdicts."""
 
@@ -288,10 +338,17 @@ def classify(system: SetSystem) -> Classification:
     the shatter search settles is classified at any ground; every other
     family is folded, which above ground 16 raises SizeGuardError (see
     _classifier.classify).  An empty family raises EmptyFamilyError, and
-    an object that is not a SetSystem ValueError.
+    an object that is not a SetSystem ValueError.  A family classified
+    before is answered from the memo (see _Memo), under its ground and
+    member ints, which the held entry counts.
     """
     _check_type(system, SetSystem, "family must be a SetSystem")
-    return _module("_classifier").classify(system)
+    ints = system._ints
+    return _memo(
+        ("classify", system.ground_size, ints),
+        lambda: _module("_classifier").classify(system),
+        lambda _: len(ints),
+    )
 
 
 def _classify_labelled(system: SetSystem) -> tuple[Classification, dict]:

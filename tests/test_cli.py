@@ -602,6 +602,16 @@ def test_missing_file_exit_2(capsys):
     assert err.startswith("error: file:")
 
 
+def test_family_file_that_is_not_utf8_is_a_file_error(capsys, tmp_path):
+    path = tmp_path / "family.txt"
+    path.write_bytes(b"ground 3\n\xff01\n")
+    reason = "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"
+    for command in ("classify", "labels", "homogenize"):
+        code, out, err = run_cli(capsys, command, "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: file: {path}: {reason}\n"
+
+
 def test_size_guard_exit_2(capsys):
     code, _, err = run_cli(capsys, "avoid", "--label", "1", "--ground", "21")
     assert code == 2

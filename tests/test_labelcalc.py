@@ -85,6 +85,12 @@ def test_induces_checks_its_masks():
     assert induces_within((1, 0, 1), (1, 1, 1), (1, 0))
 
 
+def test_induces_within_refuses_a_region_without_a_length():
+    # Used to raise a stray TypeError from len() before the type check.
+    with pytest.raises(ValueError, match="^a mask must be a sequence of bits, got int$"):
+        induces_within((0, 1), 5, (1,))
+
+
 @given(masks_of(8), masks_of(8), labels)
 def test_induces_within_matches_oracle(mask, region, eta):
     clipped = tuple(b and r for b, r in zip(mask, region))

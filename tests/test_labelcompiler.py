@@ -201,6 +201,29 @@ def test_interval_expr_validation():
             IntervalExpr((Point(0), segment), 1)
 
 
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        (-1, "^symbol count must be nonnegative$"),
+        (None, "^symbol count must be an int, got None$"),
+        (1.5, "^symbol count must be an int, got 1.5$"),
+        ("0", "^symbol count must be an int, got '0'$"),
+    ],
+)
+def test_interval_expr_checks_its_symbol_count(count, message):
+    # -1 used to build a value that no label maps to, and the others raised
+    # a stray TypeError.
+    with pytest.raises(ValueError, match=message) as caught:
+        IntervalExpr((), count)
+    assert type(caught.value) is ValueError
+
+
+def test_interval_expr_compares_the_walk_length_before_building_a_range():
+    # list(range(10**30)) used to raise OverflowError.
+    with pytest.raises(MalformedExpressionError, match=r"left to right, got \[0\]$"):
+        IntervalExpr((Point(0),), 10**30)
+
+
 def _constructor_accepted(symbols, segments):
     """Every IntervalExpr the constructor accepts within the given sizes."""
     kinds = [(None, 1)] + [

@@ -502,6 +502,7 @@ def test_maximum_families_the_search_declines_take_the_fold(monkeypatch):
         cases.append((_permuted(avoid_family(12, eta), rng), 5))
     for sys_, d in cases:
         calls.clear()
+        setsystem._memo.clear()  # the last case repeats size_at_most(12, 5)
         result = classify(sys_)
         assert calls, "the shatter search settled a family it should decline"
         assert result == _closed_form(d, sys_.ground_size)
@@ -543,6 +544,7 @@ def test_non_maximum_families_near_the_sauer_size_take_the_fold(monkeypatch):
     verdicts = set()
     for sys_ in cases:
         calls.clear()
+        setsystem._memo.clear()  # a random case may repeat an earlier one
         result = classify(sys_)
         assert result == reference_classify(sys_)
         members, m = set(sys_.members), sys_.ground_size
@@ -929,8 +931,10 @@ def test_labels_and_homogenize_run_one_search_or_fold(
         assert (len(recorded), len(folds)) == (searches, folds_made)
         assert all(labels is not None for labels in recorded)
     capsys.readouterr()
-    # classify alone keeps its plain search.
+    # classify alone keeps its plain search, once the memo no longer
+    # holds the answer of the first call.
     recorded.clear()
+    setsystem._memo.clear()
     classify(sys_)
     assert recorded == [None] * searches
 
