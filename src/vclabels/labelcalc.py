@@ -118,20 +118,10 @@ def avoid_family(ground_size: int, eta: Label) -> SetSystem:
     """All subsets of the ground whose membership string avoids eta.
 
     The members are the words on which the greedy matcher never completes
-    eta.  A family built before is answered from setsystem's memo, under
-    the ground and the label, as a fresh SetSystem over the held ints; a
-    ground that is not exactly an int, such as True, which the family's
-    repr shows, is built afresh.
+    eta.  On a small ground a repeated call is answered from setsystem's
+    memo (see setsystem._avoid_family).
     """
-    eta, families = as_label(eta), _module("setsystem")
-    if ground_size.__class__ is not int:
-        return families._automaton_family(ground_size, 0, _avoid_step(eta))
-    ints = families._memo(
-        ("avoid_family", ground_size, eta),
-        lambda: families._automaton_family(ground_size, 0, _avoid_step(eta))._ints,
-        len,
-    )
-    return families.SetSystem._of_ints(ground_size, ints, checked=True)
+    return _module("setsystem")._avoid_family(ground_size, as_label(eta))
 
 
 def _avoid_step(eta: Label):

@@ -15,12 +15,10 @@ type-check a SetSystem, so a process that builds no family, such as CLI
 
 from __future__ import annotations
 
-import _thread
 import contextlib
 import itertools
 import operator
-from functools import cached_property
-from collections import OrderedDict
+from functools import cached_property, lru_cache
 from collections.abc import Iterable
 
 # Every name below is also setsystem's own, as vclabels.setsystem.X.
@@ -31,9 +29,10 @@ from ._kernel import (
     _member_lines, _module, _walk, phi_bound,
 )
 
-# The memo of repeated classify and avoid_family calls holds at most this
-# many member ints (see _Memo).
-MEMO_MEMBERS = 1 << 16
+# On a ground of at most MEMO_GROUND points, classify and avoid_family
+# answer repeats from an lru_cache of their last MEMO_CALLS calls each.
+MEMO_GROUND = 10
+MEMO_CALLS = 256
 
 
 def _sorted_ints(ints: tuple, ground_size: int) -> bool:
@@ -102,7 +101,7 @@ class SetSystem(_Value):
     @classmethod
     def _of_ints(cls, ground_size: int, ints: Iterable[int], checked=False) -> SetSystem:
         """The family of the given member ints, checked by _sorted_ints
-        unless they are ``checked`` already."""
+        unless they are ``checked`` already, as another family's are."""
         family = object.__new__(cls)
         family.__dict__.update(ground_size=ground_size, _ints=tuple(ints))
         if not checked and not _sorted_ints(family._ints, ground_size):
@@ -237,47 +236,24 @@ def _sized_family(ground_size: int, low: int, high: int) -> SetSystem:
     return family if low <= ground_size else SetSystem._of_ints(ground_size, ())
 
 
-class _Memo:
-    """The values of earlier calls, keyed by their arguments, within a budget.
-
-    ``entries`` maps a key to its value and the number of member ints the
-    entry holds, oldest first, and ``held`` is their sum, at most
-    MEMO_MEMBERS: an entry that would pass it is never held, and each new
-    one evicts the oldest until it fits.  A call that raises holds
-    nothing.  A lookup is one dict read, atomic under the GIL; the lock
-    guards the updates, so concurrent callers keep ``held`` exact.
-    """
-
-    def __init__(self):
-        self.entries, self.held, self.lock = OrderedDict(), 0, _thread.allocate_lock()
-
-    def __call__(self, key, compute, members):
-        """``compute()``, or what it gave under ``key`` before.
-
-        ``members(value)`` counts the member ints that holding the value
-        keeps alive, its key's included.
-        """
-        entry = self.entries.get(key)
-        if entry is not None:
-            return entry[0]
-        value = compute()
-        size = members(value)
-        if size <= MEMO_MEMBERS:
-            with self.lock:
-                if key not in self.entries:
-                    while self.held + size > MEMO_MEMBERS:
-                        self.held -= self.entries.popitem(last=False)[1][1]
-                    self.entries[key] = value, size
-                    self.held += size
-        return value
-
-    def clear(self) -> None:
-        with self.lock:
-            self.entries.clear()
-            self.held = 0
+def _memo_ground(ground_size) -> bool:
+    """True iff calls on this ground use the memos: an int of at most
+    MEMO_GROUND, not a bool such as True, which a family's repr shows."""
+    return ground_size.__class__ is int and ground_size <= MEMO_GROUND
 
 
-_memo = _Memo()
+def _avoid_family(ground_size: int, eta: Label) -> SetSystem:
+    """labelcalc.avoid_family of a normalized label.  The memo holds
+    member ints, so a hit is a new SetSystem, never a caller's view."""
+    if _memo_ground(ground_size):
+        return SetSystem._of_ints(ground_size, _avoid_ints(ground_size, eta), checked=True)
+    return _automaton_family(ground_size, 0, _module("labelcalc")._avoid_step(eta))
+
+
+@lru_cache(maxsize=MEMO_CALLS)
+def _avoid_ints(ground_size: int, eta: Label) -> tuple[int, ...]:
+    """The member ints of the eta-avoidance family on the ground."""
+    return _automaton_family(ground_size, 0, _module("labelcalc")._avoid_step(eta))._ints
 
 
 class Classification(_Value):
@@ -338,17 +314,20 @@ def classify(system: SetSystem) -> Classification:
     the shatter search settles is classified at any ground; every other
     family is folded, which above ground 16 raises SizeGuardError (see
     _classifier.classify).  An empty family raises EmptyFamilyError, and
-    an object that is not a SetSystem ValueError.  A family classified
-    before is answered from the memo (see _Memo), under its ground and
-    member ints, which the held entry counts.
+    an object that is not a SetSystem ValueError.  On a memo ground (see
+    _memo_ground) a repeated family, keyed by its ground and member ints,
+    not its hash, which reads ``.members``, returns the same answer.
     """
     _check_type(system, SetSystem, "family must be a SetSystem")
-    ints = system._ints
-    return _memo(
-        ("classify", system.ground_size, ints),
-        lambda: _module("_classifier").classify(system),
-        lambda _: len(ints),
-    )
+    if _memo_ground(system.ground_size):
+        return _classify_ints(system.ground_size, system._ints)
+    return _module("_classifier").classify(system)
+
+
+@lru_cache(maxsize=MEMO_CALLS)
+def _classify_ints(ground_size: int, ints: tuple[int, ...]) -> Classification:
+    """classify of the family of these ints, a checked family's."""
+    return _module("_classifier").classify(SetSystem._of_ints(ground_size, ints, checked=True))
 
 
 def _classify_labelled(system: SetSystem) -> tuple[Classification, dict]:

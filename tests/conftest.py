@@ -26,19 +26,20 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 
 def forget_memo():
-    """Empty the memo of classify and avoid_family, if setsystem is loaded.
+    """Empty the classify and avoid_family memos, if setsystem is loaded.
 
     No module is loaded to do so, so the start-up tests see what their
     calls load and nothing more.
     """
     families = sys.modules.get("vclabels.setsystem")
     if families is not None:
-        families._memo.clear()
+        families._classify_ints.cache_clear()
+        families._avoid_ints.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def _empty_memo():
-    """Each test starts with an empty memo, so its calls reach the engine
+    """Each test starts with empty memos, so its calls reach the engine
     and the kernel as they would in a fresh process."""
     forget_memo()
 
@@ -49,7 +50,7 @@ def fastest():
 
     A guard that answers at once does so on some attempt, whatever else
     the machine runs; the unbounded walk it stops is slow on every one.
-    The memo is emptied before each attempt, so no attempt is a memo hit.
+    The memos are emptied before each attempt, so no attempt is a memo hit.
     """
 
     def time_call(call):

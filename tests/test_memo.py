@@ -1,6 +1,7 @@
-"""The memo that answers repeated classify and avoid_family calls."""
+"""The memos that answer repeated classify and avoid_family calls."""
 
 import _thread
+import itertools
 import random
 import sys
 
@@ -9,20 +10,23 @@ import pytest
 from vclabels import _classifier, labelcalc, setsystem
 from vclabels.labelcalc import avoid_family, is_characterized_by
 from vclabels.setsystem import (
-    MEMO_MEMBERS,
+    MEMO_CALLS,
+    MEMO_GROUND,
     EmptyFamilyError,
     SetSystem,
     SizeGuardError,
     classify,
 )
 
-memo = setsystem._memo
+memos = (setsystem._classify_ints, setsystem._avoid_ints)
 # The engine itself, which the spy below wraps.
 engine_classify = _classifier.classify
+# 126 labels, so MEMO_GROUND + 1 grounds give more calls than a memo holds.
+labels = [eta for n in range(1, 7) for eta in itertools.product((0, 1), repeat=n)]
 
 
-def _held_sizes():
-    return sum(size for _, size in memo.entries.values())
+def _held():
+    return [memo.cache_info().currsize for memo in memos]
 
 
 @pytest.fixture
@@ -60,30 +64,40 @@ def test_a_classify_hit_equals_a_fresh_call(engine_calls):
     class Family(SetSystem):
         pass
 
-    # A subclass's instance and a True ground share the key of the plain
-    # family, and the answer is the same value with the same repr.
+    # A subclass's instance shares the key of the plain family.  A True
+    # ground is classified afresh each time, with the same answer.
     engine_calls.clear()
-    sub = Family.from_masks(9, full.members)
-    assert repr(classify(sub)) == repr(engine_classify(full))
+    assert classify(Family.from_masks(9, full.members)) is classify(full)
+    assert engine_calls == []
     one = classify(SetSystem(1, [(0,), (1,)]))
-    assert repr(classify(SetSystem(True, [(0,), (1,)]))) == repr(one)
-    assert engine_calls == [SetSystem(1, [(0,), (1,)])]
+    for _ in range(2):
+        assert repr(classify(SetSystem(True, [(0,), (1,)]))) == repr(one)
+    assert engine_calls == [SetSystem(1, [(0,), (1,)])] * 3
+
+
+def test_the_classify_key_holds_the_ground():
+    # The same member ints on two grounds are two families.
+    for m in (2, 3, 2, 3):
+        family = SetSystem._of_ints(m, (0, 1))
+        assert classify(family) == engine_classify(family)
+    assert classify(SetSystem._of_ints(2, (0, 1))) != classify(SetSystem._of_ints(3, (0, 1)))
 
 
 def test_an_avoid_family_hit_equals_a_fresh_call():
-    for m, eta in [(0, (1,)), (5, (1, 0, 1)), (8, (0, 0, 1, 1)), (12, (1, 0, 1, 0, 1))]:
+    for m, eta in [(0, (1,)), (5, (1, 0, 1)), (8, (0, 0, 1, 1)), (MEMO_GROUND, (1, 0, 1, 0, 1))]:
         first = avoid_family(m, eta)
-        held = len(memo.entries)
+        misses = setsystem._avoid_ints.cache_info().misses
         for bits in (eta, tuple(map(bool, eta)), list(eta)):
             hit = avoid_family(m, bits)
             assert hit == first == _fresh_avoid(m, eta)
             assert repr(hit) == repr(_fresh_avoid(m, eta))
             assert hit is not first and hit._ints is first._ints
-        assert len(memo.entries) == held
+        assert setsystem._avoid_ints.cache_info().misses == misses
     # A True ground is built afresh, and its repr shows it.
-    entries = dict(memo.entries)
-    assert repr(avoid_family(True, (1,))) == "SetSystem(ground_size=True, members=((0,),))"
-    assert memo.entries == entries
+    held = _held()
+    for _ in range(2):
+        assert repr(avoid_family(True, (1,))) == "SetSystem(ground_size=True, members=((0,),))"
+    assert _held() == held
     assert repr(avoid_family(1, (1,))) == "SetSystem(ground_size=1, members=((0,),))"
     assert repr(avoid_family(True, (1,))) == "SetSystem(ground_size=True, members=((0,),))"
 
@@ -96,64 +110,43 @@ def test_an_avoid_family_hit_equals_a_fresh_call():
     assert is_characterized_by(avoid_family(5, (1, 0, 1)), (1, 0, 1))
 
 
-def test_classify_and_avoid_family_keys_do_not_meet():
-    # The label (0, 1) and the member ints (0, 1) on ground 2 are one tuple.
-    family = avoid_family(2, (0, 1))
-    pair = SetSystem._of_ints(2, (0, 1))
-    assert classify(pair) == engine_classify(pair)
-    assert avoid_family(2, (0, 1)) == family == _fresh_avoid(2, (0, 1))
-    assert classify(family) == engine_classify(family)
-
-
 def test_an_avoid_family_hit_holds_no_members_view():
     first = avoid_family(10, (1, 0, 1, 0))
     first.members, first.member_ints  # built on the caller's family only
     hit = avoid_family(10, (1, 0, 1, 0))
     assert "members" not in hit.__dict__ and "member_ints" not in hit.__dict__
-    for value, size in memo.entries.values():
-        assert type(value) is tuple and set(map(type, value)) == {int}
-        assert size == len(value)
+    held = setsystem._avoid_ints(10, (1, 0, 1, 0))
+    assert held is hit._ints and type(held) is tuple and set(map(type, held)) == {int}
 
 
-def test_the_held_members_never_exceed_the_budget():
-    rng = random.Random(3301)
-    labels = [(1, 0) * 3, (1, 0, 1, 0, 1), (1, 0) * 3 + (1,), (0, 1, 1, 0, 1), (1, 1, 0, 0)]
-    calls = [lambda eta=eta, m=m: avoid_family(m, eta) for m in (16, 18, 20) for eta in labels]
-    for m in (12, 14, 16):
-        members = rng.sample(range(1 << m), 3000)
-        calls.append(lambda m=m, members=members: classify(SetSystem._of_ints(m, sorted(members))))
-    rng.shuffle(calls)
-    for call in calls:
-        call()
-        assert memo.held == _held_sizes() <= MEMO_MEMBERS
-    # Each result fits the budget, and together they pass it: some were evicted.
-    assert len(memo.entries) < len(calls)
+def test_each_memo_holds_its_last_calls_on_small_grounds():
+    calls = [(m, eta) for m in range(MEMO_GROUND + 1) for eta in labels]
+    for m, eta in calls[:MEMO_CALLS]:
+        avoid_family(m, eta)
+    assert _held() == [0, MEMO_CALLS]
+    # The first call is used again, so the second is the least recent and goes.
+    avoid_family(*calls[0])
+    avoid_family(*calls[MEMO_CALLS])
+    info = setsystem._avoid_ints.cache_info()
+    avoid_family(*calls[0])
+    assert setsystem._avoid_ints.cache_info().hits == info.hits + 1
+    avoid_family(*calls[1])
+    assert setsystem._avoid_ints.cache_info().misses == info.misses + 1
+    for m, eta in calls:
+        classify(avoid_family(m, eta))
+        assert max(_held()) <= MEMO_CALLS
+    assert _held() == [MEMO_CALLS, MEMO_CALLS]
 
 
-def test_the_oldest_entries_go_first(monkeypatch):
-    monkeypatch.setattr(setsystem, "MEMO_MEMBERS", 100)
-    for m in range(1, 8):
-        avoid_family(m, (1, 0, 1))  # 2, 4, 7, 11, 16, 22 and 29 members: 91
-    assert [key[1] for key in memo.entries] == [1, 2, 3, 4, 5, 6, 7]
-    avoid_family(8, (1, 0, 1))  # 37 members: the grounds 1 to 5 go
-    assert [key[1] for key in memo.entries] == [6, 7, 8]
-    assert memo.held == _held_sizes() == 22 + 29 + 37
-    classify(avoid_family(6, (1, 0, 1)))  # a hit, then 22 members more: ground 6 goes
-    kept = [("avoid_family", 7), ("avoid_family", 8), ("classify", 6)]
-    assert [key[:2] for key in memo.entries] == kept
-
-
-def test_a_result_over_the_budget_is_not_held(engine_calls):
-    entries = dict(memo.entries)
-    big = avoid_family(20, (1, 0) * 4)  # 137,980 members
-    assert len(big._ints) > MEMO_MEMBERS
-    power = SetSystem.power_set(17)  # 131,072 members, as classify's key
+def test_a_family_over_the_memo_ground_is_not_held(engine_calls):
+    big = MEMO_GROUND + 1
+    family = avoid_family(big, (1, 0, 1))
+    power = SetSystem.power_set(big)
     for _ in range(2):
-        assert classify(power).vc_dimension == 17
+        assert avoid_family(big, (1, 0, 1)) == family
+        assert classify(power).vc_dimension == big
     assert engine_calls == [power, power]
-    assert memo.entries == entries
-    assert avoid_family(20, (1, 0) * 4) == big
-    assert memo.entries == entries and memo.held == 0
+    assert _held() == [0, 0]
 
 
 @pytest.mark.parametrize(
@@ -172,18 +165,17 @@ def test_errors_are_never_held(call, error):
     for _ in range(3):
         with pytest.raises(error):
             call()
-        assert not memo.entries and memo.held == 0
+        assert _held() == [0, 0]
 
 
-def test_concurrent_callers_get_correct_results(monkeypatch):
-    monkeypatch.setattr(setsystem, "MEMO_MEMBERS", 600)  # so that threads evict
+def test_concurrent_callers_get_correct_results():
     rng = random.Random(9403)
-    etas = [(1, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1, 0), (0, 0, 1)]
     families = [
         SetSystem._of_ints(m, sorted(rng.sample(range(1 << m), rng.randint(1, 1 << m - 1))))
         for m in (5, 6, 7, 8) for _ in range(3)
     ]
-    tasks = [("avoid", m, eta) for m in range(4, 10) for eta in etas]
+    # More avoid calls than the memo holds, so that threads evict.
+    tasks = [("avoid", m, eta) for m in range(4, 10) for eta in labels[:62]]
     tasks += [("classify", family) for family in families]
     expected = {
         task: _fresh_avoid(*task[1:]) if task[0] == "avoid" else engine_classify(task[1])
@@ -216,4 +208,4 @@ def test_concurrent_callers_get_correct_results(monkeypatch):
         sys.setswitchinterval(interval)
     assert all(finished)
     assert raised == [] and wrong == []
-    assert memo.held == _held_sizes() <= 600
+    assert max(_held()) <= MEMO_CALLS

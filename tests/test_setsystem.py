@@ -502,7 +502,6 @@ def test_maximum_families_the_search_declines_take_the_fold(monkeypatch):
         cases.append((_permuted(avoid_family(12, eta), rng), 5))
     for sys_, d in cases:
         calls.clear()
-        setsystem._memo.clear()  # the last case repeats size_at_most(12, 5)
         result = classify(sys_)
         assert calls, "the shatter search settled a family it should decline"
         assert result == _closed_form(d, sys_.ground_size)
@@ -544,7 +543,7 @@ def test_non_maximum_families_near_the_sauer_size_take_the_fold(monkeypatch):
     verdicts = set()
     for sys_ in cases:
         calls.clear()
-        setsystem._memo.clear()  # a random case may repeat an earlier one
+        setsystem._classify_ints.cache_clear()  # a random case may repeat
         result = classify(sys_)
         assert result == reference_classify(sys_)
         members, m = set(sys_.members), sys_.ground_size
@@ -934,7 +933,7 @@ def test_labels_and_homogenize_run_one_search_or_fold(
     # classify alone keeps its plain search, once the memo no longer
     # holds the answer of the first call.
     recorded.clear()
-    setsystem._memo.clear()
+    setsystem._classify_ints.cache_clear()
     classify(sys_)
     assert recorded == [None] * searches
 
