@@ -189,6 +189,7 @@ class IctTensor(_Value):
 
     def __init__(self, depth: int, columns: int, witnesses: tuple[IctWitness, ...]):
         _check_type(witnesses, Iterable, "witnesses must be an iterable")
+        witnesses = tuple(witnesses)  # walked here and again by verify_ict
         for witness in witnesses:
             _check_type(witness, IctWitness, "a witness must be an IctWitness")
             if len(witness.path) != depth or len(witness.sat) != depth:

@@ -99,6 +99,7 @@ class IntervalExpr(_Value):
     def __init__(self, segments: tuple[Segment, ...], symbol_count: int):
         _check_type(segments, Iterable, "segments must be an iterable")
         _check_size(symbol_count, "symbol count")
+        segments = tuple(segments)  # walked twice below
         walk = [s for segment in segments for s, _ in _segment_symbols(segment)]
         if len(walk) != symbol_count or walk != list(range(symbol_count)):
             raise MalformedExpressionError(
@@ -158,7 +159,7 @@ def to_interval_expr(eta: Label) -> IntervalExpr:
             removed.append(sym)
     if eta[-1] == 0:
         segments.append(Interval(lower, None, tuple(removed)))
-    return IntervalExpr(tuple(segments), len(eta) - 1)
+    return IntervalExpr(segments, len(eta) - 1)
 
 
 def from_interval_expr(expr: IntervalExpr) -> Label:
@@ -242,7 +243,7 @@ def parse_expr(text: str) -> IntervalExpr:
         raise MalformedExpressionError(
             f"symbols must be strictly increasing left to right: {names}"
         )
-    return IntervalExpr(tuple(segments), len(names))
+    return IntervalExpr(segments, len(names))
 
 
 def realize_expr(expr: IntervalExpr, assignment, ground_size: int) -> Mask:

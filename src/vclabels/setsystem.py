@@ -35,17 +35,6 @@ MEMO_GROUND = 10
 MEMO_CALLS = 256
 
 
-def _sorted_ints(ints: tuple, ground_size: int) -> bool:
-    """True iff ``ints`` are ints strictly increasing within range(2**ground_size).
-
-    One C-level pass reads the types and one the order, from -1 up.
-    """
-    if not set(map(type, ints)) <= {int}:
-        return False
-    increasing = all(map(operator.lt, itertools.chain((-1,), ints), ints))
-    return increasing and (not ints or ints[-1].bit_length() <= ground_size)
-
-
 def mask_from_indices(ground_size: int, indices: Iterable[int]) -> Mask:
     """Membership mask of the given element indices (ints; a bool counts)."""
     _check_size(ground_size, "ground size")
@@ -74,7 +63,9 @@ class SetSystem(_Value):
     mask read as a base-2 numeral, point 0 the highest of its
     ``ground_size`` bits.  ``members``, the tuple masks, is built from the
     ints when first read, so its entries are the ints 0 and 1 whatever
-    bits the masks were given as.
+    bits the masks were given as.  Masks and file lines are checked where
+    they enter (the constructor, ``from_masks``, ``from_text``); the ints
+    the library builds itself go to ``_of_ints`` unchecked.
     """
 
     __match_args__ = ("ground_size", "members")
@@ -84,9 +75,10 @@ class SetSystem(_Value):
         _check_type(members, Iterable, "members must be an iterable")
         members = tuple(members)
         ints = _module("_masks").mask_ints(members, ground_size)
-        # Only a family that fails the fast check is checked again mask by
-        # mask, for the first error in member order.
-        if ints is None or not _sorted_ints(ints, ground_size):
+        # mask_ints gives ints in range(2**ground_size) or None.  Only a
+        # family that fails it, or whose ints do not increase, is checked
+        # again mask by mask, for the first error in member order.
+        if ints is None or not all(map(operator.lt, ints, ints[1:])):
             for mask in members:
                 _check_mask(mask, ground_size)
             if list(members) != sorted(set(members)):
@@ -99,13 +91,17 @@ class SetSystem(_Value):
         self.__dict__.update(ground_size=ground_size, _ints=ints)
 
     @classmethod
-    def _of_ints(cls, ground_size: int, ints: Iterable[int], checked=False) -> SetSystem:
-        """The family of the given member ints, checked by _sorted_ints
-        unless they are ``checked`` already, as another family's are."""
+    def _of_ints(cls, ground_size: int, ints: Iterable[int]) -> SetSystem:
+        """The family of the given member ints, trusted and not checked.
+
+        Only the library calls it, with ints it has built strictly
+        increasing within range(2**ground_size): sorted distinct ints of
+        checked masks or file lines, the kernel's words, which come in
+        order, or another family's ints.  Masks and file lines from
+        outside are checked where they enter (see SetSystem).
+        """
         family = object.__new__(cls)
         family.__dict__.update(ground_size=ground_size, _ints=tuple(ints))
-        if not checked and not _sorted_ints(family._ints, ground_size):
-            raise ValueError(f"member ints must increase within range(2**{ground_size})")
         return family
 
     @cached_property
@@ -246,7 +242,7 @@ def _avoid_family(ground_size: int, eta: Label) -> SetSystem:
     """labelcalc.avoid_family of a normalized label.  The memo holds
     member ints, so a hit is a new SetSystem, never a caller's view."""
     if _memo_ground(ground_size):
-        return SetSystem._of_ints(ground_size, _avoid_ints(ground_size, eta), checked=True)
+        return SetSystem._of_ints(ground_size, _avoid_ints(ground_size, eta))
     return _automaton_family(ground_size, 0, _module("labelcalc")._avoid_step(eta))
 
 
@@ -269,7 +265,7 @@ class Classification(_Value):
 def trace(system: SetSystem, region: Mask) -> SetSystem:
     """Restrict the family to the elements of ``region``, reindexed in order."""
     _, present = _traces(system, region)
-    keep = mask_indices(region)
+    keep = [j for j, b in enumerate(region) if b]
     # Kept point j moves from bit m - 1 - j to bit k - 1 - i, i its place.
     shifts = [(system.ground_size - 1 - j, len(keep) - 1 - i) for i, j in enumerate(keep)]
     ints = (sum((v >> old & 1) << new for old, new in shifts) for v in present)
@@ -327,7 +323,7 @@ def classify(system: SetSystem) -> Classification:
 @lru_cache(maxsize=MEMO_CALLS)
 def _classify_ints(ground_size: int, ints: tuple[int, ...]) -> Classification:
     """classify of the family of these ints, a checked family's."""
-    return _module("_classifier").classify(SetSystem._of_ints(ground_size, ints, checked=True))
+    return _module("_classifier").classify(SetSystem._of_ints(ground_size, ints))
 
 
 def _classify_labelled(system: SetSystem) -> tuple[Classification, dict]:
@@ -356,7 +352,7 @@ def forbidden_label(system: SetSystem, region: Mask) -> Label:
     while missing in present:
         missing = (missing - 1) & a
     # Point j is bit m - 1 - j.
-    return tuple(missing >> (system.ground_size - 1 - j) & 1 for j in mask_indices(region))
+    return tuple(missing >> (system.ground_size - 1 - j) & 1 for j, b in enumerate(region) if b)
 
 
 def forbidden_labels(system: SetSystem, size: int) -> dict[tuple[int, ...], Label | None]:

@@ -8,12 +8,16 @@ import sys
 
 import pytest
 
-from vclabels.harness import IctTensor, IctWitness, PairXorReport
+from vclabels.harness import (
+    IctTensor, IctWitness, PairXorReport, build_ict_tensor, ict_witness_family, verify_ict,
+)
 from vclabels.labelcompiler import (
     Interval,
     IntervalExpr,
     MalformedExpressionError,
     Point,
+    format_expr,
+    from_interval_expr,
 )
 from vclabels.orderformula import And, Bottom, Compare, Not, Or, Top
 from vclabels.setsystem import Classification, GroundMismatchError, SetSystem
@@ -85,6 +89,22 @@ def test_deepcopy_does_not_share_mutable_fields_a_caller_gave():
     assert twin.witnesses[0].sat[0] is not witness.sat[0]
     # A shallow copy shares its fields, as a copy of a frozen dataclass did.
     assert copy.copy(interval).removed is interval.removed
+
+
+def test_values_built_from_a_generator_are_those_built_from_a_tuple():
+    # Both values walk their iterable twice, so each keeps a tuple of it;
+    # a spent generator used to print as '', and to pass every witness.
+    segments = (Point(0), Interval(1, 3, (2,)), Point(4), Interval(5, None))
+    expr, given = IntervalExpr((s for s in segments), 6), IntervalExpr(segments, 6)
+    assert expr == given and repr(expr) == repr(given)
+    assert format_expr(expr) == format_expr(given) != ""
+    assert from_interval_expr(expr) == from_interval_expr(given)
+    witnesses = build_ict_tensor(2, 3).witnesses
+    tensor, given = IctTensor(2, 3, (w for w in witnesses)), IctTensor(2, 3, witnesses)
+    assert tensor == given and repr(tensor) == repr(given)
+    assert verify_ict(tensor) and ict_witness_family(tensor) == ict_witness_family(given)
+    bad = [IctWitness((0, 0), ((1, 0, 0), (0, 1, 0)))] + list(witnesses[1:])
+    assert not verify_ict(IctTensor(2, 3, iter(bad)))
 
 
 def test_formula_pickled_under_another_hash_seed():
