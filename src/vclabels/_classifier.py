@@ -237,9 +237,8 @@ def _shatters_some(columns, count: int, size: int, labels=None) -> bool:
     subset misses exactly one trace, as every (d+1)-subset of a d-maximum
     family does, since then one cell alone does not split.  So the dict is
     the answer only when the walk returns False at size d + 1 on a family
-    of phi(d, m) members (see _maximum_dimension); forbidden_labels
-    discards it otherwise, and reads every label off the fold into a fresh
-    dict.
+    of phi(d, m) members (see _maximum), which drops it otherwise; its
+    callers then read every label off the fold into a fresh dict.
     """
     m = len(columns)
     root = [(1 << count) - 1]
@@ -299,48 +298,46 @@ def _sauer_floor(count: int, m: int) -> tuple[int, int]:
     return d, bound
 
 
-def _maximum_dimension(system: SetSystem, labels=None) -> int | None:
-    """The dimension d when the family is maximum by the Sauer-size test.
+def _maximum(system: SetSystem, labelled=False) -> tuple[Classification, dict | None] | None:
+    """The family's Classification when the maximum test settles it, else None.
 
     d is the family's Sauer floor (see _sauer_floor), so a family of
     exactly phi(d, m) members that shatters no (d+1)-subset has dimension
     d and is maximum (Welzl 1987; Floyd & Warmuth 1995); a maximum family
-    passes the test.  A ``labels`` dict goes to the search, which records
-    the label of every (d+1)-subset when the test passes (see
-    _shatters_some); classify and vc_dim pass none.
+    passes the test.  Every k-subset of a maximum family carries
+    phi(d, k) traces, which gives the Sauer profile, and a maximum family
+    is maximal.  The power set (d = m) passes with no search.
     A maximum family shatters every set of at most d points, so the search
     builds sum_t C(m, t) 2^t cells; it runs only while that is at most
     SEARCH_CELLS_PER_FOLD per fold of the fold path, or of the fold on
-    CLASSIFY_GROUND_CAP points above that ground.  None when the test does
-    not apply or fails.
+    CLASSIFY_GROUND_CAP points above that ground.
+
+    Returns the Classification and, when ``labelled``, the forbidden label
+    of every (d+1)-subset, recorded by the search (see _shatters_some) in a
+    dict built only once the budget allows it; else None in its place, and
+    the search records nothing.
     """
     count, m = len(system._ints), system.ground_size
     d, bound = _sauer_floor(count, m)
     if bound != count:
         return None
-    if d == m:
-        return d  # the power set
     cells = sum(math.comb(m, t) << t for t in range(1, d + 1))
-    if cells > SEARCH_CELLS_PER_FOLD << min(m, CLASSIFY_GROUND_CAP):
+    if d < m and cells > SEARCH_CELLS_PER_FOLD << min(m, CLASSIFY_GROUND_CAP):
         return None
-    if _shatters_some(_columns(system._ints, m), count, d + 1, labels):
+    labels = dict.fromkeys(itertools.combinations(range(m), d + 1)) if labelled else None
+    if d < m and _shatters_some(_columns(system._ints, m), count, d + 1, labels):
         return None
-    return d
+    return Classification(d, True, True, _sauer_profile(d, m)), labels
 
 
 def classify(system: SetSystem) -> Classification:
     """VC dimension plus the maximum and maximal verdicts.
 
     A maximum family is first recognized without looking at every subset
-    (see _maximum_dimension): |F| = phi(d, m) and no (d+1)-subset is
-    shattered.  Every k-subset of a maximum family carries phi(d, k)
-    traces, which gives the Sauer profile, and a maximum family is
-    maximal.  Any other family takes the fold path (see _folded).
+    (see _maximum): |F| = phi(d, m) and no (d+1)-subset is shattered.
+    Any other family takes the fold path (see _folded).
     """
-    d = _maximum_dimension(system)
-    if d is not None:
-        return Classification(d, True, True, _sauer_profile(d, system.ground_size))
-    return _folded(system)[0]
+    return (_maximum(system) or _folded(system))[0]
 
 
 def _folded(system: SetSystem) -> tuple[Classification, tuple]:
@@ -403,21 +400,15 @@ def _classify_labelled(system: SetSystem) -> tuple[Classification, dict]:
     """classify(system), and forbidden_labels(system, d + 1) for its d.
 
     The two come from one engine pass, for CLI ``labels`` and
-    ``homogenize``: one search of the maximum test with the dict, when the
-    family has phi(d, m) members for its Sauer floor d and passes (see
-    _maximum_dimension), or else one fold, which gives d and the labels
-    alike.  The errors are those of classify; a family that shatters its
-    whole ground has no (d+1)-subsets and gets the empty dict.
+    ``homogenize``: one recording search of the maximum test, when it
+    settles the family (see _maximum), or else one fold, which gives d and
+    the labels alike.  The errors are those of classify; a family that
+    shatters its whole ground has no (d+1)-subsets and gets the empty dict.
     """
-    count, m = len(system._ints), system.ground_size
-    d, bound = _sauer_floor(count, m)
-    if bound == count:
-        labels = dict.fromkeys(itertools.combinations(range(m), d + 1))
-        if _maximum_dimension(system, labels) is not None:
-            return Classification(d, True, True, _sauer_profile(d, m)), labels
-        del labels  # freed before the fold, which builds the labels afresh
+    if settled := _maximum(system, labelled=True):
+        return settled
     result, fold = _folded(system)
-    return result, _fold_labels(fold, m, result.vc_dimension + 1)
+    return result, _fold_labels(fold, system.ground_size, result.vc_dimension + 1)
 
 
 def forbidden_labels(system: SetSystem, size: int) -> dict[tuple[int, ...], Label | None]:
@@ -425,10 +416,9 @@ def forbidden_labels(system: SetSystem, size: int) -> dict[tuple[int, ...], Labe
 
     The keys, values and errors are those of setsystem.forbidden_labels.
     A size above m has no subsets and returns the empty dict at once.
-    Otherwise a family whose Sauer floor is size - 1 and that has
-    phi(size - 1, m) members is put to the maximum test (see
-    _maximum_dimension) once, with the dict: when it passes, the family
-    shatters every smaller set and misses one trace on each
+    Otherwise a family whose Sauer floor is size - 1 is put to the maximum
+    test (see _maximum) once, recording: when the test settles it, the
+    family shatters every smaller set and misses one trace on each
     ``size``-subset, so its search reaches every such subset and reads
     the label off the one cell that does not split (see _shatters_some).
     Every other family and size, and a family that fails the test or is
@@ -438,11 +428,10 @@ def forbidden_labels(system: SetSystem, size: int) -> dict[tuple[int, ...], Labe
     settle raises SizeGuardError.
     """
     _check_size(size, "subset size")
-    m, count = system.ground_size, len(system._ints)
-    labels = dict.fromkeys(itertools.combinations(range(m), size))
-    if not labels:
-        return labels
-    if _sauer_floor(count, m) == (size - 1, count):
-        if _maximum_dimension(system, labels) is not None:
-            return labels
+    m = system.ground_size
+    if size > m:
+        return {}
+    if _sauer_floor(len(system._ints), m)[0] == size - 1:
+        if settled := _maximum(system, labelled=True):
+            return settled[1]
     return _fold_labels(_fold(system), m, size)

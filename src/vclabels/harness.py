@@ -188,6 +188,8 @@ class IctTensor(_Value):
     __match_args__ = ("depth", "columns", "witnesses")
 
     def __init__(self, depth: int, columns: int, witnesses: tuple[IctWitness, ...]):
+        _check_size(depth, "depth")
+        _check_size(columns, "column count")
         _check_type(witnesses, Iterable, "witnesses must be an iterable")
         witnesses = tuple(witnesses)  # walked here and again by verify_ict
         for witness in witnesses:
@@ -258,17 +260,15 @@ def ict_witness_family(tensor: IctTensor) -> SetSystem:
     of an injective path is the set of its columns.  Only injective paths
     are used: repeated-column paths give smaller sets.
     """
-    if not verify_ict(tensor):
-        raise UnverifiedTensorError(f"tensor fails at path {ict_failure(tensor)}")
+    failure = ict_failure(tensor)
+    if failure is not None:
+        raise UnverifiedTensorError(f"tensor fails at path {failure}")
     covered = {witness.path for witness in tensor.witnesses}
-    missing = [
-        path
-        for path in itertools.permutations(range(tensor.columns), tensor.depth)
-        if path not in covered
-    ]
-    if missing:
+    paths = itertools.permutations(range(tensor.columns), tensor.depth)
+    missing = next((path for path in paths if path not in covered), None)
+    if missing is not None:
         raise UnverifiedTensorError(
-            f"tensor does not cover all injective paths; first missing {missing[0]}"
+            f"tensor does not cover all injective paths; first missing {missing}"
         )
     # Point j of the column ground is bit columns - 1 - j of the member's int.
     ints = {

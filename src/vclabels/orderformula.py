@@ -134,7 +134,11 @@ class Not(_Formula):
 
     def __init__(self, child: FormulaAst):
         _set_child(self, child)
-        _set_hash(self, hash((child._hash,)))
+        try:
+            _set_hash(self, hash((child._hash,)))
+        except AttributeError:
+            _check_type(child, _Formula, "an operand must be a formula node")
+            raise
 
 
 class _Connective(_Formula):
@@ -143,7 +147,12 @@ class _Connective(_Formula):
     def __init__(self, left: FormulaAst, right: FormulaAst):
         _set_left(self, left)
         _set_right(self, right)
-        _set_hash(self, hash((left._hash, right._hash)))
+        try:
+            _set_hash(self, hash((left._hash, right._hash)))
+        except AttributeError:
+            for child in (left, right):
+                _check_type(child, _Formula, "an operand must be a formula node")
+            raise
 
 
 class And(_Connective):

@@ -77,17 +77,16 @@ class SetSystem(_Value):
         ints = _module("_masks").mask_ints(members, ground_size)
         # mask_ints gives ints in range(2**ground_size) or None.  Only a
         # family that fails it, or whose ints do not increase, is checked
-        # again mask by mask, for the first error in member order.
+        # again mask by mask, for the first error in member order.  Masks
+        # that all pass have ints, so it is their order that is wrong.
         if ints is None or not all(map(operator.lt, ints, ints[1:])):
             for mask in members:
                 _check_mask(mask, ground_size)
-            if list(members) != sorted(set(members)):
-                raise ValueError(
-                    "members must be deduplicated and lexicographically sorted; "
-                    "use SetSystem.from_masks"
-                )
-            for mask in members:  # such as bytes, which pass both checks
-                _check_type(mask, tuple, "a mask must be a tuple")
+                _check_type(mask, tuple, "a mask must be a tuple")  # such as bytes
+            raise ValueError(
+                "members must be deduplicated and lexicographically sorted; "
+                "use SetSystem.from_masks"
+            )
         self.__dict__.update(ground_size=ground_size, _ints=ints)
 
     @classmethod
@@ -124,12 +123,12 @@ class SetSystem(_Value):
         masks, mask_ints = tuple(masks), _module("_masks").mask_ints
         ints = mask_ints(masks, ground_size)
         if ints is None:  # a mask that is not a tuple of bits
+            tuples = []
             for mask in masks:
                 _check_type(mask, Iterable, "a mask must be a sequence of bits")
-            masks = tuple(map(tuple, masks))
-            for mask in masks:
-                _check_mask(mask, ground_size)
-            ints = mask_ints(masks, ground_size)
+                tuples.append(tuple(mask))
+                _check_mask(tuples[-1], ground_size)
+            ints = mask_ints(tuples, ground_size)
         return cls._of_ints(ground_size, sorted(set(ints)))
 
     @classmethod

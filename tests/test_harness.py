@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -298,6 +299,18 @@ def test_ict_witness_family_requires_verified_tensor():
     )
     with pytest.raises(UnverifiedTensorError, match="injective"):
         ict_witness_family(injective_only_missing)
+
+
+def test_ict_witness_family_names_the_first_missing_path_without_listing_the_rest():
+    # It listed every missing injective path, about columns^depth of them,
+    # to name the first, and checked the witnesses twice.
+    failure = mock.Mock(wraps=ict_failure)
+    start = time.perf_counter()
+    with mock.patch.object(harness, "ict_failure", failure):
+        with pytest.raises(UnverifiedTensorError, match=r"first missing \(0, 1, 2\)$"):
+            ict_witness_family(IctTensor(3, 10**4, ()))
+    assert time.perf_counter() - start < 1
+    assert failure.call_count == 1
 
 
 # --- end-to-end loop -----------------------------------------------------------

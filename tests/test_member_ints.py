@@ -314,6 +314,7 @@ def test_library_calls_build_no_tuple_view():
 NOT_A_MASK = "a mask must be a sequence of bits, got NoneType"
 NOT_AN_ITERABLE = "{} must be an iterable, got NoneType"
 NOT_AN_EXPRESSION = "expression must be an IntervalExpr, got NoneType"
+NOT_A_FORMULA = "an operand must be a formula node, got {}"
 _RAY = labelcompiler.to_interval_expr((1, 0))  # one symbol: the ray (a, +inf)
 
 
@@ -354,6 +355,13 @@ _RAY = labelcompiler.to_interval_expr((1, 0))  # one symbol: the ray (a, +inf)
             lambda: orderformula.eval_formula(orderformula.parse_formula("x<y1"), 0, None),
             NOT_AN_ITERABLE.format("parameters"),
         ),
+        (lambda: orderformula.Not(None), NOT_A_FORMULA.format("NoneType")),
+        (lambda: orderformula.And(None, orderformula.Top()), NOT_A_FORMULA.format("NoneType")),
+        (lambda: orderformula.Or(orderformula.Top(), 5), NOT_A_FORMULA.format("int")),
+        (
+            lambda: harness.ict_witness_family(harness.IctTensor("2", 3, ())),
+            "depth must be an int, got '2'",
+        ),
     ],
     ids=[
         "from_index_sets", "from_index_sets-set", "mask_indices", "induces", "trace",
@@ -361,7 +369,7 @@ _RAY = labelcompiler.to_interval_expr((1, 0))  # one symbol: the ray (a, +inf)
         "format_expr", "realize_expr", "realize_expr-assignment", "realize_expr-position",
         "IntervalExpr", "IntervalExpr-removed", "IctTensor", "IctTensor-witness",
         "IctTensor-float-column",
-        "eval_formula",
+        "eval_formula", "Not", "And", "Or", "IctTensor-depth",
     ],
 )
 def test_entry_points_name_what_is_not_a_mask_tensor_or_expression(call, text):

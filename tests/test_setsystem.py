@@ -81,7 +81,7 @@ def swapped_systems(draw):
     absent = sorted(set(itertools.product((0, 1), repeat=family.ground_size)) - set(members))
     members[draw(st.integers(0, len(members) - 1))] = draw(st.sampled_from(absent))
     swapped = SetSystem.from_masks(family.ground_size, members)
-    assume(_classifier._maximum_dimension(swapped) is None)
+    assume(_classifier._maximum(swapped) is None)
     return swapped
 
 
@@ -624,7 +624,7 @@ def test_compacting_fold_matches_the_full_fold():
                 one_short[k].add(b)
         assert best == maxima
         assert [set(folds) for folds in shorts] == one_short
-        if sys_.members and _classifier._maximum_dimension(sys_) is None:
+        if sys_.members and _classifier._maximum(sys_) is None:
             assert classify(sys_).sauer_profile == tuple(enumerate(maxima))
         # Every one-short node at m <= 12, a sample of them above.
         folded = {b: x for folds in shorts for b, x in folds.items()}
@@ -782,7 +782,7 @@ def test_forbidden_labels_read_off_the_search_match_oracle(folds):
         checked = combos if m <= 8 else [combos[0], combos[-1]]
         for combo in checked:
             assert got[combo] == bf.forbidden(sys_.members, combo)
-        if _classifier._maximum_dimension(sys_) == size - 1:
+        if (hit := _classifier._maximum(sys_)) and hit[0].vc_dimension == size - 1:
             assert not folds, "a search-settled family was folded"
             walked += 1
             varied += len(set(got.values())) > 1
@@ -811,7 +811,7 @@ def test_forbidden_labels_scans_what_the_search_does_not_settle(recorded, folds,
             got = forbidden_labels(sys_, size)
             assert all(labels is None for labels in recorded)
             # A size above m has no subsets, so neither searches nor folds.
-            settled = _classifier._maximum_dimension(sys_) == size - 1
+            settled = (hit := _classifier._maximum(sys_)) and hit[0].vc_dimension == size - 1
             assert len(folds) == (not settled and size <= m)
             combos = list(itertools.combinations(range(m), size))
             assert list(got) == combos
@@ -1005,7 +1005,7 @@ def test_shatters_some_of_one_member_at_size_one():
     labels = {}
     assert not _classifier._shatters_some(_search_columns(sys_), 1, 1, labels)
     assert labels == {(0,): (0,), (1,): (1,), (2,): (0,), (3,): (0,)}
-    assert _classifier._maximum_dimension(sys_) == 0
+    assert _classifier._maximum(sys_)[0].vc_dimension == 0
     assert forbidden_labels(sys_, 1) == labels
 
 
@@ -1137,6 +1137,7 @@ def test_from_masks_names_the_first_bad_mask_in_input_order_when_masks_sort():
         ([(1, None), (0, "1")], ValueError, "mask entries must be 0 or 1: (1, None)"),
         ([(1, 2), (0, 3)], ValueError, "mask entries must be 0 or 1: (1, 2)"),
         ([(1, 0, 0), (0,)], GroundMismatchError, "mask length 3 does not match ground size 2"),
+        ([(0, 2), None], ValueError, "mask entries must be 0 or 1: (0, 2)"),
     ]
     for masks, error, message in cases:
         with pytest.raises(error) as info:
@@ -1207,6 +1208,8 @@ def _old_checks(ground_size, members):
             )
         if any(b not in (0, 1) for b in mask):
             raise ValueError(f"mask entries must be 0 or 1: {mask!r}")
+        if not isinstance(mask, tuple):
+            raise ValueError(f"a mask must be a tuple, got {type(mask).__name__}")
     if list(members) != sorted(set(members)):
         raise ValueError(
             "members must be deduplicated and lexicographically sorted; "
@@ -1268,8 +1271,9 @@ def test_constructor_rejects_malformed_members(members):
 
 @pytest.mark.parametrize("mask", [b"\x00\x01", range(2)], ids=["bytes", "range"])
 def test_constructor_refuses_a_mask_that_is_not_a_tuple(mask):
-    # Both pass the per-mask and order checks, but hold no member int.
-    assert _outcome(_old_checks, 2, [mask]) is None
+    # Both pass the per-mask bit checks, but hold no member int.
+    expected = (ValueError, f"a mask must be a tuple, got {type(mask).__name__}")
+    assert _outcome(_old_checks, 2, [mask]) == expected
     with pytest.raises(ValueError, match=f"a mask must be a tuple, got {type(mask).__name__}"):
         SetSystem(2, [mask])
 
@@ -1288,6 +1292,7 @@ def _entry_checks(ground_size, members):
     ):
         for mask in members:
             setsystem._check_mask(mask, ground_size)
+            setsystem._check_type(mask, tuple, "a mask must be a tuple")
         if list(members) != sorted(set(members)):
             raise ValueError(
                 "members must be deduplicated and lexicographically sorted; "
