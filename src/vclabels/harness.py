@@ -100,7 +100,8 @@ def verify_pair_xor(eta: Label, m_pairs: int) -> PairXorReport:
     cell's gap), and a rejection is a dead end, so a disagreement within
     ``m_pairs`` bits extends to one on exactly ``m_pairs`` pairs.  A
     failing family's size is a count of the pair automaton's words (see
-    _count_words); no family is built.
+    _count_words); no family is built.  More pairs than PHI_POINT_CAP
+    raise SizeGuardError, from phi_bound, before the walk.
     """
     eta = as_label(eta)
     _check_size(m_pairs, "pair count")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from ._kernel import Label, Mask, _Value, _check_cap, _check_size, _check_type, _module
@@ -47,7 +48,7 @@ class Point(_Value):
     __match_args__ = ("symbol",)
 
     def __init__(self, symbol: int):
-        object.__setattr__(self, "symbol", symbol)
+        self.__dict__["symbol"] = symbol
 
 
 class Interval(_Value):
@@ -59,12 +60,8 @@ class Interval(_Value):
 
     __match_args__ = ("lower", "upper", "removed")
 
-    def __init__(
-        self, lower: int | None, upper: int | None, removed: tuple[int, ...] = ()
-    ):
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "removed", removed)
+    def __init__(self, lower: int | None, upper: int | None, removed: tuple[int, ...] = ()):
+        self.__dict__.update(lower=lower, upper=upper, removed=removed)
 
 
 Segment = Point | Interval
@@ -91,8 +88,30 @@ def _segment_symbols(segment: Segment):
         yield segment.upper, 1
 
 
+def _head_digit(ends: list[tuple[bool, bool]]) -> int:
+    """The first digit of the label: 0 after a leading ray, 1 otherwise.
+
+    ``ends`` tells of each piece in order whether it is unbounded below
+    and above; such an end anywhere but at its end of the line raises.
+    """
+    for i, (below, above) in enumerate(ends):
+        if below and i:
+            raise MalformedExpressionError("an interval unbounded below must come first")
+        if above and i != len(ends) - 1:
+            raise MalformedExpressionError("an interval unbounded above must come last")
+    return 0 if ends and ends[0][0] else 1
+
+
 class IntervalExpr(_Value):
-    """Ordered union of points and open intervals over symbols a < b < ..."""
+    """Ordered union of points and open intervals over symbols a < b < ...
+
+    Every expression is the image of exactly one label, and holds it.
+    ``segments``, the Point and Interval pieces, is read off the label
+    when first asked for, as the module docstring says.  The constructor
+    checks the segments it is given and keeps them, so the value compares,
+    hashes and prints with them as given; to_interval_expr and parse_expr
+    go to ``_of_label`` with a label and build no segment.
+    """
 
     __match_args__ = ("segments", "symbol_count")
 
@@ -100,23 +119,43 @@ class IntervalExpr(_Value):
         _check_type(segments, Iterable, "segments must be an iterable")
         _check_size(symbol_count, "symbol count")
         segments = tuple(segments)  # walked twice below
-        walk = [s for segment in segments for s, _ in _segment_symbols(segment)]
-        if len(walk) != symbol_count or walk != list(range(symbol_count)):
+        walk = [pair for segment in segments for pair in _segment_symbols(segment)]
+        symbols = [s for s, _ in walk]
+        if len(walk) != symbol_count or symbols != list(range(symbol_count)):
             raise MalformedExpressionError(
-                f"segment symbols must read a, b, c, ... left to right, got {walk}"
+                f"segment symbols must read a, b, c, ... left to right, got {symbols}"
             )
-        for i, segment in enumerate(segments):
-            if isinstance(segment, Interval):
-                if segment.lower is None and i != 0:
-                    raise MalformedExpressionError(
-                        "an interval unbounded below must come first"
-                    )
-                if segment.upper is None and i != len(segments) - 1:
-                    raise MalformedExpressionError(
-                        "an interval unbounded above must come last"
-                    )
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "symbol_count", symbol_count)
+        ends = [(getattr(s, "lower", 0) is None, getattr(s, "upper", 0) is None) for s in segments]
+        label = (_head_digit(ends), *(bit for _, bit in walk))
+        self.__dict__.update(segments=segments, symbol_count=symbol_count, _label=label)
+
+    @classmethod
+    def _of_label(cls, label: Label) -> IntervalExpr:
+        """The expression of ``label``, trusted and not checked.
+
+        Only the library calls it, with a tuple of the ints 0 and 1 that
+        as_label has checked or parse_expr has read off checked text.
+        """
+        expr = object.__new__(cls)
+        expr.__dict__.update(_label=label, symbol_count=len(label) - 1)
+        return expr
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        eta, segments = self._label, []
+        lower, removed = None, []
+        for sym, (a, b) in enumerate(zip(eta, eta[1:])):
+            if a and b:
+                segments.append(Point(sym))
+            elif a:
+                lower, removed = sym, []
+            elif b:
+                segments.append(Interval(lower, sym, tuple(removed)))
+            else:
+                removed.append(sym)
+        if eta[-1] == 0:
+            segments.append(Interval(lower, None, tuple(removed)))
+        return tuple(segments)
 
 
 def compile_label(eta: Label) -> FormulaAst:
@@ -143,63 +182,45 @@ def compile_label(eta: Label) -> FormulaAst:
 
 def to_interval_expr(eta: Label) -> IntervalExpr:
     """Translate a label into its point-interval expression."""
-    eta = as_label(eta)
-    segments: list[Segment] = []
-    lower: int | None = None
-    removed: list[int] = []
-    for sym, (a, b) in enumerate(zip(eta, eta[1:])):
-        if (a, b) == (1, 1):
-            segments.append(Point(sym))
-        elif (a, b) == (1, 0):
-            lower = sym
-            removed = []
-        elif (a, b) == (0, 1):
-            segments.append(Interval(lower, sym, tuple(removed)))
-        else:
-            removed.append(sym)
-    if eta[-1] == 0:
-        segments.append(Interval(lower, None, tuple(removed)))
-    return IntervalExpr(segments, len(eta) - 1)
+    return IntervalExpr._of_label(as_label(eta))
 
 
 def from_interval_expr(expr: IntervalExpr) -> Label:
-    """Recover the label from a point-interval expression (inverse walk).
+    """The label of a point-interval expression.
 
-    The first digit is 0 for a leading ray and 1 otherwise; then each
-    symbol adds the second digit of its pair (see _segment_symbols).  The
-    constructor's checks make every IntervalExpr the image of a label.
+    Every IntervalExpr holds the one label it is the image of: the
+    constructor admits only the segments of a label and records it.
     """
     if not isinstance(expr, IntervalExpr):
         raise MalformedExpressionError("expected an IntervalExpr")
-    first = expr.segments[0] if expr.segments else None
-    head = 0 if isinstance(first, Interval) and first.lower is None else 1
-    bits = (bit for segment in expr.segments for _, bit in _segment_symbols(segment))
-    return (head, *bits)
+    return expr._label
 
 
 def format_expr(expr: IntervalExpr) -> str:
     """Deterministic text form: pieces joined by ' u '; '{}' for the empty set."""
     _check_type(expr, IntervalExpr, "expression must be an IntervalExpr")
-    if not expr.segments:
-        return "{}"
-    parts = []
-    for segment in expr.segments:
-        if isinstance(segment, Point):
-            parts.append("{%s}" % symbol_name(segment.symbol))
-            continue
-        lo = "-inf" if segment.lower is None else symbol_name(segment.lower)
-        hi = "inf" if segment.upper is None else symbol_name(segment.upper)
-        piece = f"({lo},{hi})"
-        piece += "".join("\\{%s}" % symbol_name(r) for r in segment.removed)
-        parts.append(piece)
-    return " u ".join(parts)
+    eta = expr._label
+    parts, lower, removed = [], "-inf", ""
+    for sym, (a, b) in enumerate(zip(eta, eta[1:])):
+        name = symbol_name(sym)
+        if a and b:
+            parts.append("{%s}" % name)
+        elif a:
+            lower, removed = name, ""
+        elif b:
+            parts.append(f"({lower},{name}){removed}")
+        else:
+            removed += "\\{%s}" % name
+    if eta[-1] == 0:
+        parts.append(f"({lower},inf){removed}")
+    return " u ".join(parts) or "{}"
 
 
 _POINTS_RE = re.compile(r"^\{([a-z]+(?:,[a-z]+)*)\}$")
-_INTERVAL_RE = re.compile(
-    r"^\((-inf|[a-z]+),(inf|[a-z]+)\)((?:\\\{[a-z]+\})*)$"
-)
+# An unbounded end matches no group, so its group is None.
+_INTERVAL_RE = re.compile(r"^\((?:-inf|([a-z]+)),(?:inf|([a-z]+))\)((?:\\\{[a-z]+\})*)$")
 _REMOVED_RE = re.compile(r"\\\{([a-z]+)\}")
+_PIECES_RE = re.compile(r"\s+u\s+")
 
 
 def parse_expr(text: str) -> IntervalExpr:
@@ -216,34 +237,30 @@ def parse_expr(text: str) -> IntervalExpr:
         )
     stripped = text.strip()
     if stripped == "{}":
-        return IntervalExpr((), 0)
-    names: list[str] = []
-
-    def number(name: str) -> int:
-        names.append(name)
-        return len(names) - 1
-
-    segments: list[Segment] = []
-    for piece in re.split(r"\s+u\s+", stripped):
-        match = _POINTS_RE.match(piece)
-        if match:
-            segments.extend(Point(number(name)) for name in match.group(1).split(","))
-            continue
-        match = _INTERVAL_RE.match(piece)
-        if not match:
+        return IntervalExpr._of_label((1,))
+    names: list[str] = []  # in reading order, each with its label bit in bits
+    bits: list[int] = []
+    ends: list[tuple[bool, bool]] = []  # each piece unbounded below, above
+    for piece in _PIECES_RE.split(stripped):
+        if match := _POINTS_RE.match(piece):
+            zeros, ones = [], match.group(1).split(",")
+            ends.append((False, False))
+        elif match := _INTERVAL_RE.match(piece):
+            lo, hi, removed = match.groups()
+            zeros = [lo, *_REMOVED_RE.findall(removed)] if lo else _REMOVED_RE.findall(removed)
+            ones = [hi] if hi else []
+            ends.append((lo is None, hi is None))
+        else:
             raise MalformedExpressionError(f"cannot parse expression piece {piece!r}")
-        lo, hi, removed_text = match.groups()
-        lower = None if lo == "-inf" else number(lo)
-        removed = tuple(number(r) for r in _REMOVED_RE.findall(removed_text))
-        upper = None if hi == "inf" else number(hi)
-        segments.append(Interval(lower, upper, removed))
+        names += zeros + ones
+        bits += [0] * len(zeros) + [1] * len(ones)
     # symbol_name counts in bijective base 26, so (length, text) is rank order.
     ranks = [(len(name), name) for name in names]
     if any(a >= b for a, b in zip(ranks, ranks[1:])):
         raise MalformedExpressionError(
             f"symbols must be strictly increasing left to right: {names}"
         )
-    return IntervalExpr(segments, len(names))
+    return IntervalExpr._of_label((_head_digit(ends), *bits))
 
 
 def realize_expr(expr: IntervalExpr, assignment, ground_size: int) -> Mask:

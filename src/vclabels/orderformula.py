@@ -119,14 +119,21 @@ class Bottom(_Formula):
 
 
 class Compare(_Formula):
-    """Atom relating x to the parameter y{index}."""
+    """Atom relating x to the parameter y{index}.
+
+    A rel or index that cannot be hashed raises ValueError; any other pair
+    is built, and refused by the functions that read a formula.
+    """
 
     __slots__ = __match_args__ = ("rel", "index")
 
     def __init__(self, rel: str, index: int):
         _set_rel(self, rel)
         _set_index(self, index)
-        _set_hash(self, hash((rel, index)))
+        try:
+            _set_hash(self, hash((rel, index)))
+        except TypeError:
+            raise ValueError(_NOT_AN_ATOM.format(self))
 
 
 class Not(_Formula):
@@ -193,6 +200,7 @@ _REL_FUNCS = {
 }
 # x rel x collapses to a truth constant at parse time.
 _REFLEXIVE_TRUE = {"=", "<=", ">="}
+_NOT_AN_ATOM = "not a formula atom (rel, int index >= 1): {!r}"
 
 
 _TOKEN_RE = re.compile(r"y(\d*)|<=|>=|!=|\S")
@@ -380,7 +388,7 @@ def formula_arity(ast: FormulaAst) -> int:
             if isinstance(node, Compare):
                 index = node.index
                 if node.rel not in _REL_FUNCS or not isinstance(index, int) or index < 1:
-                    raise ValueError(f"not a formula atom (rel, int index >= 1): {node!r}")
+                    raise ValueError(_NOT_AN_ATOM.format(node))
                 arity = max(arity, index)
             elif isinstance(node, Not):
                 below.append(node.child)

@@ -11,6 +11,9 @@ the whole 2^m-bit indicator before the compacting fold.  The helpers of
 the tuple-mask family come last: ``mask_int``, ``zip_columns`` and
 ``tuple_blocks`` are the library's conversions and kernel from before a
 family held its members as ints, kept to check the int paths against.
+Last come ``expr_segments``, ``segments_label`` and ``format_segments``,
+the walks over an expression's segments from before an IntervalExpr held
+its label, kept to check the label paths against.
 """
 
 import itertools
@@ -399,3 +402,61 @@ def tuple_blocks(ground_size, start, step, block_words):
                 stack.append((word + (0,), zero))
     if words:
         yield words
+
+
+# --- interval expressions as segments, before an expression held its label --
+
+
+def expr_segments(eta):
+    """The segments of eta's point-interval expression, walked left to right.
+
+    A segment is ("point", symbol) or ("interval", lower, upper, removed),
+    with None for an unbounded end: a leading 0 opens a ray, each adjacent
+    digit pair is one symbol (11 a point, 10 an interval start, 01 an
+    interval end, 00 a removed point), and a trailing 0 closes a ray.
+    """
+    segments, lower, removed = [], None, []
+    for sym, pair in enumerate(zip(eta, eta[1:])):
+        if pair == (1, 1):
+            segments.append(("point", sym))
+        elif pair == (1, 0):
+            lower, removed = sym, []
+        elif pair == (0, 1):
+            segments.append(("interval", lower, sym, tuple(removed)))
+        else:
+            removed.append(sym)
+    if eta[-1] == 0:
+        segments.append(("interval", lower, None, tuple(removed)))
+    return segments
+
+
+def segments_label(segments):
+    """The label of expr_segments-style segments, by the inverse walk.
+
+    The first digit is 0 for a leading ray and 1 otherwise; then each
+    symbol adds the second digit of its pair: 1 for a point or an upper
+    end, 0 for a lower end or a removed point.
+    """
+    first = segments[0] if segments else ("point", None)
+    bits = [0 if first[0] == "interval" and first[1] is None else 1]
+    for segment in segments:
+        if segment[0] == "point":
+            bits.append(1)
+            continue
+        _, lower, upper, removed = segment
+        bits += [0] * ((lower is not None) + len(removed)) + [1] * (upper is not None)
+    return tuple(bits)
+
+
+def format_segments(segments, name):
+    """The text of expr_segments-style segments, ``name`` naming each symbol."""
+    parts = []
+    for segment in segments:
+        if segment[0] == "point":
+            parts.append("{%s}" % name(segment[1]))
+            continue
+        _, lower, upper, removed = segment
+        lo = "-inf" if lower is None else name(lower)
+        hi = "inf" if upper is None else name(upper)
+        parts.append(f"({lo},{hi})" + "".join("\\{%s}" % name(r) for r in removed))
+    return " u ".join(parts) or "{}"

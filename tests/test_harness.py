@@ -7,6 +7,7 @@ import pytest
 
 import bruteforce as bf
 from vclabels import harness, labelcompiler, setsystem
+from vclabels._kernel import PHI_POINT_CAP
 from vclabels.harness import (
     IctTensor,
     IctWitness,
@@ -135,6 +136,13 @@ def test_verify_pair_xor_builds_no_family_on_pass_or_fail(monkeypatch):
     monkeypatch.setattr(labelcompiler, "compile_label", lambda eta: Top())
     assert verify_pair_xor((1, 0, 1), 4) == PairXorReport(False, 1, 11)
     assert verify_pair_xor((1, 0, 1), 1000) == PairXorReport(False, 1, phi_bound(2, 1000))
+
+
+def test_verify_pair_xor_refuses_more_pairs_than_phi_bound_sums_over():
+    cap = PHI_POINT_CAP
+    assert verify_pair_xor((1, 0, 1), cap).passed
+    with pytest.raises(SizeGuardError, match=f"^point count {cap + 1} exceeds cap {cap}$"):
+        verify_pair_xor((1, 0, 1), cap + 1)
 
 
 @pytest.mark.parametrize("compiler", COMPILERS.values(), ids=COMPILERS)

@@ -1,4 +1,7 @@
+import copy
 import itertools
+import pickle
+import random
 
 import pytest
 
@@ -146,6 +149,53 @@ def test_expression_round_trip_all_labels_up_to_8():
             assert parse_expr(format_expr(expr)) == expr
 
 
+def _oracle_labels():
+    """Every label of 1 to 10 bits, then labels of 64 and 128 bits."""
+    for length in range(1, 11):
+        yield from itertools.product((0, 1), repeat=length)
+    rng = random.Random(36)
+    for length in (64, 128):
+        yield (1, 0) * (length // 2)
+        yield (0,) * length
+        yield (1,) * length
+        yield from (tuple(rng.randint(0, 1) for _ in range(length)) for _ in range(20))
+
+
+def _segments(plain):
+    """Point and Interval values of bruteforce.expr_segments segments."""
+    return tuple(Point(s[1]) if s[0] == "point" else Interval(*s[1:]) for s in plain)
+
+
+def test_label_held_expressions_match_the_segment_walk_oracle():
+    for eta in _oracle_labels():
+        plain = bf.expr_segments(eta)
+        assert bf.segments_label(plain) == eta
+        text = bf.format_segments(plain, symbol_name)
+        given = IntervalExpr(_segments(plain), len(eta) - 1)
+        assert format_expr(given) == text and from_interval_expr(given) == eta
+        held = to_interval_expr(eta)
+        for expr in (held, parse_expr(format_expr(held))):
+            # Text and label are read off the label: no segment is built.
+            assert format_expr(expr) == text and from_interval_expr(expr) == eta
+            assert "segments" not in vars(expr)
+            assert expr.segments == given.segments == _segments(plain)
+            assert expr == given and hash(expr) == hash(given) and repr(expr) == repr(given)
+            assert expr.symbol_count == len(eta) - 1
+            for twin in (pickle.loads(pickle.dumps(expr)), copy.deepcopy(expr)):
+                assert twin == given and hash(twin) == hash(given)
+                assert format_expr(twin) == text and from_interval_expr(twin) == eta
+
+
+def test_an_expression_compares_by_the_segments_it_was_given():
+    # Both hold the label 1001; a list of removed points is another field.
+    listed = IntervalExpr((Interval(0, 2, [1]),), 3)
+    given = IntervalExpr((Interval(0, 2, (1,)),), 3)
+    assert listed != given and repr(listed) != repr(given)
+    assert from_interval_expr(listed) == from_interval_expr(given) == (1, 0, 0, 1)
+    assert format_expr(listed) == format_expr(given) == "(a,c)\\{b}"
+    assert given == to_interval_expr((1, 0, 0, 1)) == parse_expr("(a,c)\\{b}")
+
+
 def test_parse_expr_accepts_any_increasing_letters():
     assert parse_expr("(-inf,q) u {z}") == parse_expr("(-inf,a) u {b}")
 
@@ -181,6 +231,42 @@ def test_parse_expr_long_symbol_names_in_linear_time(fastest):
 def test_parse_expr_rejects_malformed(text):
     with pytest.raises(MalformedExpressionError):
         parse_expr(text)
+
+
+MALFORMED_TEXTS = [
+    ("", "cannot parse expression piece ''"),
+    ("(a", "cannot parse expression piece '(a'"),
+    ("{a}\\{b}", "cannot parse expression piece '{a}\\\\{b}'"),
+    ("{a} u {}", "cannot parse expression piece '{}'"),
+    ("(-inf,inf) u", "cannot parse expression piece '(-inf,inf) u'"),
+    ("{a} u (b,-inf)", "cannot parse expression piece '(b,-inf)'"),
+    ("(b,a)", "symbols must be strictly increasing left to right: ['b', 'a']"),
+    ("{a} u {a}", "symbols must be strictly increasing left to right: ['a', 'a']"),
+    # An interval's removed points come between its ends in symbol order.
+    ("(a,b)\\{c}", "symbols must be strictly increasing left to right: ['a', 'c', 'b']"),
+    ("{aa} u {z}", "symbols must be strictly increasing left to right: ['aa', 'z']"),
+    ("{a} u (-inf,b)", "an interval unbounded below must come first"),
+    ("(a,inf) u {b}", "an interval unbounded above must come last"),
+    ("(-inf,inf) u {a}", "an interval unbounded above must come last"),
+    ("{a} u (b,c) u (d,inf) u (e,inf)", "an interval unbounded above must come last"),
+    # Two faults: a piece that cannot be parsed comes before the order of
+    # the symbols, which comes before a misplaced unbounded end, and that
+    # end is the first in reading order, its lower end before its upper.
+    ("{b} u {a} u (c", "cannot parse expression piece '(c'"),
+    ("(-inf,a) u (-inf,b) u )", "cannot parse expression piece ')'"),
+    ("{b} u (-inf,a)", "symbols must be strictly increasing left to right: ['b', 'a']"),
+    ("(a,inf) u {c} u {b}", "symbols must be strictly increasing left to right: ['a', 'c', 'b']"),
+    ("(a,inf) u (-inf,b)", "an interval unbounded above must come last"),
+    ("{a} u (-inf,inf) u {b}", "an interval unbounded below must come first"),
+    ("{a} u (b,inf) u (-inf,c)", "an interval unbounded above must come last"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_TEXTS)
+def test_parse_expr_names_the_first_fault(text, message):
+    with pytest.raises(MalformedExpressionError) as caught:
+        parse_expr(text)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("text", [None, b"(a,b)", 5])

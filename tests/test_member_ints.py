@@ -359,6 +359,10 @@ _RAY = labelcompiler.to_interval_expr((1, 0))  # one symbol: the ray (a, +inf)
         (lambda: orderformula.And(None, orderformula.Top()), NOT_A_FORMULA.format("NoneType")),
         (lambda: orderformula.Or(orderformula.Top(), 5), NOT_A_FORMULA.format("int")),
         (
+            lambda: orderformula.Compare(None, []),
+            r"not a formula atom \(rel, int index >= 1\): Compare\(rel=None, index=\[\]\)",
+        ),
+        (
             lambda: harness.ict_witness_family(harness.IctTensor("2", 3, ())),
             "depth must be an int, got '2'",
         ),
@@ -369,12 +373,14 @@ _RAY = labelcompiler.to_interval_expr((1, 0))  # one symbol: the ray (a, +inf)
         "format_expr", "realize_expr", "realize_expr-assignment", "realize_expr-position",
         "IntervalExpr", "IntervalExpr-removed", "IctTensor", "IctTensor-witness",
         "IctTensor-float-column",
-        "eval_formula", "Not", "And", "Or", "IctTensor-depth",
+        "eval_formula", "Not", "And", "Or", "Compare", "IctTensor-depth",
     ],
 )
 def test_entry_points_name_what_is_not_a_mask_tensor_or_expression(call, text):
     # Each used to raise a stray TypeError or AttributeError, or, for
-    # alternation_number, to return 0.  Those given None for a family are
+    # alternation_number, to return 0.  A Compare of hashable fields that
+    # are not an atom, such as Compare("x", "y"), is built, and refused by
+    # the functions that read it (test_orderformula.py).  Those given None for a family are
     # checked with the others in test_setsystem.py.
     with pytest.raises(ValueError, match=f"^{text}$"):
         call()

@@ -100,6 +100,25 @@ def test_phi_bound_matches_oracle():
             assert phi_bound(d, n) == bf.phi(d, n)
 
 
+def test_phi_bound_matches_the_comb_sum_up_to_200_points():
+    # The running product gives the same ints as the sum of math.comb terms.
+    for n in range(201):
+        sums = list(itertools.accumulate(math.comb(n, i) for i in range(n + 1)))
+        assert [phi_bound(d, n) for d in range(n + 3)] == sums + [2**n] * 2
+
+
+def test_phi_bound_refuses_a_point_count_above_its_cap(fastest):
+    # phi_bound(n, n) summed n + 1 math.comb terms: 10.6 s at n = 10**4.
+    cap = _kernel.PHI_POINT_CAP
+    assert phi_bound(2, cap) == 1 + cap + cap * (cap - 1) // 2
+    assert fastest(lambda: phi_bound(cap, cap) == 2**cap) < 1.0
+    for d in (0, 2, cap + 1, cap + 2):
+        with pytest.raises(SizeGuardError, match=f"^point count {cap + 1} exceeds cap {cap}$"):
+            phi_bound(d, cap + 1)
+    with pytest.raises(SizeGuardError, match=f"^point count {10**30} exceeds cap {cap}$"):
+        phi_bound(10**30, 10**30)
+
+
 def test_sauer_profile_is_phi_bound_at_every_size():
     for m in range(21):
         for d in range(m + 1):
