@@ -6,6 +6,10 @@ point-interval expression: reading the label left to right, a leading 0
 opens a ray from minus infinity, each adjacent digit pair consumes one
 fresh symbol (11 an isolated point, 10 an interval start, 01 an interval
 end, 00 a removed point), and a trailing 0 closes a ray at plus infinity.
+Read cell by cell, a label of n + 1 bits fixes the set that n increasing
+symbols cut out of the line: gap g (below symbol g, above symbol g - 1)
+is in the set iff bit g is 0, and symbol s iff bits s and s + 1 are both
+1.  realize_expr reads the label so; the segments are only a view.
 
 Only compile_label builds formulas, and it alone reaches orderformula, so
 CLI ``translate``, which maps labels and expressions both ways, never
@@ -105,12 +109,13 @@ def _head_digit(ends: list[tuple[bool, bool]]) -> int:
 class IntervalExpr(_Value):
     """Ordered union of points and open intervals over symbols a < b < ...
 
-    Every expression is the image of exactly one label, and holds it.
-    ``segments``, the Point and Interval pieces, is read off the label
-    when first asked for, as the module docstring says.  The constructor
-    checks the segments it is given and keeps them, so the value compares,
-    hashes and prints with them as given; to_interval_expr and parse_expr
-    go to ``_of_label`` with a label and build no segment.
+    Every expression is the image of exactly one label, and holds it;
+    the library's functions read only the label.  ``segments``, the Point
+    and Interval pieces, is read off the label when first asked for, as
+    the module docstring says.  The constructor checks the segments it is
+    given and keeps them, so the value compares, hashes and prints with
+    them as given; to_interval_expr and parse_expr go to ``_of_label``
+    with a label and build no segment.
     """
 
     __match_args__ = ("segments", "symbol_count")
@@ -267,15 +272,22 @@ def realize_expr(expr: IntervalExpr, assignment, ground_size: int) -> Mask:
     """Membership mask of the ground under a concrete symbol assignment.
 
     ``assignment`` gives one strictly increasing grid position per symbol;
-    ground element j sits at position 2*j.  The ground size must be a
-    nonnegative int (a bool counts); anything else raises ValueError, and
-    so does an expression that is not an IntervalExpr.
+    ground element j sits at position 2*j.  The mask is read off the label
+    cell by cell, as the module docstring says: a point in gap g, the g-th
+    of the open gaps below, between and above the symbols, is covered iff
+    bit g is 0, and a point on symbol s iff bits s and s+1 are both 1.
+    The ground size must be a nonnegative int (a bool counts); anything
+    else raises ValueError, and so does an expression that is not an
+    IntervalExpr, or positions that are not real numbers or not strictly
+    increasing, such as NaN.
     """
     _check_type(expr, IntervalExpr, "expression must be an IntervalExpr")
     _check_size(ground_size, "ground size")
     _check_type(assignment, Iterable, "assignment must be an iterable")
     positions = tuple(assignment)
-    from numbers import Real  # imported here: no CLI call realizes an expression
+    # imported here: no CLI call realizes an expression
+    from bisect import bisect_left
+    from numbers import Real
 
     for position in positions:
         _check_type(position, Real, "assignment positions must be real numbers")
@@ -284,22 +296,12 @@ def realize_expr(expr: IntervalExpr, assignment, ground_size: int) -> Mask:
             f"assignment has {len(positions)} positions for "
             f"{expr.symbol_count} symbols"
         )
-    if any(a >= b for a, b in zip(positions, positions[1:])):
+    # NaN is neither below nor equal to anything, itself included.
+    if not all(a < b for a, b in zip(positions, positions[1:])) or any(p != p for p in positions):
         raise ValueError("assignment positions must be strictly increasing")
-
-    def covered(x) -> bool:
-        for segment in expr.segments:
-            if isinstance(segment, Point):
-                if x == positions[segment.symbol]:
-                    return True
-                continue
-            if segment.lower is not None and not x > positions[segment.lower]:
-                continue
-            if segment.upper is not None and not x < positions[segment.upper]:
-                continue
-            if any(x == positions[r] for r in segment.removed):
-                continue
-            return True
-        return False
-
-    return tuple(1 if covered(2 * j) else 0 for j in range(ground_size))
+    eta, mask = expr._label, []
+    for x in range(0, 2 * ground_size, 2):
+        g = bisect_left(positions, x)  # x is on symbol g or in gap g
+        on_symbol = g < len(positions) and positions[g] == x
+        mask.append(eta[g] & eta[g + 1] if on_symbol else 1 - eta[g])
+    return tuple(mask)

@@ -114,6 +114,11 @@ class SetSystem(_Value):
 
     __hash__ = _Value.__hash__
 
+    def __deepcopy__(self, memo):
+        # A family always hashes, so it is its own deep copy; asking
+        # _Value for it would hash, and so build, ``members``.
+        return self
+
     @classmethod
     def from_masks(cls, ground_size: int, masks: Iterable[Mask]) -> SetSystem:
         """The family of ``masks``, deduplicated and sorted; each may be any

@@ -11,9 +11,11 @@ the whole 2^m-bit indicator before the compacting fold.  The helpers of
 the tuple-mask family come last: ``mask_int``, ``zip_columns`` and
 ``tuple_blocks`` are the library's conversions and kernel from before a
 family held its members as ints, kept to check the int paths against.
-Last come ``expr_segments``, ``segments_label`` and ``format_segments``,
-the walks over an expression's segments from before an IntervalExpr held
-its label, kept to check the label paths against.
+Last come ``expr_segments``, ``segments_label``, ``format_segments`` and
+``realize_segments``, the walks over an expression's segments from before
+an IntervalExpr held its label, and the scan realize_expr made of them
+before it read the label cell by cell, kept to check the label paths
+against.
 """
 
 import itertools
@@ -460,3 +462,31 @@ def format_segments(segments, name):
         hi = "inf" if upper is None else name(upper)
         parts.append(f"({lo},{hi})" + "".join("\\{%s}" % name(r) for r in removed))
     return " u ".join(parts) or "{}"
+
+
+def realize_segments(segments, positions, ground_size):
+    """Mask of expr_segments-style segments with symbol s at ``positions[s]``.
+
+    Ground point j sits at 2*j, and is covered when some segment holds it:
+    a point segment at its symbol's position, or an interval strictly
+    between its ends (an unbounded end holds everything on its side) and
+    on none of its removed points.
+    """
+
+    def covered(x):
+        for segment in segments:
+            if segment[0] == "point":
+                if x == positions[segment[1]]:
+                    return True
+                continue
+            _, lower, upper, removed = segment
+            if lower is not None and not x > positions[lower]:
+                continue
+            if upper is not None and not x < positions[upper]:
+                continue
+            if any(x == positions[r] for r in removed):
+                continue
+            return True
+        return False
+
+    return tuple(1 if covered(2 * j) else 0 for j in range(ground_size))

@@ -1,7 +1,10 @@
 import copy
+import functools
 import itertools
+import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +27,7 @@ from vclabels.labelcompiler import (
 from vclabels.orderformula import (
     LABEL_LENGTH_CAP,
     Top,
+    _cells,
     format_formula,
     label_of_formula,
     ordered_trace_family,
@@ -310,8 +314,12 @@ def test_interval_expr_compares_the_walk_length_before_building_a_range():
         IntervalExpr((Point(0),), 10**30)
 
 
-def _constructor_accepted(symbols, segments):
-    """Every IntervalExpr the constructor accepts within the given sizes."""
+def _constructor_accepted(symbols, segments, make_removed=tuple):
+    """Every IntervalExpr the constructor accepts within the given sizes.
+
+    ``make_removed`` turns the range of an interval's removed points into
+    the value the Interval is given.
+    """
     kinds = [(None, 1)] + [
         ((lower, removed, upper), lower + removed + upper)
         for lower in (0, 1)
@@ -339,7 +347,7 @@ def _constructor_accepted(symbols, segments):
                 Interval(
                     sym if lower else None,
                     sym + lower + removed if upper else None,
-                    tuple(range(sym + lower, sym + lower + removed)),
+                    make_removed(range(sym + lower, sym + lower + removed)),
                 )
             )
             sym += lower + removed + upper
@@ -375,6 +383,24 @@ def test_realize_validates_assignment():
         realize_expr(parse_expr("(a,b)"), (5, 1), 3)
 
 
+@pytest.mark.parametrize(
+    "text, positions",
+    [
+        ("(a,b)", (math.nan, 1)),
+        ("(a,b)", (1, math.nan)),
+        ("(a,b) u {c}", (math.nan, 1, 3)),
+        ("(a,b) u {c}", (1, math.nan, 3)),
+        ("(a,b) u {c}", (1, 3, math.nan)),
+        ("(a,inf)", (math.nan,)),
+    ],
+)
+def test_realize_refuses_nan_positions(text, positions):
+    # NaN is below nothing, so the pairs with it used to pass as increasing
+    # and (a,b) realized (0, 0, 0).
+    with pytest.raises(ValueError, match="^assignment positions must be strictly increasing$"):
+        realize_expr(parse_expr(text), positions, 3)
+
+
 def test_realize_checks_its_ground_size():
     # A negative ground used to give the empty mask.
     with pytest.raises(ValueError, match="^ground size must be nonnegative$"):
@@ -394,3 +420,64 @@ def test_realized_families_match_avoidance():
                     )
                 }
                 assert realized == bf.avoid_members(m, eta)
+
+
+def _labels_up_to(length):
+    for eta_len in range(1, length + 1):
+        yield from itertools.product((0, 1), repeat=eta_len)
+
+
+@functools.cache
+def _position_pool(ground_size):
+    """The ground points 2j, the odd ints between and beside them, and
+    Fractions and floats off the integers, in increasing order."""
+    ints = range(-2, 2 * ground_size + 8)
+    thirds = (Fraction(k, 3) for k in range(3 * ints.start, 3 * ints.stop) if k % 3)
+    return sorted({*ints, *thirds, *(k + 0.5 for k in ints)})
+
+
+def _random_positions(rng, count, ground_size):
+    """``count`` strictly increasing positions around a ground of the given size."""
+    return tuple(sorted(rng.sample(_position_pool(ground_size), count)))
+
+
+def test_realize_reads_the_label_as_the_segment_scan_did():
+    rng = random.Random(37)
+    for eta in _labels_up_to(8):
+        expr, plain = to_interval_expr(eta), bf.expr_segments(eta)
+        for _ in range(8):
+            m = rng.randint(0, len(eta) + 2)
+            positions = _random_positions(rng, len(eta) - 1, m)
+            assert realize_expr(expr, positions, m) == bf.realize_segments(plain, positions, m)
+        # Realizing reads the label and builds no segment.
+        assert "segments" not in vars(expr)
+
+
+def test_label_cells_are_those_of_the_compiled_formula():
+    for eta in _labels_up_to(8):
+        n = len(eta) - 1
+        # Gap g is in the set iff bit g is 0; symbol s iff bits s, s+1 are 1.
+        cells = [1 - eta[0]]
+        for s in range(n):
+            cells += [eta[s] & eta[s + 1], 1 - eta[s + 1]]
+        assert _cells(compile_label(eta), None) == tuple(cells)
+        # With symbol s at 4s + 2, ground point c, at 2c, lies in cell c.
+        positions = range(2, 4 * n + 2, 4)
+        assert realize_expr(to_interval_expr(eta), positions, 2 * n + 1) == tuple(cells)
+
+
+def test_every_constructor_built_expression_realizes_as_its_label():
+    # The constructor uses up a one-shot iterator of removed points, so
+    # (a,c)\{b} built with one used to realize (0, 1, 1, 0) here.
+    expr = IntervalExpr((Interval(0, 2, iter([1])),), 3)
+    assert format_expr(expr) == "(a,c)\\{b}"
+    assert realize_expr(expr, (1, 2, 5), 4) == (0, 0, 1, 0)
+    rng = random.Random(371)
+    # Those given tuples equal their label's expression (the test above).
+    for make_removed in (list, iter):
+        for expr in _constructor_accepted(4, 6, make_removed):
+            held = to_interval_expr(from_interval_expr(expr))
+            for _ in range(4):
+                m = rng.randint(0, 6)
+                positions = _random_positions(rng, expr.symbol_count, m)
+                assert realize_expr(expr, positions, m) == realize_expr(held, positions, m)

@@ -6,6 +6,7 @@ tuple-mask helpers in ``bruteforce`` that they replaced; the value
 semantics are pinned to what a family of tuple members gave.
 """
 
+import copy
 import itertools
 import pickle
 import random
@@ -307,6 +308,16 @@ def test_library_calls_build_no_tuple_view():
         witnessed = _built(harness.ict_witness_family(tensor))
         assert witnessed == SetSystem.size_exactly(4, 2)
         assert family != given and family != SetSystem.power_set(6)
+
+
+def test_a_family_is_its_own_deep_copy_without_its_tuple_view():
+    # Deep copies used to hash the family, which built members: 126 ms and
+    # 137,980 tuples kept for avoid_family(20, (1, 0) * 4).
+    family = avoid_family(8, (1, 0) * 2)
+    assert copy.deepcopy(family) is family and copy.deepcopy([family])[0] is family
+    assert "members" not in family.__dict__
+    with mock.patch.object(_masks, "member_tuples", side_effect=AssertionError):
+        assert copy.deepcopy({"f": family})["f"] is family
 
 
 # --- entry points that take a mask, a tensor or an expression ------------
