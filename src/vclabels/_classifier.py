@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+from functools import cache
 
 from ._kernel import EmptyFamilyError, Label, _check_cap, _check_size, phi_bound
 from .setsystem import Classification, SetSystem
@@ -36,11 +37,13 @@ SEARCH_CELLS_PER_FOLD = 8
 VC_DIM_WORK_CAP = 1 << 23
 
 
+@cache
 def _sauer_profile(d: int, m: int) -> tuple[tuple[int, int], ...]:
     """The pairs (k, phi(d, k)) for k = 0..m, from one running value.
 
     By Pascal's rule phi(d, k + 1) = 2 phi(d, k) - C(k, d), and C(k, d) is
-    0 for k < d, where phi(d, k) = 2^k.
+    0 for k < d, where phi(d, k) = 2^k.  Computed once per (d, m), d <= m
+    and m within the kernel's ground cap, and shared, so it is a tuple.
     """
     phis = itertools.accumulate(range(m), lambda phi, k: 2 * phi - math.comb(k, d), initial=1)
     return tuple(enumerate(phis))
@@ -88,8 +91,13 @@ def _indicator(ints, m: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _low_halves(m: int) -> list[int]:
-    """For each j < m, the indicator of the v < 2^m whose bit j is clear."""
+@cache
+def _low_halves(m: int) -> tuple[int, ...]:
+    """For each j < m, the indicator of the v < 2^m whose bit j is clear.
+
+    Computed once per ground up to CLASSIFY_GROUND_CAP, the grounds that
+    fold, and shared, so it is a tuple.
+    """
     size = 1 << m
     out = []
     for j in range(m):
@@ -99,7 +107,7 @@ def _low_halves(m: int) -> list[int]:
             pattern |= pattern << period
             period <<= 1
         out.append(pattern)
-    return out
+    return tuple(out)
 
 
 def _trace_counts(indicator: int, m: int, low) -> tuple[list[int], list[dict[int, int]]]:
@@ -170,7 +178,7 @@ def _missing_trace(b: int, folded: int, m: int, low) -> list[tuple[int, int]]:
     return [(j, at >> r & 1) for r, j in enumerate(frame) if b >> j & 1]
 
 
-def _fold(system: SetSystem) -> tuple[int, list[int], list[int], list[dict[int, int]]]:
+def _fold(system: SetSystem) -> tuple[int, tuple[int, ...], list[int], list[dict[int, int]]]:
     """The fold path, for classify and forbidden_labels alike.
 
     Returns the family's 2^m-bit indicator, the low halves of its ground

@@ -118,8 +118,8 @@ def avoid_family(ground_size: int, eta: Label) -> SetSystem:
     """All subsets of the ground whose membership string avoids eta.
 
     The members are the words on which the greedy matcher never completes
-    eta.  On a small ground a repeated call is answered from setsystem's
-    memo (see setsystem._avoid_family).
+    eta.  On a small ground they are read from setsystem's memo of each
+    label's families on every small ground (see setsystem._avoid_rows).
     """
     return _module("setsystem")._avoid_family(ground_size, as_label(eta))
 

@@ -18,12 +18,15 @@ compiles that module.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections.abc import Iterable
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from ._kernel import Label, Mask, _Value, _check_cap, _check_size, _check_type, _module
+from ._kernel import (
+    ENUMERATION_GROUND_CAP, Label, Mask, _Value, _check_cap, _check_size, _check_type, _module,
+)
 from .labelcalc import as_label
 
 if TYPE_CHECKING:
@@ -44,6 +47,17 @@ def symbol_name(index: int) -> str:
         index, digit = divmod(index - 1, 26)
         name = chr(ord("a") + digit) + name
     return name
+
+
+def _symbol_names():
+    """symbol_name(0), symbol_name(1), ... in one pass.
+
+    Counting in bijective base 26 lists the names by length, and each
+    length in alphabetical order, which is the order itertools.product
+    gives the letters in.
+    """
+    for length in itertools.count(1):
+        yield from map("".join, itertools.product("abcdefghijklmnopqrstuvwxyz", repeat=length))
 
 
 class Point(_Value):
@@ -206,8 +220,7 @@ def format_expr(expr: IntervalExpr) -> str:
     _check_type(expr, IntervalExpr, "expression must be an IntervalExpr")
     eta = expr._label
     parts, lower, removed = [], "-inf", ""
-    for sym, (a, b) in enumerate(zip(eta, eta[1:])):
-        name = symbol_name(sym)
+    for name, a, b in zip(_symbol_names(), eta, eta[1:]):
         if a and b:
             parts.append("{%s}" % name)
         elif a:
@@ -279,10 +292,13 @@ def realize_expr(expr: IntervalExpr, assignment, ground_size: int) -> Mask:
     The ground size must be a nonnegative int (a bool counts); anything
     else raises ValueError, and so does an expression that is not an
     IntervalExpr, or positions that are not real numbers or not strictly
-    increasing, such as NaN.
+    increasing, such as NaN.  A mask takes a step per point, so a ground
+    above 2^ENUMERATION_GROUND_CAP points, the most members the kernel
+    gives a family, raises SizeGuardError.
     """
     _check_type(expr, IntervalExpr, "expression must be an IntervalExpr")
     _check_size(ground_size, "ground size")
+    _check_cap(ground_size, 1 << ENUMERATION_GROUND_CAP, "mask of {} points")
     _check_type(assignment, Iterable, "assignment must be an iterable")
     positions = tuple(assignment)
     # imported here: no CLI call realizes an expression

@@ -29,15 +29,22 @@ from ._kernel import (
     _member_lines, _module, _walk, phi_bound,
 )
 
-# On a ground of at most MEMO_GROUND points, classify and avoid_family
-# answer repeats from an lru_cache of their last MEMO_CALLS calls each.
+# On a ground of at most MEMO_GROUND points, classify answers repeats from
+# an lru_cache of its last MEMO_CALLS calls, and avoid_family reads a row
+# of an lru_cache of the last MEMO_CALLS labels it or their tails took.
 MEMO_GROUND = 10
 MEMO_CALLS = 256
 
 
 def mask_from_indices(ground_size: int, indices: Iterable[int]) -> Mask:
-    """Membership mask of the given element indices (ints; a bool counts)."""
+    """Membership mask of the given element indices (ints; a bool counts).
+
+    A mask takes a step per point, so a ground above
+    2^ENUMERATION_GROUND_CAP points, the most members the kernel gives a
+    family, raises SizeGuardError.
+    """
     _check_size(ground_size, "ground size")
+    _check_cap(ground_size, 1 << ENUMERATION_GROUND_CAP, "mask of {} points")
     _check_type(indices, Iterable, "indices must be an iterable")
     indices = list(indices)
     odd = [i for i in indices if not isinstance(i, int)]
@@ -113,6 +120,12 @@ class SetSystem(_Value):
         return self.ground_size == other.ground_size and self._ints == other._ints
 
     __hash__ = _Value.__hash__
+
+    def __reduce__(self):
+        # The pickle holds the tuple masks, built for it and not kept as
+        # ``members``.
+        masks = _module("_masks").member_tuples(self._ints, self.ground_size)
+        return type(self), (self.ground_size, masks)
 
     def __deepcopy__(self, memo):
         # A family always hashes, so it is its own deep copy; asking
@@ -243,17 +256,43 @@ def _memo_ground(ground_size) -> bool:
 
 
 def _avoid_family(ground_size: int, eta: Label) -> SetSystem:
-    """labelcalc.avoid_family of a normalized label.  The memo holds
-    member ints, so a hit is a new SetSystem, never a caller's view."""
+    """labelcalc.avoid_family of a normalized label.
+
+    On a memo ground the ints are a row of _avoid_rows, after the ground
+    is checked, since a negative index would answer too.  A label longer
+    than MEMO_GROUND is avoided by every word there, so all such labels
+    share the entry of the all-ones label one bit longer.  The memo holds
+    member ints, so a hit is a new SetSystem, never a caller's view.
+    """
     if _memo_ground(ground_size):
-        return SetSystem._of_ints(ground_size, _avoid_ints(ground_size, eta))
+        _check_size(ground_size, "ground size")
+        key = eta if len(eta) <= MEMO_GROUND else (1,) * (MEMO_GROUND + 1)
+        return SetSystem._of_ints(ground_size, _avoid_rows(key)[ground_size])
     return _automaton_family(ground_size, 0, _module("labelcalc")._avoid_step(eta))
 
 
 @lru_cache(maxsize=MEMO_CALLS)
-def _avoid_ints(ground_size: int, eta: Label) -> tuple[int, ...]:
-    """The member ints of the eta-avoidance family on the ground."""
-    return _automaton_family(ground_size, 0, _module("labelcalc")._avoid_step(eta))._ints
+def _avoid_rows(eta: Label) -> tuple[tuple[int, ...], ...]:
+    """The member ints of the eta-avoidance family on each ground 0..MEMO_GROUND.
+
+    The greedy matcher's first step splits the words of m points that
+    avoid eta: those whose first bit is eta[0] go on avoiding eta[1:], the
+    others eta (Pascal's rule phi(d, m) = phi(d, m - 1) + phi(d - 1, m - 1)).
+    So row m is built from row m - 1 of eta and of its tail, whose rows
+    come from this memo too: the words that start with 0, then 2^(m-1)
+    plus each word that starts with 1, already in order.  The empty tail
+    of a one-bit label avoids nothing, and a label longer than MEMO_GROUND
+    is its own tail there: every word avoids it.
+    """
+    rows = [(0,)]  # the empty word avoids every nonempty label
+    if len(eta) > MEMO_GROUND:
+        tail = rows
+    else:
+        tail = _avoid_rows(eta[1:]) if len(eta) > 1 else ((),) * MEMO_GROUND
+    for m in range(MEMO_GROUND):
+        zero, one = (rows[m], tail[m]) if eta[0] else (tail[m], rows[m])
+        rows.append((*zero, *map((1 << m).__add__, one)))
+    return tuple(rows)
 
 
 class Classification(_Value):

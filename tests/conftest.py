@@ -34,7 +34,7 @@ def forget_memo():
     families = sys.modules.get("vclabels.setsystem")
     if families is not None:
         families._classify_ints.cache_clear()
-        families._avoid_ints.cache_clear()
+        families._avoid_rows.cache_clear()
 
 
 @pytest.fixture(autouse=True)

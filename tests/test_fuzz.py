@@ -2,22 +2,28 @@
 
 Aim 3 of the roadmap: any input that reaches the library ends in a result
 or a typed error, all of them ValueError subclasses, and never in a stray
-TypeError, a RecursionError or a call that does not end.  The four text
-readers get random strings built from their own symbols and junk, and
-realize_expr gets junk positions.  Each call runs under a timer, so one
-that does not end fails the test instead of hanging it.  The seeds are
-fixed; the file takes about 2 s.
+TypeError, a RecursionError or a call that does not end.  Every public
+callable gets a table of junk arguments at each arity its signature
+allows, the four text readers get random strings built from their own
+symbols and junk, and realize_expr gets junk positions.  Each call runs
+under a timer, so one that does not end fails the test instead of hanging
+it.  The seeds are fixed; the file takes about 2 s.
 """
 
+import inspect
+import itertools
 import math
 import random
 import signal
+import types
 from fractions import Fraction
 
 import pytest
 
 import bruteforce as bf
-from vclabels.labelcalc import parse_label
+import vclabels
+from vclabels.harness import build_ict_tensor
+from vclabels.labelcalc import avoid_family, parse_label
 from vclabels.labelcompiler import parse_expr, realize_expr, to_interval_expr
 from vclabels.orderformula import parse_formula
 from vclabels.setsystem import SetSystem
@@ -113,3 +119,58 @@ def test_realize_expr_takes_junk_positions(outcome):
             # A result is the one the segment scan gives.
             assert mask == bf.realize_segments(bf.expr_segments(eta), positions, m)
     assert seen == {"result", "error"}
+
+
+# Values of every kind the API takes, each wrong for most parameters: ints
+# below, at and far above the caps, other numbers, strings, bytes, masks
+# and labels (some of them not bits), containers, and one value of each of
+# the library's own kinds.
+JUNK_ARGS = [
+    None, True, 0, 1, 3, -1, 2**70, 1.5, math.nan, "", "01", "x<y1", b"\x01", [], [1, 0],
+    (), (1,), (1, 0, 1), (0, 2), {}, object(), avoid_family(3, (1, 0)), parse_formula("x<y1"),
+    to_interval_expr((1, 0, 1)), build_ict_tensor(1, 2),
+]
+# Calls of three or more arguments are a fixed sample of the JUNK_ARGS tuples.
+SAMPLED_CALLS = 400
+
+
+def _entry_points():
+    """The public callables: every name of vclabels.__all__ but the modules,
+    the type aliases Label and Mask, and the error classes, which take any
+    arguments."""
+    for name in vclabels.__all__:
+        value = getattr(vclabels, name)
+        if isinstance(value, (types.ModuleType, types.GenericAlias, types.UnionType)):
+            continue
+        if isinstance(value, type) and issubclass(value, BaseException):
+            continue
+        yield name, value
+
+
+def _arities(function):
+    """The numbers of positional arguments the signature takes."""
+    params = inspect.signature(function).parameters.values()
+    positional = [p for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    required = sum(p.default is p.empty for p in positional)
+    return range(required, len(positional) + 1)
+
+
+def test_the_table_covers_the_entry_points():
+    names = dict(_entry_points())
+    for name in ("Compare", "phi_bound", "avoid_family", "SetSystem", "classify", "realize_expr"):
+        assert name in names
+    assert {n for n in names if n[0].islower()} == {
+        n for n in vclabels.__all__ if inspect.isfunction(getattr(vclabels, n))
+    }
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _entry_points()])
+def test_every_entry_point_takes_junk_arguments(name, outcome):
+    function, rng = getattr(vclabels, name), random.Random(f"fuzz table {name}")
+    for arity in _arities(function):
+        if arity <= 2:
+            calls = itertools.product(JUNK_ARGS, repeat=arity)
+        else:
+            calls = ([rng.choice(JUNK_ARGS) for _ in range(arity)] for _ in range(SAMPLED_CALLS))
+        for args in calls:
+            outcome(function, *args)

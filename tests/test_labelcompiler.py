@@ -21,6 +21,7 @@ from vclabels.labelcompiler import (
     from_interval_expr,
     parse_expr,
     realize_expr,
+    _symbol_names,
     symbol_name,
     to_interval_expr,
 )
@@ -33,7 +34,7 @@ from vclabels.orderformula import (
     ordered_trace_family,
     parse_formula,
 )
-from vclabels.setsystem import SizeGuardError
+from vclabels.setsystem import ENUMERATION_GROUND_CAP, SizeGuardError
 
 # label -> expected serialized expression, one row per catalog entry
 CATALOG_EXPRESSIONS = {
@@ -119,6 +120,10 @@ def test_symbol_names():
         assert bf.symbol_index(symbol_name(i)) == i
     with pytest.raises(ValueError):
         bf.symbol_index("A")
+
+
+def test_format_expr_names_its_symbols_as_symbol_name_does():
+    assert list(itertools.islice(_symbol_names(), 2001)) == [symbol_name(i) for i in range(2001)]
 
 
 # --- label <-> expression ------------------------------------------------------
@@ -406,6 +411,12 @@ def test_realize_checks_its_ground_size():
     with pytest.raises(ValueError, match="^ground size must be nonnegative$"):
         realize_expr(parse_expr("(-inf,a)"), (1,), -1)
     assert realize_expr(parse_expr("(-inf,a)"), (1,), True) == (1,)
+    # A mask takes a step per point, so an unbounded ground would not end.
+    top = 1 << ENUMERATION_GROUND_CAP
+    assert realize_expr(parse_expr("(-inf,a)"), (1,), top)[:2] == (1, 0)
+    for ground in (top + 1, 2**70):
+        with pytest.raises(SizeGuardError, match=f"^mask of {ground} points exceeds cap {top}$"):
+            realize_expr(parse_expr("(-inf,a)"), (1,), ground)
 
 
 def test_realized_families_match_avoidance():

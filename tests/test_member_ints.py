@@ -59,7 +59,7 @@ def _kernel_families():
     region = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1)
     yield setsystem.trace(_random_family(random.Random(3), 12, 60), region)
     yield SetSystem.size_exactly(9, 4)
-    setsystem._avoid_ints.cache_clear()
+    setsystem._avoid_rows.cache_clear()
     yield avoid_family(9, (0, 1, 1))  # walked
     yield avoid_family(9, (0, 1, 1))  # a memo hit
     yield orderformula.ordered_trace_family(orderformula.parse_formula("x>y1 & x<y2"), 2, 7)
@@ -215,6 +215,11 @@ def test_values_are_those_of_a_family_of_tuples():
     assert pickle.dumps(family, protocol=4) == TUPLE_PICKLE
     assert pickle.loads(TUPLE_PICKLE) == family
     assert pickle.loads(TUPLE_PICKLE)._ints == (0, 1, 3, 7)
+    # A family whose masks were never read pickles to the same bytes, and
+    # the masks built for the pickle are not kept on it.
+    fresh = avoid_family(3, (1, 0))
+    assert pickle.dumps(fresh, protocol=4) == TUPLE_PICKLE
+    assert "members" not in fresh.__dict__
     assert family.to_text() == "ground 3\n000\n001\n011\n111\n"
     # format(0, "00b") is "0", yet the empty mask is an empty line.
     assert SetSystem.power_set(0).to_text() == "ground 0\n\n"

@@ -1,4 +1,4 @@
-"""The memos that answer repeated classify and avoid_family calls."""
+"""The memos that answer repeated classify calls and build small avoid_family calls."""
 
 import _thread
 import itertools
@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import bruteforce as bf
 from vclabels import _classifier, labelcalc, setsystem
 from vclabels.labelcalc import avoid_family, is_characterized_by
 from vclabels.setsystem import (
@@ -18,7 +19,7 @@ from vclabels.setsystem import (
     classify,
 )
 
-memos = (setsystem._classify_ints, setsystem._avoid_ints)
+memos = (setsystem._classify_ints, setsystem._avoid_rows)
 # The engine itself, which the spy below wraps.
 engine_classify = _classifier.classify
 # 126 labels, so MEMO_GROUND + 1 grounds give more calls than a memo holds.
@@ -84,15 +85,17 @@ def test_the_classify_key_holds_the_ground():
 
 
 def test_an_avoid_family_hit_equals_a_fresh_call():
+    # One entry per label holds every memo ground, so a call on another
+    # ground is a hit too.
     for m, eta in [(0, (1,)), (5, (1, 0, 1)), (8, (0, 0, 1, 1)), (MEMO_GROUND, (1, 0, 1, 0, 1))]:
         first = avoid_family(m, eta)
-        misses = setsystem._avoid_ints.cache_info().misses
-        for bits in (eta, tuple(map(bool, eta)), list(eta)):
-            hit = avoid_family(m, bits)
-            assert hit == first == _fresh_avoid(m, eta)
-            assert repr(hit) == repr(_fresh_avoid(m, eta))
-            assert hit is not first and hit._ints is first._ints
-        assert setsystem._avoid_ints.cache_info().misses == misses
+        misses = setsystem._avoid_rows.cache_info().misses
+        for bits, ground in itertools.product((eta, tuple(map(bool, eta)), list(eta)), (m, 0, m)):
+            hit = avoid_family(ground, bits)
+            assert hit == _fresh_avoid(ground, eta)
+            assert repr(hit) == repr(_fresh_avoid(ground, eta))
+        assert hit == first and hit is not first and hit._ints is first._ints
+        assert setsystem._avoid_rows.cache_info().misses == misses
     # A True ground is built afresh, and its repr shows it.
     held = _held()
     for _ in range(2):
@@ -110,28 +113,75 @@ def test_an_avoid_family_hit_equals_a_fresh_call():
     assert is_characterized_by(avoid_family(5, (1, 0, 1)), (1, 0, 1))
 
 
+def test_the_rows_are_the_kernel_walk_and_the_oracle():
+    etas = [eta for n in range(1, 8) for eta in itertools.product((0, 1), repeat=n)]
+    for m in range(MEMO_GROUND + 1):
+        # bf.avoid_members takes seconds above ground 7, so its definition
+        # is also applied to every label at once: each word, numbered in
+        # the order of its int, with its subsequences of 1-7 bits.
+        words = [
+            (v, set(itertools.chain.from_iterable(itertools.combinations(w, k) for k in range(1, 8))))
+            for v, w in enumerate(itertools.product((0, 1), repeat=m))
+        ]
+        for eta in etas:
+            row = setsystem._avoid_rows(eta)[m]
+            assert row == _fresh_avoid(m, eta)._ints
+            assert row == tuple(v for v, subsequences in words if eta not in subsequences)
+            if m <= 7:
+                assert row == tuple(sorted(map(bf.numeral, bf.avoid_members(m, eta))))
+
+
+def test_a_label_builds_only_its_own_entry_over_its_held_tails():
+    avoid_family(4, (0, 1, 1))  # (0, 1, 1), (1, 1) and (1,)
+    info = setsystem._avoid_rows.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+    for eta, ground in [((1, 0, 1, 1), 9), ((0, 0, 1, 1), 2), ((1, 1, 0, 1, 1), 10)]:
+        avoid_family(ground, eta)
+        after = setsystem._avoid_rows.cache_info()
+        assert (after.misses, after.currsize) == (info.misses + 1, info.currsize + 1)
+        info = after
+
+
+def test_labels_longer_than_the_memo_ground_share_one_power_set_entry():
+    rng = random.Random(11)
+    long = [(1,) * (MEMO_GROUND + 1), (0,) * 12]
+    long += [tuple(rng.getrandbits(1) for _ in range(n)) for n in (11, 16, 64, 128, 128)]
+    for eta in long:
+        for m in (0, 3, MEMO_GROUND):
+            assert avoid_family(m, eta) == SetSystem.power_set(m)
+        assert _held() == [0, 1]
+    assert setsystem._avoid_rows.cache_info().misses == 1
+    # The shared entry is that of the all-ones label one bit longer than
+    # the memo ground, whose rows are the power sets themselves.
+    assert avoid_family(MEMO_GROUND, long[0])._ints == tuple(range(1 << MEMO_GROUND))
+
+
 def test_an_avoid_family_hit_holds_no_members_view():
     first = avoid_family(10, (1, 0, 1, 0))
     first.members, first.member_ints  # built on the caller's family only
     hit = avoid_family(10, (1, 0, 1, 0))
     assert "members" not in hit.__dict__ and "member_ints" not in hit.__dict__
-    held = setsystem._avoid_ints(10, (1, 0, 1, 0))
-    assert held is hit._ints and type(held) is tuple and set(map(type, held)) == {int}
+    for held in setsystem._avoid_rows((1, 0, 1, 0)):
+        assert type(held) is tuple and set(map(type, held)) <= {int}
+    assert setsystem._avoid_rows((1, 0, 1, 0))[10] is hit._ints
 
 
 def test_each_memo_holds_its_last_calls_on_small_grounds():
-    calls = [(m, eta) for m in range(MEMO_GROUND + 1) for eta in labels]
-    for m, eta in calls[:MEMO_CALLS]:
-        avoid_family(m, eta)
+    # Labels of 1-8 bits in order of length, so each label's tail is held
+    # when it is called and each call builds one entry; 510 labels, more
+    # than the memo holds.
+    many = [eta for n in range(1, 9) for eta in itertools.product((0, 1), repeat=n)]
+    for i, eta in enumerate(many):
+        avoid_family(i % (MEMO_GROUND + 1), eta)
+        info = setsystem._avoid_rows.cache_info()
+        assert info.misses == i + 1 and info.currsize == min(i + 1, MEMO_CALLS)
     assert _held() == [0, MEMO_CALLS]
-    # The first call is used again, so the second is the least recent and goes.
-    avoid_family(*calls[0])
-    avoid_family(*calls[MEMO_CALLS])
-    info = setsystem._avoid_ints.cache_info()
-    avoid_family(*calls[0])
-    assert setsystem._avoid_ints.cache_info().hits == info.hits + 1
-    avoid_family(*calls[1])
-    assert setsystem._avoid_ints.cache_info().misses == info.misses + 1
+    # The last label called is held; the first, long unused, has gone.
+    avoid_family(0, many[-1])
+    assert setsystem._avoid_rows.cache_info().misses == len(many)
+    avoid_family(0, many[0])
+    assert setsystem._avoid_rows.cache_info().misses == len(many) + 1
+    calls = [(m, eta) for m in range(MEMO_GROUND + 1) for eta in labels]
     for m, eta in calls:
         classify(avoid_family(m, eta))
         assert max(_held()) <= MEMO_CALLS

@@ -124,6 +124,11 @@ def test_sauer_profile_is_phi_bound_at_every_size():
         for d in range(m + 1):
             expected = tuple((k, phi_bound(d, k)) for k in range(m + 1))
             assert _classifier._sauer_profile(d, m) == expected
+    # Both are computed once per ground and shared, so they are tuples,
+    # which no caller can change.
+    for shared in (_classifier._sauer_profile(3, 8), _classifier._low_halves(8)):
+        assert type(shared) is tuple
+    assert _classifier._low_halves(8) is _classifier._low_halves(8)
 
 
 def test_phi_bound_rejects_negative():
@@ -1213,6 +1218,17 @@ def test_index_sets_name_an_index_that_is_not_an_int():
     assert mask_from_indices(3, [True, 2]) == (0, 1, 1)
     with pytest.raises(ValueError, match=r"^indices out of range for ground 3: \[5, 10\]$"):
         mask_from_indices(3, [10, 1, 5])
+
+
+def test_a_mask_from_indices_has_at_most_the_kernel_budget_of_points():
+    # A mask takes a step per point, so an unbounded ground would not end.
+    top = 1 << setsystem.ENUMERATION_GROUND_CAP
+    assert sum(mask_from_indices(top, [0, top - 1])) == 2
+    for ground in (top + 1, 2**70):
+        with pytest.raises(SizeGuardError, match=f"^mask of {ground} points exceeds cap {top}$"):
+            mask_from_indices(ground, [])
+        with pytest.raises(SizeGuardError):
+            SetSystem.from_index_sets(ground, [[0]])
 
 
 # --- construction checks --------------------------------------------------
