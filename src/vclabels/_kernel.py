@@ -2,11 +2,12 @@
 
 Masks and labels are tuples of the bits 0 and 1 at the API.  Every
 generated family is the words of a small automaton, walked by
-_automaton_blocks, which is also the one ground guard.  Every module of
-the package imports this one at the top.  ``setsystem``, the family and
-its operations, is reached only by the functions that build or type-check
-a SetSystem, through _module, so a CLI call that builds no family, such as
-``avoid``, ``label`` or ``verify l2``, never compiles it.
+_automaton_blocks, which is also the one ground guard.  Every library
+module imports this one at the top; ``cli`` and the package's
+``__init__`` import it only when a call needs it.  ``setsystem``, the
+family and its operations, is reached only by the functions that build or
+type-check a SetSystem, through _module, so a CLI call that builds no
+family, such as ``avoid``, ``label`` or ``verify l2``, never compiles it.
 """
 
 from __future__ import annotations
@@ -118,14 +119,16 @@ class _Value:
     Instances are equal when their classes and all their fields are; the
     hash is that of the field values and the repr lists them by name.
     Fields cannot be assigned or deleted, so each subclass's ``__init__``
-    stores them through ``object.__setattr__``, its ``__dict__`` or its
-    slots' own setters.
-    A value is its own copy, and its own deep copy when it hashes; one that
-    a caller built with a mutable field, such as a list, deep-copies field
-    by field.  Unpickled values are built by ``__init__``, so what it
-    derives from the fields, such as a stored hash, is computed afresh in
-    each process.  ``repr`` walks nested values with an explicit stack, so
-    it does not recurse however deep a tree of values is.
+    stores them through its ``__dict__`` or its slots' own setters.  Each
+    constructor stores a field the API documents as a sequence as a tuple,
+    whatever iterable it was given; scalar fields, such as
+    ``Point.symbol``, the fields of ``PairXorReport`` and the first three
+    of ``Classification``, are kept as given.  So a well-formed value
+    hashes, and it is its own copy and its own deep copy.  Unpickled
+    values are built by ``__init__``, so what it derives from the fields,
+    such as a stored hash, is computed afresh in each process.  ``repr``
+    walks nested values with an explicit stack, so it does not recurse
+    however deep a tree of values is.
     """
 
     __slots__ = ()
@@ -141,12 +144,6 @@ class _Value:
         return self
 
     def __deepcopy__(self, memo):
-        try:
-            hash(self)
-        except TypeError:
-            import copy
-
-            return type(self)(*copy.deepcopy(self._values(), memo))
         return self
 
     def __eq__(self, other):

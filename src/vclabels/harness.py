@@ -85,9 +85,7 @@ class PairXorReport(_Value):
     __match_args__ = ("passed", "family_size", "expected_size")
 
     def __init__(self, passed: bool, family_size: int, expected_size: int):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "family_size", family_size)
-        object.__setattr__(self, "expected_size", expected_size)
+        self.__dict__.update(passed=passed, family_size=family_size, expected_size=expected_size)
 
 
 def verify_pair_xor(eta: Label, m_pairs: int) -> PairXorReport:
@@ -169,7 +167,11 @@ def ramsey_homogenize(system: SetSystem) -> tuple[Mask, Label]:
 
 class IctWitness(_Value):
     """One realized path: sat[i][j] says whether the row-i, column-j
-    instance holds at the witness."""
+    instance holds at the witness.
+
+    The path and each row of ``sat`` may be given as any sequence, and are
+    held as tuples.
+    """
 
     __match_args__ = ("path", "sat")
 
@@ -178,8 +180,7 @@ class IctWitness(_Value):
         _check_type(sat, Sequence, "witness rows must be a sequence")
         for row in sat:
             _check_type(row, Sequence, "a witness row must be a sequence")
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "sat", sat)
+        self.__dict__.update(path=tuple(path), sat=tuple(map(tuple, sat)))
 
 
 class IctTensor(_Value):
@@ -201,9 +202,7 @@ class IctTensor(_Value):
                 raise ValueError("witness row width does not match column count")
             if any(not (isinstance(j, int) and 0 <= j < columns) for j in witness.path):
                 raise ValueError("path column out of range")
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "witnesses", witnesses)
+        self.__dict__.update(depth=depth, columns=columns, witnesses=witnesses)
 
 
 def build_ict_tensor(depth: int, columns: int) -> IctTensor:
@@ -240,7 +239,7 @@ def ict_failure(tensor: IctTensor):
     matched = {
         witness.path
         for witness in tensor.witnesses
-        if tuple(map(tuple, witness.sat)) == _on_path(witness.path, tensor.columns)
+        if witness.sat == _on_path(witness.path, tensor.columns)
     }
     for witness in tensor.witnesses:
         if witness.path not in matched:

@@ -37,24 +37,13 @@ class MalformedExpressionError(ValueError):
     """Expression text or structure that does not encode a label."""
 
 
-def symbol_name(index: int) -> str:
-    """Symbol names a, b, ..., z, aa, ab, ... in order."""
-    if index < 0:
-        raise ValueError("symbol index must be nonnegative")
-    name = ""
-    index += 1
-    while index:
-        index, digit = divmod(index - 1, 26)
-        name = chr(ord("a") + digit) + name
-    return name
-
-
 def _symbol_names():
-    """symbol_name(0), symbol_name(1), ... in one pass.
+    """The symbol names a, b, ..., z, aa, ab, ... in order, in one pass.
 
-    Counting in bijective base 26 lists the names by length, and each
-    length in alphabetical order, which is the order itertools.product
-    gives the letters in.
+    Symbol k is named by k + 1 in bijective base 26 with the digits a-z.
+    That counting lists the names by length, and each length in
+    alphabetical order, which is the order itertools.product gives the
+    letters in.
     """
     for length in itertools.count(1):
         yield from map("".join, itertools.product("abcdefghijklmnopqrstuvwxyz", repeat=length))
@@ -73,13 +62,15 @@ class Interval(_Value):
     """An open interval, possibly unbounded, minus finitely many points.
 
     ``lower`` None means unbounded below; ``upper`` None means unbounded
-    above; ``removed`` lists the symbols of points deleted from the span.
+    above; ``removed``, the symbols of points deleted from the span, may
+    be given as any iterable and is held as a tuple.
     """
 
     __match_args__ = ("lower", "upper", "removed")
 
-    def __init__(self, lower: int | None, upper: int | None, removed: tuple[int, ...] = ()):
-        self.__dict__.update(lower=lower, upper=upper, removed=removed)
+    def __init__(self, lower: int | None, upper: int | None, removed: Iterable[int] = ()):
+        _check_type(removed, Iterable, "removed points must be an iterable")
+        self.__dict__.update(lower=lower, upper=upper, removed=tuple(removed))
 
 
 Segment = Point | Interval
@@ -100,7 +91,6 @@ def _segment_symbols(segment: Segment):
         )
     if segment.lower is not None:
         yield segment.lower, 0
-    _check_type(segment.removed, Iterable, "removed points must be an iterable")
     yield from ((symbol, 0) for symbol in segment.removed)
     if segment.upper is not None:
         yield segment.upper, 1
@@ -127,9 +117,10 @@ class IntervalExpr(_Value):
     the library's functions read only the label.  ``segments``, the Point
     and Interval pieces, is read off the label when first asked for, as
     the module docstring says.  The constructor checks the segments it is
-    given and keeps them, so the value compares, hashes and prints with
-    them as given; to_interval_expr and parse_expr go to ``_of_label``
-    with a label and build no segment.
+    given and keeps them as a tuple; since an Interval holds its removed
+    points as a tuple too, they are the segments read off the label, and
+    the value equals its label's expression.  to_interval_expr and
+    parse_expr go to ``_of_label`` with a label and build no segment.
     """
 
     __match_args__ = ("segments", "symbol_count")
@@ -272,7 +263,7 @@ def parse_expr(text: str) -> IntervalExpr:
             raise MalformedExpressionError(f"cannot parse expression piece {piece!r}")
         names += zeros + ones
         bits += [0] * len(zeros) + [1] * len(ones)
-    # symbol_name counts in bijective base 26, so (length, text) is rank order.
+    # _symbol_names counts in bijective base 26, so (length, text) is rank order.
     ranks = [(len(name), name) for name in names]
     if any(a >= b for a, b in zip(ranks, ranks[1:])):
         raise MalformedExpressionError(

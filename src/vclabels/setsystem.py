@@ -72,7 +72,9 @@ class SetSystem(_Value):
     ints when first read, so its entries are the ints 0 and 1 whatever
     bits the masks were given as.  Masks and file lines are checked where
     they enter (the constructor, ``from_masks``, ``from_text``); the ints
-    the library builds itself go to ``_of_ints`` unchecked.
+    the library builds itself go to ``_of_ints`` unchecked.  Families
+    compare and hash by their ground size and ints, so neither builds
+    ``members``.
     """
 
     __match_args__ = ("ground_size", "members")
@@ -119,18 +121,14 @@ class SetSystem(_Value):
             return NotImplemented
         return self.ground_size == other.ground_size and self._ints == other._ints
 
-    __hash__ = _Value.__hash__
+    def __hash__(self):
+        return hash((self.ground_size, self._ints))
 
     def __reduce__(self):
         # The pickle holds the tuple masks, built for it and not kept as
         # ``members``.
         masks = _module("_masks").member_tuples(self._ints, self.ground_size)
         return type(self), (self.ground_size, masks)
-
-    def __deepcopy__(self, memo):
-        # A family always hashes, so it is its own deep copy; asking
-        # _Value for it would hash, and so build, ``members``.
-        return self
 
     @classmethod
     def from_masks(cls, ground_size: int, masks: Iterable[Mask]) -> SetSystem:
@@ -296,11 +294,20 @@ def _avoid_rows(eta: Label) -> tuple[tuple[int, ...], ...]:
 
 
 class Classification(_Value):
-    """VC dimension together with the maximum/maximal verdicts."""
+    """VC dimension together with the maximum/maximal verdicts.
+
+    ``sauer_profile``, the (size, largest trace count) pairs, is held as a
+    tuple of tuples; a profile that is not an iterable of iterables raises
+    ValueError.
+    """
 
     __match_args__ = ("vc_dimension", "is_maximum", "is_maximal", "sauer_profile")
 
     def __init__(self, vc_dimension: int, is_maximum: bool, is_maximal: bool, sauer_profile):
+        try:
+            sauer_profile = tuple(map(tuple, sauer_profile))
+        except TypeError:
+            raise ValueError(f"sauer profile must be pairs, got {sauer_profile!r}") from None
         values = vc_dimension, is_maximum, is_maximal, sauer_profile
         self.__dict__.update(zip(self.__match_args__, values))
 

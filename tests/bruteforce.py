@@ -163,6 +163,18 @@ def fold_trace_counts(indicator: int, m: int, low) -> list[int]:
     return counts
 
 
+def symbol_name(index):
+    """Symbol names a, b, ..., z, aa, ab, ... in order (bijective base 26)."""
+    if index < 0:
+        raise ValueError("symbol index must be nonnegative")
+    name = ""
+    index += 1
+    while index:
+        index, digit = divmod(index - 1, 26)
+        name = chr(ord("a") + digit) + name
+    return name
+
+
 def symbol_index(name):
     """Rank of a symbol name a, b, ..., z, aa, ab, ... (bijective base 26)."""
     if not name or any(not "a" <= ch <= "z" for ch in name):

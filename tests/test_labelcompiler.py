@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import bruteforce as bf
-from bruteforce import PositionGrid
+from bruteforce import PositionGrid, symbol_name
 from vclabels.labelcalc import avoid_family
 from vclabels.labelcompiler import (
     Interval,
@@ -22,7 +22,6 @@ from vclabels.labelcompiler import (
     parse_expr,
     realize_expr,
     _symbol_names,
-    symbol_name,
     to_interval_expr,
 )
 from vclabels.orderformula import (
@@ -196,13 +195,19 @@ def test_label_held_expressions_match_the_segment_walk_oracle():
 
 
 def test_an_expression_compares_by_the_segments_it_was_given():
-    # Both hold the label 1001; a list of removed points is another field.
+    # An interval holds its removed points as a tuple, so an expression
+    # built with a list of them is the one its label 1001 gives.
     listed = IntervalExpr((Interval(0, 2, [1]),), 3)
     given = IntervalExpr((Interval(0, 2, (1,)),), 3)
-    assert listed != given and repr(listed) != repr(given)
+    held = to_interval_expr((1, 0, 0, 1))
+    assert listed == given == held == parse_expr("(a,c)\\{b}")
+    assert hash(listed) == hash(given) == hash(held)
+    assert repr(listed) == repr(given) == repr(held)
+    assert listed.segments[0].removed == (1,)
     assert from_interval_expr(listed) == from_interval_expr(given) == (1, 0, 0, 1)
     assert format_expr(listed) == format_expr(given) == "(a,c)\\{b}"
-    assert given == to_interval_expr((1, 0, 0, 1)) == parse_expr("(a,c)\\{b}")
+    # Another label's expression is still another value.
+    assert listed != IntervalExpr([Point(0), Point(1), Point(2)], 3)
 
 
 def test_parse_expr_accepts_any_increasing_letters():

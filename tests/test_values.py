@@ -9,7 +9,13 @@ import sys
 import pytest
 
 from vclabels.harness import (
-    IctTensor, IctWitness, PairXorReport, build_ict_tensor, ict_witness_family, verify_ict,
+    IctTensor,
+    IctWitness,
+    PairXorReport,
+    build_ict_tensor,
+    ict_failure,
+    ict_witness_family,
+    verify_ict,
 )
 from vclabels.labelcompiler import (
     Interval,
@@ -73,22 +79,71 @@ def test_value_repr_equality_hash_and_freezing(value, text):
 def test_values_copy_and_pickle(value):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert twin == value and hash(twin) == hash(value)
-    # Values hold only hashable fields here, so they are their own copies.
     assert copy.copy(value) is value and copy.deepcopy(value) is value
 
 
+# Each class with fields the API documents as sequences, built with those
+# fields given by ``make``: tuple, list or iter (a one-shot iterator).  A
+# witness's path and rows must have a length, so ``iter`` gives them as lists.
+def _witness(make, path, sat):
+    make = list if make is iter else make
+    return IctWitness(make(path), make(map(make, sat)))
+
+
+SEQUENCE_BUILDS = {
+    "Interval": lambda make: Interval(0, 3, make([1, 2])),
+    "IntervalExpr": lambda make: IntervalExpr(make([Point(0), Interval(1, 3, make([2]))]), 4),
+    "IctWitness": lambda make: _witness(make, [0, 1], [[1, 0], [0, 1]]),
+    "IctTensor": lambda make: IctTensor(2, 2, make([_witness(make, [0, 1], [[1, 0], [0, 1]])])),
+    "Classification": lambda make: Classification(
+        1, True, True, make(map(make, [[0, 1], [1, 2]]))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SEQUENCE_BUILDS))
+def test_values_hold_their_sequences_as_tuples(name):
+    given = SEQUENCE_BUILDS[name](tuple)
+    for make in (list, iter):
+        value = SEQUENCE_BUILDS[name](make)
+        assert hash(value) == hash(given) and value == given and repr(value) == repr(given)
+        assert copy.copy(value) is value and copy.deepcopy(value) is value
+        assert copy.deepcopy([value])[0] is value
+        twin = pickle.loads(pickle.dumps(value))
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+
+
+def test_a_witness_refuses_a_one_shot_path():
+    with pytest.raises(ValueError, match="^a witness path must be a sequence, got list_iterator$"):
+        IctWitness(iter([0]), [[1, 0]])
+
+
+def test_ict_checks_read_witnesses_built_from_lists():
+    assert verify_ict(IctTensor(1, 2, [IctWitness([0], [[1, 0]])]))
+    for depth, columns in ((1, 2), (2, 3), (3, 3)):
+        built = build_ict_tensor(depth, columns)
+        witnesses = [_witness(list, w.path, w.sat) for w in built.witnesses]
+        listed = IctTensor(depth, columns, witnesses)
+        assert listed == built and verify_ict(listed)
+        assert ict_witness_family(listed) == ict_witness_family(built)
+    wrong = IctTensor(1, 2, [IctWitness([0], [[0, 1]])])
+    assert ict_failure(wrong) == ict_failure(IctTensor(1, 2, (IctWitness((0,), ((0, 1),)),)))
+    assert ict_failure(wrong) == (0,)
+
+
 def test_deepcopy_does_not_share_mutable_fields_a_caller_gave():
-    interval = Interval(0, 1, [2])
-    twin = copy.deepcopy(interval)
-    assert twin == interval and twin.removed is not interval.removed
-    witness = IctWitness([0], [[1, 0]])
-    tensor = IctTensor(1, 2, [witness])
-    twin = copy.deepcopy(tensor)
-    assert twin == tensor
-    assert twin.witnesses[0] is not witness
-    assert twin.witnesses[0].sat[0] is not witness.sat[0]
-    # A shallow copy shares its fields, as a copy of a frozen dataclass did.
-    assert copy.copy(interval).removed is interval.removed
+    # Each constructor keeps a tuple of the list it was given, so a value is
+    # its own deep copy, and changing the list afterwards changes no value.
+    removed, path, row, profile = [2], [0], [1, 0], [[0, 1], [1, 2]]
+    interval = Interval(0, 1, removed)
+    tensor = IctTensor(1, 2, [IctWitness(path, [row])])
+    result = Classification(1, True, True, profile)
+    removed.append(3)
+    path[0], row[0], profile[1][1] = 1, 0, 5
+    assert interval == Interval(0, 1, (2,)) and copy.deepcopy(interval) is interval
+    assert tensor == IctTensor(1, 2, (IctWitness((0,), ((1, 0),)),)) and verify_ict(tensor)
+    assert copy.deepcopy(tensor) is tensor
+    assert result.sauer_profile == ((0, 1), (1, 2)) and copy.deepcopy(result) is result
 
 
 def test_values_built_from_a_generator_are_those_built_from_a_tuple():
@@ -206,6 +261,16 @@ def test_member_ints_is_cached_on_a_frozen_set_system():
             lambda: IctTensor(1, 2, (IctWitness((5,), ((1, 0),)),)),
             ValueError,
             "path column out of range",
+        ),
+        (
+            lambda: Classification(1, True, True, [(0, 1), 1]),
+            ValueError,
+            "sauer profile must be pairs, got [(0, 1), 1]",
+        ),
+        (
+            lambda: Classification(1, True, True, None),
+            ValueError,
+            "sauer profile must be pairs, got None",
         ),
     ],
 )
